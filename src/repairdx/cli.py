@@ -181,7 +181,9 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--sample", dest="sample_size", type=int, default=100,
                    help="validation examples per checkpoint (default: 100)")
     p.add_argument("--interval", dest="interval_steps", type=int, default=500,
-                   help="intended step cadence, recorded in provenance "
+                   help="checkpoint step cadence: every step in the dump "
+                        "must be a multiple of it, else the run fails with "
+                        "an input error; also recorded in provenance "
                         "(default: 500)")
     p.add_argument("--fixed-sample", action="store_true",
                    help="reuse one sample across checkpoints instead of "
@@ -431,6 +433,10 @@ def _cmd_track(cfg: RunConfig) -> int:
         em_normalize=cfg.em_normalize, ned_tokens=cfg.ned_tokens,
         workers=cfg.workers,
     )
+    orphans = sorted(set(loss_by_step or ()) - set(series.steps))
+    if orphans:
+        print("warning: --loss-log has eval_loss at step(s) with no predictions, "
+              f"ignored: {', '.join(str(s) for s in orphans)}", file=sys.stderr)
     report = build_report(
         corpus_stats(examples), series, records_by_step,
         _provenance(

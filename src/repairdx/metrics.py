@@ -51,8 +51,12 @@ def exact_match(prediction: str, target: str, normalize: str = "none") -> bool:
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Edit distance (insert/delete/substitute, unit costs).
 
-    Works on strings or token lists. Common prefixes and suffixes are
-    trimmed before the two-row dynamic program runs.
+    Works on strings or token lists; list elements must be hashable.
+    Common prefixes and suffixes are trimmed, then the bit-parallel
+    algorithm of Myers (1999), in Hyyrö's (2001) formulation for global
+    edit distance, runs with Python ints as bit vectors: the longer side
+    is the bit vector and the loop runs once per element of the shorter
+    side, so the cost is O(len(shorter) * len(longer) / word size).
     """
     if a == b:
         return 0
@@ -71,17 +75,33 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
         return len(b)
     if not b:
         return len(a)
-    if len(a) < len(b):  # iterate over the longer, keep rows short
+    if len(a) < len(b):  # bit vector over the longer, loop over the shorter
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    curr = [0] * (len(b) + 1)
-    for i, ca in enumerate(a, start=1):
-        curr[0] = i
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            curr[j] = min(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost)
-        prev, curr = curr, prev
-    return prev[len(b)]
+    # peq[x]: bit i set where a[i] == x.
+    peq: dict = {}
+    bit = 1
+    for x in a:
+        peq[x] = peq.get(x, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    # Vertical deltas of the current DP column: +1 where vp, -1 where vn.
+    # Column 0 is 0..len(a), all +1; dist tracks the bottom cell.
+    vp, vn, dist = mask, 0, len(a)
+    get = peq.get
+    for y in b:
+        eq = get(y, 0)
+        d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & mask
+        hp = vn | (mask ^ (d0 | vp))
+        hn = d0 & vp
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = (hp << 1) | 1  # row 0 is 0..len(b): its horizontal delta is +1
+        vp = ((hn << 1) | ~(d0 | hp)) & mask
+        vn = d0 & hp
+    return dist
 
 
 def normalized_edit_distance(prediction: str, target: str, tokens: bool = False) -> float:

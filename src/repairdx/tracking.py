@@ -110,13 +110,19 @@ def _measure(task: tuple) -> EvalRecord:
     parser = _WORKER_PARSER
     verdict = check_syntax(pred_text, parser=parser)
     behavior = classify_behavior(buggy, pred_text, fixed)
+    distance = levenshtein(pred_text, fixed)
+    if ned_tokens:
+        ned = normalized_edit_distance(pred_text, fixed, tokens=True)
+    else:  # character NED is this same distance, scaled by the longer side
+        longer = max(len(pred_text), len(fixed))
+        ned = distance / longer if longer else 0.0
     return EvalRecord(
         example_id=example_id,
         step=step,
         behavior=behavior,
         exact=exact_match(pred_text, fixed, normalize=em_normalize),
-        edit_distance=levenshtein(pred_text, fixed),
-        ned=normalized_edit_distance(pred_text, fixed, tokens=ned_tokens),
+        edit_distance=distance,
+        ned=ned,
         syntax_valid=verdict.valid,
         near_copy=is_near_copy(pred_text, buggy),
         pred_len=len(pred_text),

@@ -336,6 +336,38 @@ def test_track_full_run(corpus_file, predictions_file, loss_file, tmp_path,
     assert len(csv_lines) == 3
 
 
+def test_track_warns_about_loss_steps_without_predictions(corpus_file,
+                                                         predictions_file,
+                                                         tmp_path, capsys):
+    loss = write_jsonl(tmp_path / "loss.jsonl", [
+        {"step": 0, "eval_loss": 2.0},
+        {"step": 500, "eval_loss": 0.91},
+        {"step": 1500, "eval_loss": 0.3},
+        {"step": 2000, "train_loss": 0.2},  # no eval_loss: not an orphan
+    ])
+    plain = tmp_path / "plain"
+    assert main(["track", "--corpus", str(corpus_file),
+                 "--preds", str(predictions_file), "--out", str(plain)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    out = tmp_path / "results"
+    assert main(["track", "--corpus", str(corpus_file),
+                 "--preds", str(predictions_file), "--out", str(out),
+                 "--loss-log", str(loss)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning")]
+    assert warnings == ["warning: --loss-log has eval_loss at step(s) with no "
+                        "predictions, ignored: 0, 1500"]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [c["eval_loss"] for c in report["series"]] == [0.91, None]
+
+
+def test_track_interval_help_names_the_cadence_check(capsys):
+    with pytest.raises(SystemExit):
+        main(["track", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "must be a multiple of it" in help_text
+
+
 def test_track_off_cadence_step_is_input_error(corpus_file, predictions_file,
                                                tmp_path, capsys):
     assert main(["track", "--corpus", str(corpus_file),

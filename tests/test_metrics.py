@@ -9,6 +9,7 @@ standard deviation of [0.2, 0.4, 0.6]) were computed by hand.
 import math
 import random
 import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,84 @@ def test_agrees_with_oracle_on_token_sequences():
         a = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
         b = [rng.choice(vocab) for _ in range(rng.randint(0, 12))]
         assert levenshtein(a, b) == oracle_levenshtein(a, b), (a, b)
+
+
+def untrimmable(rng, n, alphabet="ab(){} ;x"):
+    """``n`` characters whose ends differ from any ``other_untrimmable``
+    text, so prefix/suffix trimming leaves all ``n`` for the kernel."""
+    return "<" + "".join(rng.choice(alphabet) for _ in range(n - 2)) + ">"
+
+
+def other_untrimmable(rng, n, alphabet="ab(){} ;x"):
+    return "[" + "".join(rng.choice(alphabet) for _ in range(n - 2)) + "]"
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_agrees_with_oracle_at_word_boundaries(n):
+    rng = random.Random(n)
+    for m in (2, n // 2, n - 1, n, n + 1):
+        a, b = untrimmable(rng, n), other_untrimmable(rng, m)
+        assert levenshtein(a, b) == oracle_levenshtein(a, b), (a, b)
+        assert levenshtein(b, a) == oracle_levenshtein(a, b), (a, b)
+
+
+def test_agrees_with_oracle_past_a_thousand():
+    rng = random.Random(1000)
+    a, b = untrimmable(rng, 1030), other_untrimmable(rng, 1001)
+    assert levenshtein(a, b) == oracle_levenshtein(a, b)
+    # A near-copy: a handful of edits spread over the whole length.
+    c = list(a)
+    for i in range(5, len(c), 97):
+        c[i] = "#"
+    c = "".join(c[:500] + c[503:])
+    assert levenshtein(a, c) == oracle_levenshtein(a, c)
+
+
+def test_agrees_with_oracle_on_very_uneven_lengths():
+    rng = random.Random(12)
+    runaway = "<" + "return x ; " * 1100 + ">"  # 12k chars of repetition
+    short = other_untrimmable(rng, 50)
+    assert len(runaway) > 12_000
+    assert levenshtein(runaway, short) == oracle_levenshtein(runaway, short)
+    assert levenshtein(short, runaway) == oracle_levenshtein(runaway, short)
+
+
+def test_agrees_with_oracle_on_non_ascii_text():
+    rng = random.Random(7)
+    alphabet = "aé漢字🙂\u0301\u00a0 ;"
+    for _ in range(200):
+        a, b = random_text(rng, 90, alphabet), random_text(rng, 90, alphabet)
+        assert levenshtein(a, b) == oracle_levenshtein(a, b), (a, b)
+
+
+def test_repeated_characters():
+    assert levenshtein("a" * 200, "a" * 70) == 130
+    assert levenshtein("a" * 130, "b" * 65) == 130
+    for a, b in [("ab" * 80, "ba" * 80), ("a" * 64 + "b", "b" + "a" * 64),
+                 ("aab" * 50, "abb" * 45)]:
+        assert levenshtein(a, b) == oracle_levenshtein(a, b), (a, b)
+
+
+def test_token_lists_with_one_sided_tokens():
+    rng = random.Random(44)
+    shared = ["int", "x", "=", "1", ";", "{", "}"]
+    for _ in range(100):
+        a = [rng.choice(shared + ["only_a", "only_a2"]) for _ in range(rng.randint(0, 80))]
+        b = [rng.choice(shared + ["only_b"]) for _ in range(rng.randint(0, 80))]
+        assert levenshtein(a, b) == oracle_levenshtein(a, b), (a, b)
+    # Elements need only be hashable: ints and tuples work as they are.
+    assert levenshtein([1, 2, 3, 4], [1, 3, 4, 5]) == 2
+    assert levenshtein([("a", 1), ("b", 2)], [("b", 2)]) == 1
+
+
+def test_twenty_thousand_char_pair_is_fast():
+    rng = random.Random(20_000)
+    a, b = untrimmable(rng, 20_000), other_untrimmable(rng, 20_000)
+    started = time.perf_counter()
+    d = levenshtein(a, b)
+    elapsed = time.perf_counter() - started
+    assert 0 < d <= 20_000
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
 
 @settings(max_examples=200, deadline=None)

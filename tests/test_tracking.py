@@ -4,7 +4,7 @@ import pytest
 
 from repairdx.corpus import Prediction, RepairExample, TrackingConfig
 from repairdx.errors import InputError
-from repairdx.metrics import BehaviorClass, aggregate
+from repairdx.metrics import BehaviorClass, aggregate, levenshtein, normalized_edit_distance
 from repairdx.tracking import (
     CheckpointRecord,
     CheckpointSeries,
@@ -15,6 +15,7 @@ from repairdx.tracking import (
     run_tracking,
     series_stats,
     summarize_records,
+    _measure,
 )
 
 from conftest import SMALL_CORPUS, SMALL_PREDICTIONS, write_jsonl
@@ -96,6 +97,34 @@ def test_exact_match_records_have_zero_ned():
     for record in records:
         assert record.behavior is BehaviorClass.EXACT_MATCH
         assert record.exact and record.ned == 0.0 and record.edit_distance == 0
+
+
+def test_character_ned_is_the_record_distance_over_the_longer_side():
+    by_id = {p.id: p for p in predictions() if p.step == 500}
+    fixed = {ex.id: ex.fixed for ex in examples()}
+    for r in evaluate_examples(examples(), by_id):
+        pred, target = by_id[r.example_id].prediction, fixed[r.example_id]
+        assert r.edit_distance == levenshtein(pred, target)
+        assert r.ned == r.edit_distance / max(len(pred), len(target))  # exact
+        assert r.ned == normalized_edit_distance(pred, target)
+
+
+def test_token_ned_under_ned_tokens():
+    by_id = {p.id: p for p in predictions() if p.step == 500}
+    fixed = {ex.id: ex.fixed for ex in examples()}
+    records = {r.example_id: r for r in evaluate_examples(examples(), by_id, ned_tokens=True)}
+    for r in records.values():
+        pred, target = by_id[r.example_id].prediction, fixed[r.example_id]
+        assert r.edit_distance == levenshtein(pred, target)  # still characters
+        assert r.ned == normalized_edit_distance(pred, target, tokens=True)
+    # "count = 2" vs "count = 0": one token of ten, one character of thirty.
+    assert records["bug-002"].ned == 1 / 10
+    assert records["bug-002"].edit_distance == 1
+
+
+def test_measure_of_two_empty_texts_is_zero():
+    record = _measure(("e", "x", "", "", 0, "none", False))
+    assert record.edit_distance == 0 and record.ned == 0.0
 
 
 def test_missing_prediction_is_named():
