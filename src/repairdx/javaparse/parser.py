@@ -5,11 +5,15 @@ nodes, required-but-absent tokens become zero-width MISSING nodes, and
 every call yields a tree. Coverage targets method-level Java up to roughly
 version 14: generics, lambdas, method references, anonymous classes,
 try-with-resources, multi-catch, and both colon and arrow switch forms.
-Deliberately out of scope: module declarations, records, sealed types, and
-pattern matching in switch labels (see the flagged-constructs fixture).
+Deliberately out of scope: module declarations, sealed types, and pattern
+matching in switch labels (see the flagged-constructs fixture). Records
+have no rule of their own, yet `record Point ( int x , int y ) { }` parses
+clean: as a method whose return type is named `record`.
 
 The parser is deterministic: equal inputs yield equal trees. Instances are
-single-use; `parse_java` constructs a fresh one per call.
+single-use; `parse_java` constructs a fresh one per call. Parse time is
+linear in nesting depth: lambda lookahead reads a paren-match table built
+once per parse, and binary operators are parsed by precedence climbing.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ _ASSIGN_OPS = frozenset(
     ["=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<<=", ">>=", ">>>="]
 )
 
-# Binary operator precedence, loosest first. Relational/instanceof and
-# shift get dedicated handling inside _parse_binary.
+# Binary operator precedence, loosest first. Only instanceof gets dedicated
+# handling inside _parse_binary: its right side is a type, not an operand.
 _BINARY_LEVELS: list[frozenset[str]] = [
     frozenset(["||"]),
     frozenset(["&&"]),
@@ -57,6 +61,7 @@ _BINARY_LEVELS: list[frozenset[str]] = [
     frozenset(["+", "-"]),
     frozenset(["*", "/", "%"]),
 ]
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 _LITERAL_KINDS = frozenset([NUMBER, STRING, CHAR])
 _LITERAL_KEYWORDS = frozenset(["true", "false", "null"])
@@ -85,6 +90,7 @@ class JavaParser:
         self.toks = tokenize(src)
         self.i = 0
         self.depth = 0
+        self._paren_match: dict[int, int] | None = None
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -454,6 +460,15 @@ class JavaParser:
         return self.parse_expression()
 
     def _parse_array_initializer(self) -> Node:
+        self.depth += 1
+        try:
+            if self.depth > _MAX_DEPTH:
+                return self._error_until(frozenset(["}", ","]))
+            return self._parse_array_initializer_inner()
+        finally:
+            self.depth -= 1
+
+    def _parse_array_initializer_inner(self) -> Node:
         kids = [self.take()]  # {
         while not self.at("}") and not self.at_eof():
             before = self.i
@@ -656,31 +671,36 @@ class JavaParser:
         self.i = mark
         return ok
 
+    def _match_parens(self) -> dict[int, int]:
+        """Index of each '(' token -> index of its matching ')'.
+
+        Built once per parse; an unmatched '(' has no entry. Splitting a
+        composite '>' token in _expect_gt never touches parens, so the
+        table stays valid for the whole parse.
+        """
+        match: dict[int, int] = {}
+        open_at: list[int] = []
+        for j, tok in enumerate(self.toks):
+            if tok.kind == PUNCT:
+                if tok.text == "(":
+                    open_at.append(j)
+                elif tok.text == ")" and open_at:
+                    match[open_at.pop()] = j
+        return match
+
     def _lambda_ahead(self) -> bool:
         t = self.peek()
         nxt = self.peek(1)
         if t.kind == IDENT and nxt.kind == PUNCT and nxt.text == "->":
             return True
         if t.kind == PUNCT and t.text == "(":
-            depth = 0
-            j = self.i
-            while j < len(self.toks):
-                tok = self.toks[j]
-                if tok.kind == EOF:
-                    return False
-                if tok.kind == PUNCT:
-                    if tok.text == "(":
-                        depth += 1
-                    elif tok.text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            k = self.toks[j + 1] if j + 1 < len(self.toks) else None
-                            return (
-                                k is not None
-                                and k.kind == PUNCT
-                                and k.text == "->"
-                            )
-                j += 1
+            if self._paren_match is None:
+                self._paren_match = self._match_parens()
+            close = self._paren_match.get(self.i)
+            if close is None:
+                return False
+            k = self.toks[close + 1]  # EOF follows every ')'
+            return k.kind == PUNCT and k.text == "->"
         return False
 
     def _cast_ahead(self) -> bool:
@@ -1063,15 +1083,26 @@ class JavaParser:
             return self._node("ternary", kids)
         return cond
 
-    def _parse_binary(self, level: int) -> Node:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
+    def _parse_binary(self, min_level: int) -> Node:
+        """Precedence climbing over _BINARY_LEVELS (Pratt 1973).
+
+        One frame per operand; operators of one level associate left.
+        `cap` is the level of the last operator taken, and a frame never
+        takes a tighter operator after a looser one: after `x instanceof T`
+        the `+` of `+ 1` stays unconsumed, since a type is no operand.
+        """
+        left = self._parse_unary()
+        cap = len(_BINARY_LEVELS) - 1
         while True:
             t = self.peek()
-            if t.text not in ops or t.kind not in (PUNCT, KEYWORD):
+            level = _BINARY_LEVEL.get(t.text)
+            if (
+                level is None
+                or not min_level <= level <= cap
+                or t.kind not in (PUNCT, KEYWORD)
+            ):
                 return left
+            cap = level
             if t.text == "instanceof":
                 kids = [left, self.take(), self.parse_type()]
                 if self.at_ident():  # type-test pattern binding

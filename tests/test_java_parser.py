@@ -10,8 +10,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repairdx.javaparse import ERROR, MISSING, parse_java
+from repairdx.javaparse.lexer import KEYWORD, PUNCT
+from repairdx.javaparse.parser import _BINARY_LEVELS, JavaParser
 from repairdx.syntax import check_syntax, wrap_method
 
 
@@ -73,6 +77,112 @@ def test_deep_nesting_is_bounded_in_time_and_never_crashes():
     deep_ifs = wrap_method("void f ( ) { " + "if ( x ) { " * 500 + "}" * 500 + " }")
     parse_java(deep_ifs)
     assert time.monotonic() - start < 20.0
+
+    # Parse time is linear in nesting depth: a quadratic parser needs
+    # about a second per 2,000 levels here.
+    start = time.monotonic()
+    for closers in (6000, 5999):  # balanced, then one ')' short
+        code = "int f ( ) { return " + "( " * 6000 + "a + b" + " )" * closers + " ; }"
+        assert not check_syntax(code).valid  # deeper than the nesting guard
+    assert time.monotonic() - start < 3.0
+
+
+def test_deep_array_initializer_is_invalid_not_a_crash():
+    code = "int [ ] f = " + "{ " * 12000 + "} " * 12000 + ";"
+    verdict = check_syntax(code)
+    assert not verdict.valid
+    assert verdict.error_count >= 1
+
+
+# ----------------------------------------------------------------------
+# precedence climbing against level-by-level recursive descent
+
+
+class LevelByLevelParser(JavaParser):
+    """Reference: one recursive-descent call per precedence level."""
+
+    def _parse_binary(self, level):
+        if level >= len(_BINARY_LEVELS):
+            return self._parse_unary()
+        ops = _BINARY_LEVELS[level]
+        left = self._parse_binary(level + 1)
+        while True:
+            t = self.peek()
+            if t.text not in ops or t.kind not in (PUNCT, KEYWORD):
+                return left
+            if t.text == "instanceof":
+                kids = [left, self.take(), self.parse_type()]
+                if self.at_ident():
+                    kids.append(self.take())
+                left = self._node("instanceof_expression", kids)
+                continue
+            op = self.take()
+            right = self._parse_binary(level + 1)
+            left = self._node("binary_expression", [left, op, right])
+
+
+def returning(expr: str) -> str:
+    return wrap_method("Object f ( ) { return " + expr + " ; }")
+
+
+def first_node(tree, kind):
+    return next(n for n in tree.walk() if n.kind == kind)
+
+
+BINARY_OPERATORS = sorted(op for ops in _BINARY_LEVELS for op in ops if op != "instanceof")
+EXPRESSION_ATOMS = [
+    "a", "b", "1", *BINARY_OPERATORS, "instanceof T", "instanceof T t", "(", ")", "?", ":",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(EXPRESSION_ATOMS), max_size=30))
+def test_precedence_climbing_matches_level_by_level_descent(atoms):
+    src = returning(" ".join(atoms))
+    assert JavaParser(src).parse().sexp() == LevelByLevelParser(src).parse().sexp()
+
+
+# Trees pinned from the level-by-level parser.
+BINARY_GOLDEN = {
+    "a - b - c": (
+        "(binary_expression (binary_expression (identifier 'a' 34:35) (- '-' 36:37) "
+        "(identifier 'b' 38:39) ) (- '-' 40:41) (identifier 'c' 42:43) )"
+    ),
+    # all ten levels, loosest to tightest in mixed order
+    "a * b + c || d << e & f == g ^ h < i | j && k - l": (
+        "(binary_expression (binary_expression (binary_expression (identifier 'a' 34:35) "
+        "(* '*' 36:37) (identifier 'b' 38:39) ) (+ '+' 40:41) (identifier 'c' 42:43) ) "
+        "(|| '||' 44:46) (binary_expression (binary_expression (binary_expression "
+        "(binary_expression (binary_expression (identifier 'd' 47:48) (<< '<<' 49:51) "
+        "(identifier 'e' 52:53) ) (& '&' 54:55) (binary_expression (identifier 'f' 56:57) "
+        "(== '==' 58:60) (identifier 'g' 61:62) ) ) (^ '^' 63:64) (binary_expression "
+        "(identifier 'h' 65:66) (< '<' 67:68) (identifier 'i' 69:70) ) ) (| '|' 71:72) "
+        "(identifier 'j' 73:74) ) (&& '&&' 75:77) (binary_expression (identifier 'k' 78:79) "
+        "(- '-' 80:81) (identifier 'l' 82:83) ) ) )"
+    ),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(BINARY_GOLDEN))
+def test_binary_expression_trees_are_pinned(expr):
+    for parser_cls in (JavaParser, LevelByLevelParser):
+        ret = first_node(parser_cls(returning(expr)).parse(), "return_statement")
+        assert ret.children[1].sexp() == BINARY_GOLDEN[expr]
+
+
+def test_operator_after_instanceof_is_left_to_the_caller():
+    # `+` binds tighter than instanceof, but a type cannot be its left
+    # operand: the return statement ends after T and `+ 1 ;` follows.
+    golden = (
+        "(block ({ '{' 25:26) (return_statement (return 'return' 27:33) "
+        "(instanceof_expression (identifier 'x' 34:35) (instanceof 'instanceof' 36:46) "
+        "(named_type (identifier 'T' 47:48) ) ) (MISSING ';' 49:49) ) "
+        "(expression_statement (unary_expression (+ '+' 49:50) (literal '1' 51:52) ) "
+        "(; ';' 53:54) ) (} '}' 55:56) )"
+    )
+    for parser_cls in (JavaParser, LevelByLevelParser):
+        block = first_node(parser_cls(returning("x instanceof T + 1")).parse(), "block")
+        assert block.sexp() == golden
 
 
 # ----------------------------------------------------------------------
