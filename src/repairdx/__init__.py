@@ -25,11 +25,9 @@ from .corpus import (
     corpus_stats,
     filter_split,
     load_examples,
-    load_paired_files,
     load_predictions,
     predictions_by_step,
     sample_validation,
-    save_examples,
 )
 from .errors import EnvironmentFailure, InputError, ParserUnavailableError, UsageError
 from .metrics import (
@@ -41,7 +39,6 @@ from .metrics import (
     exact_match,
     is_near_copy,
     levenshtein,
-    modification_rate,
     normalized_edit_distance,
 )
 from .report import (
@@ -59,7 +56,6 @@ from .report import (
 from .syntax import (
     SyntaxVerdict,
     check_syntax,
-    summarize_syntax,
     syntax_validity,
     wrap_method,
 )
@@ -67,11 +63,9 @@ from .tracking import (
     CheckpointRecord,
     CheckpointSeries,
     build_series,
-    evaluate_checkpoint,
     evaluate_examples,
     load_loss_log,
     run_tracking,
-    series_stats,
     summarize_records,
 )
 
@@ -119,7 +113,6 @@ __all__ = [
     "corpus_stats",
     "emit_cases",
     "emit_report",
-    "evaluate_checkpoint",
     "evaluate_examples",
     "exact_match",
     "extract_cases",
@@ -130,17 +123,12 @@ __all__ = [
     "levenshtein",
     "load_examples",
     "load_loss_log",
-    "load_paired_files",
     "load_predictions",
-    "modification_rate",
     "normalized_edit_distance",
     "predictions_by_step",
     "run_tracking",
     "sample_validation",
-    "save_examples",
-    "series_stats",
     "summarize_records",
-    "summarize_syntax",
     "syntax_validity",
     "wrap_method",
 ]

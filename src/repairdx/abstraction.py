@@ -21,10 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .bindings import BuiltinParser, _BuiltinTree
 from .errors import InputError
 from .javaparse import IDENTIFIER, Node, parse_java, tokenize
 from .javaparse.lexer import BAD, IDENT
-from .syntax import WRAP_PREFIX, SyntaxVerdict, check_syntax, wrap_method
+from .syntax import WRAP_PREFIX, SyntaxVerdict, _verdict, check_syntax, wrap_method
 
 _VARIABLE = "variable"
 _METHOD = "method"
@@ -202,17 +203,23 @@ def abstract_identifiers(
     the syntax verdict. Already-abstracted code is renumbered into
     canonical first-occurrence order and otherwise left intact.
 
-    Category detection is tied to the builtin grammar's node shapes; the
-    optional ``parser`` argument participates only in the validity check.
+    Category detection is tied to the builtin grammar's node shapes, so
+    the fragment is parsed once by the builtin parser, whose tree also
+    gives the verdict. Another ``parser`` takes part only in the validity
+    check, at the cost of its own parse.
     """
-    verdict = check_syntax(code, parser=parser)
+    builtin = parser is None or isinstance(parser, BuiltinParser)
+    wrapped_root = parse_java(wrap_method(code)) if code.strip() else None
+    if builtin and wrapped_root is not None:
+        verdict = _verdict(code, _BuiltinTree(wrapped_root))
+    else:  # blank code, or another parser's own judgement
+        verdict = check_syntax(code, parser=parser)
     if not verdict.valid:
         raise UnparseableCodeError(
             f"cannot abstract code that does not parse "
             f"({verdict.error_count} error region(s))",
             verdict,
         )
-    wrapped_root = parse_java(wrap_method(code))
     lo = len(WRAP_PREFIX)
     hi = lo + len(code)
     occurrences = [

@@ -26,6 +26,8 @@ from pathlib import Path
 from .abstraction import abstract_identifiers, check_conformance
 from .bindings import get_parser
 from .corpus import (
+    _iter_jsonl,
+    _require,
     corpus_stats,
     filter_split,
     load_examples,
@@ -273,21 +275,10 @@ def _cmd_stats(cfg: RunConfig) -> int:
 def _cmd_check(cfg: RunConfig) -> int:
     parser = get_parser(cfg.parser)
     path = cfg.snippets
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
     total = 0
     valid = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-        if not isinstance(obj, dict) or "id" not in obj:
-            raise InputError(f"{path}:{lineno}: expected an object with an 'id' field")
+    for lineno, obj in _iter_jsonl(path):
+        snippet_id = _require(obj, "id", str, str(path), lineno)
         if cfg.field_name not in obj:
             raise InputError(
                 f"{path}:{lineno}: no field {cfg.field_name!r} "
@@ -300,7 +291,7 @@ def _cmd_check(cfg: RunConfig) -> int:
         total += 1
         valid += 1 if verdict.valid else 0
         print(json.dumps({
-            "id": obj["id"],
+            "id": snippet_id,
             "valid": verdict.valid,
             "error_count": verdict.error_count,
             "error_spans": [list(s) for s in verdict.error_spans],
@@ -366,36 +357,37 @@ def _cmd_abstract(cfg: RunConfig) -> int:
     return 0
 
 
-def _single_step(preds_by_step: dict, requested: int | None):
-    if requested is not None:
-        if requested not in preds_by_step:
-            have = ", ".join(str(s) for s in sorted(preds_by_step))
-            raise InputError(f"no predictions at step {requested}; steps present: {have}")
-        return requested
-    return max(preds_by_step)
-
-
-def _cmd_eval(cfg: RunConfig) -> int:
+def _evaluate_one_step(cfg: RunConfig, parser):
+    """Load the inputs, pick one step, and evaluate the examples its
+    predictions cover. ``eval`` takes a single-step dump only; ``inspect``
+    takes ``--step`` or else the last step present."""
     examples = _load_corpus(cfg)
-    predictions = load_predictions(cfg.preds, corpus=examples)
-    by_step = predictions_by_step(predictions)
+    by_step = predictions_by_step(load_predictions(cfg.preds, corpus=examples))
     if not by_step:
         raise InputError("prediction set contains no rank-0 predictions")
-    if len(by_step) > 1:
+    if cfg.command == "eval" and len(by_step) > 1:
         steps = ", ".join(str(s) for s in sorted(by_step))
         raise InputError(
             f"eval expects a single-checkpoint prediction set but found "
             f"steps {steps}; use the track command for multi-step dumps"
         )
-    step = next(iter(by_step))
+    step = max(by_step) if cfg.step is None else cfg.step
+    if step not in by_step:
+        have = ", ".join(str(s) for s in sorted(by_step))
+        raise InputError(f"no predictions at step {step}; steps present: {have}")
     step_preds = by_step[step]
     covered = [ex for ex in examples if ex.id in step_preds]
-    parser = get_parser(cfg.parser)
     records = evaluate_examples(
         covered, step_preds, parser=parser, step=step,
         em_normalize=cfg.em_normalize, ned_tokens=cfg.ned_tokens,
         workers=cfg.workers,
     )
+    return examples, covered, step, step_preds, records
+
+
+def _cmd_eval(cfg: RunConfig) -> int:
+    parser = get_parser(cfg.parser)
+    examples, covered, step, step_preds, records = _evaluate_one_step(cfg, parser)
     series = build_series([summarize_records(records, step=step)])
     report = build_report(
         corpus_stats(examples), series, {step: records},
@@ -467,18 +459,8 @@ def _cmd_track(cfg: RunConfig) -> int:
 
 
 def _cmd_inspect(cfg: RunConfig) -> int:
-    examples = _load_corpus(cfg)
-    predictions = load_predictions(cfg.preds, corpus=examples)
-    by_step = predictions_by_step(predictions)
-    if not by_step:
-        raise InputError("prediction set contains no rank-0 predictions")
-    step = _single_step(by_step, cfg.step)
-    step_preds = by_step[step]
-    covered = [ex for ex in examples if ex.id in step_preds]
     parser = get_parser(cfg.parser)
-    records = evaluate_examples(
-        covered, step_preds, parser=parser, step=step, workers=cfg.workers,
-    )
+    _examples, covered, step, step_preds, records = _evaluate_one_step(cfg, parser)
     bundle = extract_cases(covered, step_preds, records, cfg.cases, cfg.seed,
                            parser=parser)
     path = emit_cases(bundle, cfg.out_dir)

@@ -7,8 +7,9 @@ On-disk formats are JSON Lines:
 
 Loading validates eagerly and reports the first problem with its file,
 1-based line number, and offending value, so a malformed corpus fails
-loudly instead of skewing metrics downstream. Paired ``.buggy``/``.fixed``
-line-per-example files are supported through a converter.
+loudly instead of skewing metrics downstream. Every JSON Lines input of
+the package, the loss log and ``check`` snippets included, is read by
+one reader here, which reports an unreadable file by its path.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def _iter_jsonl(path: Path):
         raise InputError(f"no such file: {path}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8: {exc}") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -117,7 +120,7 @@ def _iter_jsonl(path: Path):
         yield lineno, obj
 
 
-def load_examples(path, allow_empty: bool = False) -> list[RepairExample]:
+def load_examples(path) -> list[RepairExample]:
     """Read and validate an examples JSONL file."""
     path = Path(path)
     examples: list[RepairExample] = []
@@ -151,24 +154,9 @@ def load_examples(path, allow_empty: bool = False) -> list[RepairExample]:
             )
         seen[ex_id] = lineno
         examples.append(RepairExample(id=ex_id, buggy=buggy, fixed=fixed, split=split))
-    if not examples and not allow_empty:
+    if not examples:
         raise InputError(f"{path}: no examples found")
     return examples
-
-
-def save_examples(path, examples) -> None:
-    """Write examples as JSONL; a round-trip through load_examples
-    reproduces the input exactly."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for ex in examples:
-            obj = {
-                "id": ex.id,
-                "buggy": ex.buggy,
-                "fixed": ex.fixed,
-                "split": ex.split,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def load_predictions(path, corpus=None) -> list[Prediction]:
@@ -211,38 +199,6 @@ def load_predictions(path, corpus=None) -> list[Prediction]:
     if not preds:
         raise InputError(f"{path}: no predictions found")
     return preds
-
-
-def load_paired_files(prefix, split: str | None = None) -> list[RepairExample]:
-    """Convert ``<prefix>.buggy`` / ``<prefix>.fixed`` line files.
-
-    The two files must have the same number of lines; line *i* of each
-    forms one example with id ``<split>-<i>`` (zero-padded to six digits;
-    split defaults to the prefix basename).
-    """
-    prefix = Path(prefix)
-    buggy_path = prefix.with_name(prefix.name + ".buggy")
-    fixed_path = prefix.with_name(prefix.name + ".fixed")
-    if split is None:
-        split = prefix.name
-    try:
-        buggy_lines = buggy_path.read_text(encoding="utf-8").splitlines()
-        fixed_lines = fixed_path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {exc.filename}") from None
-    if len(buggy_lines) != len(fixed_lines):
-        raise InputError(
-            f"{buggy_path} has {len(buggy_lines)} lines but {fixed_path} "
-            f"has {len(fixed_lines)}; the files must be parallel"
-        )
-    if not buggy_lines:
-        raise InputError(f"{buggy_path}: no examples found")
-    return [
-        RepairExample(
-            id=f"{split}-{i:06d}", buggy=b, fixed=f, split=split
-        )
-        for i, (b, f) in enumerate(zip(buggy_lines, fixed_lines))
-    ]
 
 
 def corpus_stats(examples) -> CorpusStats:

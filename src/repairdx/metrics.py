@@ -144,20 +144,6 @@ def is_near_copy(prediction: str, buggy: str) -> bool:
     return normalize_whitespace(prediction) == normalize_whitespace(buggy)
 
 
-def modification_rate(records) -> float:
-    """Share of predictions that are not verbatim copies, in percent.
-
-    Exact matches count as modifications here: the question answered is
-    "did the model change the input at all", not "did it fix it".
-    Accepts evaluation records or bare behavior classes.
-    """
-    behaviors = [getattr(r, "behavior", r) for r in records]
-    if not behaviors:
-        raise InputError("cannot compute a modification rate over zero records")
-    changed = sum(1 for b in behaviors if b is not BehaviorClass.COPY)
-    return 100.0 * changed / len(behaviors)
-
-
 @dataclass(frozen=True)
 class SummaryStats:
     """Five-number-ish summary of a metric sample."""

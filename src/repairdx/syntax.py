@@ -14,9 +14,9 @@ highlight offending regions without knowing about the wrapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bindings import ParserContract, get_parser
+from .bindings import ParserContract, TreeLike, get_parser
 from .errors import InputError
 
 WRAP_PREFIX = "class __W { "
@@ -56,8 +56,13 @@ def check_syntax(
         return SyntaxVerdict(valid=False, error_count=1, error_spans=((0, 0),), wrapped=False)
     if parser is None:
         parser = get_parser()
-    text = wrap_method(code) if wrap else code
-    tree = parser.parse(text)
+    tree = parser.parse(wrap_method(code) if wrap else code)
+    return _verdict(code, tree, wrap)
+
+
+def _verdict(code: str, tree: TreeLike, wrap: bool = True) -> SyntaxVerdict:
+    """The verdict on ``code`` from a parse of it (wrapped, by default),
+    with error spans moved back to the fragment and clamped to it."""
     raw_spans = tree.error_spans()
     if not raw_spans:
         return SyntaxVerdict(valid=True, error_count=0, error_spans=(), wrapped=wrap)
@@ -77,21 +82,6 @@ def check_syntax(
     )
 
 
-@dataclass
-class SyntaxSummary:
-    """Corpus-level tally of verdicts."""
-
-    total: int = 0
-    valid: int = 0
-    invalid_ids: list[str] = field(default_factory=list)
-
-    @property
-    def validity_pct(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return 100.0 * self.valid / self.total
-
-
 def syntax_validity(verdicts) -> float:
     """Share of valid fragments, as a percentage of all fragments.
 
@@ -108,18 +98,3 @@ def syntax_validity(verdicts) -> float:
     if total == 0:
         raise InputError("cannot compute syntax validity over zero verdicts")
     return 100.0 * valid / total
-
-
-def summarize_syntax(items, parser: ParserContract | None = None) -> SyntaxSummary:
-    """Check (id, code) pairs and tally the outcomes."""
-    if parser is None:
-        parser = get_parser()
-    summary = SyntaxSummary()
-    for item_id, code in items:
-        verdict = check_syntax(code, parser=parser)
-        summary.total += 1
-        if verdict.valid:
-            summary.valid += 1
-        else:
-            summary.invalid_ids.append(item_id)
-    return summary

@@ -1,16 +1,16 @@
 """Checkpoint-by-checkpoint evaluation of prediction dumps.
 
 The harness is strictly post-hoc: it consumes predictions a training run
-dumped at each checkpoint, never the model itself. Per-example metric
-computation can fan out to worker processes; results are always reduced
-in example-id order, so runs are deterministic regardless of worker
-count. Loss values are ingested from an auxiliary log when available —
-never computed.
+dumped at each checkpoint, never the model itself. The (step, example)
+tasks of a run are measured in one pass, which can fan out to one pool
+of worker processes for the whole run; results are always reduced in
+example-id order, so runs are deterministic regardless of worker count.
+Loss values are ingested from an auxiliary log when available — never
+computed.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +20,7 @@ from .corpus import (
     Prediction,
     RepairExample,
     TrackingConfig,
+    _iter_jsonl,
     predictions_by_step,
     sample_validation,
 )
@@ -97,6 +98,7 @@ class CheckpointSeries:
 # ----------------------------------------------------------------------
 # per-example evaluation
 
+# Set only inside pool workers, by the pool initializer.
 _WORKER_PARSER: ParserContract | None = None
 
 
@@ -105,9 +107,8 @@ def _init_worker(parser_name: str) -> None:
     _WORKER_PARSER = get_parser(parser_name)
 
 
-def _measure(task: tuple) -> EvalRecord:
+def _measure(task: tuple, parser: ParserContract | None = None) -> EvalRecord:
     example_id, buggy, fixed, pred_text, step, em_normalize, ned_tokens = task
-    parser = _WORKER_PARSER
     verdict = check_syntax(pred_text, parser=parser)
     behavior = classify_behavior(buggy, pred_text, fixed)
     distance = levenshtein(pred_text, fixed)
@@ -129,6 +130,51 @@ def _measure(task: tuple) -> EvalRecord:
     )
 
 
+def _measure_in_worker(task: tuple) -> EvalRecord:
+    return _measure(task, _WORKER_PARSER)
+
+
+def _tasks(
+    step: int | None,
+    examples: list[RepairExample],
+    predictions: dict[str, Prediction],
+    em_normalize: str,
+    ned_tokens: bool,
+) -> list[tuple]:
+    """One measurement task per example; every example needs a prediction."""
+    tasks = []
+    for ex in examples:
+        pred = predictions.get(ex.id)
+        if pred is None:
+            raise InputError(
+                f"no rank-0 prediction for sampled example {ex.id!r}"
+                + (f" at step {step}" if step is not None else "")
+            )
+        tasks.append(
+            (ex.id, ex.buggy, ex.fixed, pred.prediction, pred.step, em_normalize, ned_tokens)
+        )
+    return tasks
+
+
+def _evaluate(
+    groups: list[list[tuple]], parser: ParserContract, workers: int
+) -> list[list[EvalRecord]]:
+    """Measure every task of a run in one worker pool (or one serial loop).
+
+    Records come back per group of tasks, each group sorted by example id.
+    """
+    tasks = [t for group in groups for t in group]
+    if workers > 1 and len(tasks) > 1:
+        ctx = multiprocessing.get_context("fork")
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ctx.Pool(workers, initializer=_init_worker, initargs=(parser.name,)) as pool:
+            records = pool.map(_measure_in_worker, tasks, chunksize=chunk)
+    else:
+        records = [_measure(t, parser) for t in tasks]
+    done = iter(records)
+    return [sorted((next(done) for _ in group), key=lambda r: r.example_id) for group in groups]
+
+
 def evaluate_examples(
     examples: list[RepairExample],
     predictions: dict[str, Prediction],
@@ -146,32 +192,8 @@ def evaluate_examples(
     """
     if parser is None:
         parser = get_parser()
-    tasks = []
-    for ex in examples:
-        pred = predictions.get(ex.id)
-        if pred is None:
-            raise InputError(
-                f"no rank-0 prediction for sampled example {ex.id!r}"
-                + (f" at step {step}" if step is not None else "")
-            )
-        tasks.append(
-            (ex.id, ex.buggy, ex.fixed, pred.prediction, pred.step, em_normalize, ned_tokens)
-        )
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(parser.name,)) as pool:
-            records = pool.map(_measure, tasks, chunksize=chunk)
-    else:
-        global _WORKER_PARSER
-        previous = _WORKER_PARSER
-        _WORKER_PARSER = parser
-        try:
-            records = [_measure(t) for t in tasks]
-        finally:
-            _WORKER_PARSER = previous
-    records.sort(key=lambda r: r.example_id)
-    return records
+    tasks = _tasks(step, examples, predictions, em_normalize, ned_tokens)
+    return _evaluate([tasks], parser, workers)[0]
 
 
 def summarize_records(
@@ -207,45 +229,6 @@ def summarize_records(
     )
 
 
-def evaluate_checkpoint(
-    examples: list[RepairExample],
-    predictions: list[Prediction],
-    parser: ParserContract | None = None,
-    step: int | None = None,
-    eval_loss: float | None = None,
-    em_normalize: str = "none",
-    ned_tokens: bool = False,
-    workers: int = 1,
-) -> CheckpointRecord:
-    """Evaluate one checkpoint: a sampled example list plus its predictions.
-
-    Only rank-0 predictions participate. The step is taken from the
-    predictions when not given; mixed steps in one call are rejected.
-    """
-    by_id: dict[str, Prediction] = {}
-    for pred in predictions:
-        if pred.rank != 0:
-            continue
-        if step is None:
-            step = pred.step
-        elif pred.step != step:
-            raise InputError(
-                f"predictions span multiple steps ({step} and {pred.step}); "
-                "evaluate one checkpoint at a time"
-            )
-        by_id[pred.id] = pred
-    records = evaluate_examples(
-        examples,
-        by_id,
-        parser=parser,
-        step=step,
-        em_normalize=em_normalize,
-        ned_tokens=ned_tokens,
-        workers=workers,
-    )
-    return summarize_records(records, step=step, eval_loss=eval_loss)
-
-
 # ----------------------------------------------------------------------
 # series
 
@@ -256,14 +239,6 @@ def build_series(records: list[CheckpointRecord]) -> CheckpointSeries:
         if a.step == b.step:
             raise InputError(f"duplicate checkpoint at step {a.step}")
     return CheckpointSeries(records=ordered)
-
-
-def series_stats(series: CheckpointSeries, from_step: int = 0) -> SummaryStats:
-    """Summary of syntax validity from ``from_step`` onward."""
-    window = [r.syntax_validity_pct for r in series.records if r.step >= from_step]
-    if not window:
-        raise InputError(f"no checkpoints at or after step {from_step}")
-    return aggregate(window)
 
 
 def run_tracking(
@@ -288,23 +263,17 @@ def run_tracking(
     if not by_step:
         raise InputError("prediction set contains no rank-0 predictions")
     loss_by_step = loss_by_step or {}
-    checkpoint_records: list[CheckpointRecord] = []
-    records_by_step: dict[int, list[EvalRecord]] = {}
-    for step in sorted(by_step):
-        sampled = sample_validation(examples, config, step)
-        records = evaluate_examples(
-            sampled,
-            by_step[step],
-            parser=parser,
-            step=step,
-            em_normalize=em_normalize,
-            ned_tokens=ned_tokens,
-            workers=workers,
-        )
-        records_by_step[step] = records
-        checkpoint_records.append(
-            summarize_records(records, step=step, eval_loss=loss_by_step.get(step))
-        )
+    steps = sorted(by_step)
+    groups = [
+        _tasks(step, sample_validation(examples, config, step), by_step[step],
+               em_normalize, ned_tokens)
+        for step in steps
+    ]
+    records_by_step = dict(zip(steps, _evaluate(groups, parser, workers)))
+    checkpoint_records = [
+        summarize_records(records, step=step, eval_loss=loss_by_step.get(step))
+        for step, records in records_by_step.items()
+    ]
     return build_series(checkpoint_records), records_by_step
 
 
@@ -312,19 +281,9 @@ def load_loss_log(path) -> dict[int, float]:
     """Read ``{"step": int, "train_loss"?: float, "eval_loss"?: float}``
     lines; return eval_loss by step. Loss is ingested, never computed."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
     losses: dict[int, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-        if not isinstance(obj, dict) or "step" not in obj:
+    for lineno, obj in _iter_jsonl(path):
+        if "step" not in obj:
             raise InputError(f"{path}:{lineno}: expected an object with a 'step' field")
         step = obj["step"]
         if not isinstance(step, int) or isinstance(step, bool) or step < 0:

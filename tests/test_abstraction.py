@@ -72,6 +72,72 @@ def test_unparseable_input_error_carries_the_verdict():
     assert isinstance(exc_info.value, InputError)
 
 
+def _fragments(*row_sets):
+    return [row["code"] for rows in row_sets for row in rows] + ["  \n\t "]
+
+
+def _verdict_acted_on(code, parser=None):
+    try:
+        abstract_identifiers(code, parser=parser)
+    except UnparseableCodeError as exc:
+        return exc.verdict
+    return None  # went ahead: the verdict it acted on was valid
+
+
+def test_verdict_acted_on_is_check_syntax(valid_methods, broken_methods,
+                                          abstraction_methods):
+    codes = _fragments(valid_methods, broken_methods, abstraction_methods)
+    for code in codes:
+        expected = check_syntax(code)
+        acted_on = _verdict_acted_on(code)
+        if expected.valid:
+            assert acted_on is None, code
+        else:
+            assert acted_on == expected, code
+
+
+def test_builtin_parser_runs_once_per_fragment(monkeypatch, valid_methods,
+                                              broken_methods, abstraction_methods):
+    import repairdx.abstraction
+    import repairdx.bindings
+    from repairdx.bindings import BuiltinParser
+
+    calls = []
+
+    def counting(original):
+        def parse_java(text):
+            calls.append(text)
+            return original(text)
+        return parse_java
+
+    for module in (repairdx.abstraction, repairdx.bindings):
+        monkeypatch.setattr(module, "parse_java", counting(module.parse_java))
+    codes = _fragments(valid_methods, broken_methods, abstraction_methods)
+    for code in codes:
+        for parser in (None, BuiltinParser()):
+            calls.clear()
+            _verdict_acted_on(code, parser=parser)
+            assert len(calls) == (1 if code.strip() else 0), code
+
+
+def test_other_parser_still_decides_validity():
+    class BrokenTree:
+        def error_spans(self):
+            return [(0, 1)]
+
+    class RejectAll:
+        name = "reject-all"
+        calls = 0
+
+        def parse(self, code):
+            RejectAll.calls += 1
+            return BrokenTree()
+
+    with pytest.raises(UnparseableCodeError):
+        abstract_identifiers("int f ( ) { return 1 ; }", parser=RejectAll())
+    assert RejectAll.calls == 1
+
+
 def test_types_get_type_placeholders():
     out, mapping = abstract_identifiers(
         "MyThing build ( MyConfig cfg ) { return new MyThing ( cfg ) ; }"

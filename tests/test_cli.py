@@ -248,6 +248,51 @@ def test_abstract_unparseable_example_is_named(tmp_path, capsys):
     assert "bad-123" in capsys.readouterr().err
 
 
+def test_check_non_string_id_is_input_error(tmp_path, capsys):
+    snippets = write_jsonl(tmp_path / "s.jsonl", [{"id": 5, "code": "int x ;"}])
+    assert main(["check", "--in", str(snippets)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "s.jsonl:1: field 'id' must be str, got int" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# unreadable input files
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag,bad", [
+    ("--in", "latin1"),
+    ("--loss-log", "latin1"),
+    ("--corpus", "dir"),
+    ("--preds", "dir"),
+    ("--in", "dir"),
+    ("--loss-log", "dir"),
+])
+def test_unreadable_input_is_an_error_naming_the_path(flag, bad, corpus_file,
+                                                      predictions_file,
+                                                      tmp_path, capsys):
+    if bad == "dir":
+        path = tmp_path / "a_directory"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"id": "s1", "code": "int caf\xe9 ;"}\n')
+    if flag == "--in":
+        argv = ["check", "--in", str(path)]
+    else:
+        files = {"--corpus": corpus_file, "--preds": predictions_file,
+                 "--loss-log": None, flag: path}
+        argv = ["track", "--out", str(tmp_path / "r")]
+        for name, value in files.items():
+            if value is not None:
+                argv += [name, str(value)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -387,6 +432,37 @@ def test_track_emits_case_bundle_from_final_step(corpus_file, predictions_file,
     assert len(bundle["cases"]) == 2
     # Final checkpoint is step 1000 where every prediction is an exact fix.
     assert all(c["behavior"] == "exact_match" for c in bundle["cases"])
+
+
+def test_track_output_is_byte_identical_at_one_and_two_workers(tmp_path,
+                                                               capsys):
+    corpus = [
+        {"id": f"ex-{i:02d}", "buggy": f"int f ( int a ) {{ return a - {i} ; }}",
+         "fixed": f"int f ( int a ) {{ return a + {i} ; }}"}
+        for i in range(12)
+    ]
+    preds = []
+    for step in (0, 500, 1000, 1500):
+        for i, row in enumerate(corpus):
+            choice = (i + step // 500) % 4
+            text = [row["buggy"], row["fixed"], row["fixed"][:-2],
+                    row["fixed"].replace("a +", "b +")][choice]
+            preds.append({"id": row["id"], "step": step, "prediction": text})
+    corpus_path = write_jsonl(tmp_path / "corpus.jsonl", corpus)
+    preds_path = write_jsonl(tmp_path / "preds.jsonl", preds)
+    names = ("records.jsonl", "report.json", "checkpoints.csv", "cases.json")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["track", "--corpus", str(corpus_path),
+                     "--preds", str(preds_path), "--out", str(out),
+                     "--sample", "8", "--cases", "3",
+                     "--workers", workers]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0]["report.json"])
+    assert [c["step"] for c in report["series"]] == [0, 500, 1000, 1500]
+    assert len(outputs[0]["records.jsonl"].splitlines()) == 4 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,9 @@ from repairdx.corpus import (
     corpus_stats,
     filter_split,
     load_examples,
-    load_paired_files,
     load_predictions,
     predictions_by_step,
     sample_validation,
-    save_examples,
 )
 from repairdx.errors import InputError
 
@@ -53,8 +51,7 @@ def test_round_trip_preserves_everything(tmp_path):
         RepairExample(id="a", buggy="int x ;", fixed="int y ;", split="valid"),
         RepairExample(id="b", buggy="a\nb", fixed="cé", split="test"),
     ]
-    path = tmp_path / "out.jsonl"
-    save_examples(path, examples)
+    path = write_jsonl(tmp_path / "out.jsonl", [vars(e) for e in examples])
     assert load_examples(path) == examples
 
 
@@ -201,33 +198,6 @@ def test_predictions_by_step_keeps_requested_rank_only():
     assert table[0]["a"].prediction == "x"
     table1 = predictions_by_step(preds, rank=1)
     assert table1[0]["a"].prediction == "beam2"
-
-
-# ----------------------------------------------------------------------
-# paired line files
-
-
-def test_paired_files_convert_to_examples(tmp_path):
-    (tmp_path / "dev.buggy").write_text("int x ;\nint a ;\n")
-    (tmp_path / "dev.fixed").write_text("int y ;\nint b ;\n")
-    examples = load_paired_files(tmp_path / "dev")
-    assert [e.id for e in examples] == ["dev-000000", "dev-000001"]
-    assert examples[0].buggy == "int x ;"
-    assert examples[0].fixed == "int y ;"
-    assert examples[0].split == "dev"
-
-
-def test_paired_files_must_be_parallel(tmp_path):
-    (tmp_path / "dev.buggy").write_text("a\nb\n")
-    (tmp_path / "dev.fixed").write_text("a\n")
-    with pytest.raises(InputError, match="parallel"):
-        load_paired_files(tmp_path / "dev")
-
-
-def test_paired_files_missing_file(tmp_path):
-    (tmp_path / "dev.buggy").write_text("a\n")
-    with pytest.raises(InputError, match="no such file"):
-        load_paired_files(tmp_path / "dev")
 
 
 # ----------------------------------------------------------------------

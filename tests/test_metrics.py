@@ -18,14 +18,12 @@ from hypothesis import strategies as st
 from repairdx.errors import InputError
 from repairdx.metrics import (
     BehaviorClass,
-    EvalRecord,
     SummaryStats,
     aggregate,
     classify_behavior,
     exact_match,
     is_near_copy,
     levenshtein,
-    modification_rate,
     normalize_whitespace,
     normalized_edit_distance,
 )
@@ -312,46 +310,6 @@ def test_real_change_is_not_a_near_copy():
 
 def test_normalize_whitespace_collapses_runs():
     assert normalize_whitespace("  a \t b\n\nc ") == "a b c"
-
-
-# ----------------------------------------------------------------------
-# modification_rate
-
-
-def _record(behavior, i=0):
-    return EvalRecord(
-        example_id=f"e{i}", step=0, behavior=behavior, exact=False,
-        edit_distance=1, ned=0.5, syntax_valid=True, near_copy=False,
-        pred_len=1,
-    )
-
-
-def test_modification_rate_counts_everything_but_copies():
-    records = [
-        _record(BehaviorClass.COPY, 0),
-        _record(BehaviorClass.COPY, 1),
-        _record(BehaviorClass.MODIFICATION, 2),
-        _record(BehaviorClass.EXACT_MATCH, 3),
-    ]
-    assert modification_rate(records) == 50.0
-
-
-def test_modification_rate_engineered_distribution():
-    behaviors = [BehaviorClass.COPY] * 8 + [BehaviorClass.MODIFICATION] * 2
-    assert modification_rate(behaviors) == 20.0
-
-
-def test_modification_rate_all_copies():
-    assert modification_rate([BehaviorClass.COPY] * 5) == 0.0
-
-
-def test_modification_rate_all_exact_matches():
-    assert modification_rate([BehaviorClass.EXACT_MATCH] * 5) == 100.0
-
-
-def test_modification_rate_empty_is_an_input_error():
-    with pytest.raises(InputError):
-        modification_rate([])
 
 
 # ----------------------------------------------------------------------

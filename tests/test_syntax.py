@@ -10,7 +10,6 @@ from repairdx.syntax import (
     WRAP_SUFFIX,
     SyntaxVerdict,
     check_syntax,
-    summarize_syntax,
     syntax_validity,
     wrap_method,
 )
@@ -140,19 +139,6 @@ def test_validity_combines_by_count_weighting():
         syntax_validity(part_a) * len(part_a) + syntax_validity(part_b) * len(part_b)
     ) / (len(part_a) + len(part_b))
     assert combined == pytest.approx(weighted, abs=1e-12)
-
-
-# ----------------------------------------------------------------------
-# summarize_syntax
-
-
-def test_summarize_counts_and_ids():
-    items = [("a", "int x ;"), ("b", "int ;"), ("c", "void f ( ) { }")]
-    summary = summarize_syntax(items)
-    assert summary.total == 3
-    assert summary.valid == 2
-    assert summary.invalid_ids == ["b"]
-    assert summary.validity_pct == pytest.approx(200 / 3)
 
 
 # ----------------------------------------------------------------------

@@ -2,18 +2,24 @@
 
 import pytest
 
+from repairdx import tracking
+from repairdx.bindings import BuiltinParser
 from repairdx.corpus import Prediction, RepairExample, TrackingConfig
 from repairdx.errors import InputError
-from repairdx.metrics import BehaviorClass, aggregate, levenshtein, normalized_edit_distance
+from repairdx.metrics import (
+    BehaviorClass,
+    EvalRecord,
+    aggregate,
+    levenshtein,
+    normalized_edit_distance,
+)
 from repairdx.tracking import (
     CheckpointRecord,
     CheckpointSeries,
     build_series,
-    evaluate_checkpoint,
     evaluate_examples,
     load_loss_log,
     run_tracking,
-    series_stats,
     summarize_records,
     _measure,
 )
@@ -142,7 +148,7 @@ def test_worker_pool_matches_serial_evaluation():
 
 
 # ----------------------------------------------------------------------
-# summarize / evaluate_checkpoint
+# summarize
 
 
 def test_summarize_reduces_to_percentages():
@@ -162,24 +168,45 @@ def test_summarize_empty_is_an_input_error():
         summarize_records([])
 
 
-def test_evaluate_checkpoint_end_to_end():
-    preds_500 = [p for p in predictions() if p.step == 500]
-    record = evaluate_checkpoint(examples(), preds_500, eval_loss=0.91)
+def test_evaluate_then_summarize_end_to_end():
+    by_id = {p.id: p for p in predictions() if p.step == 500}
+    record = summarize_records(evaluate_examples(examples(), by_id), eval_loss=0.91)
     assert record.step == 500 and record.eval_loss == 0.91
     assert record.exact_match_pct + record.copy_pct + record.modification_pct == pytest.approx(100.0)
 
 
-def test_evaluate_checkpoint_rejects_mixed_steps():
-    with pytest.raises(InputError, match="multiple steps"):
-        evaluate_checkpoint(examples(), predictions())
+def _record(behavior, i=0):
+    return EvalRecord(
+        example_id=f"e{i}", step=0, behavior=behavior, exact=False,
+        edit_distance=1, ned=0.5, syntax_valid=True, near_copy=False,
+        pred_len=1,
+    )
 
 
-def test_evaluate_checkpoint_ignores_secondary_beams():
-    preds_500 = [p for p in predictions() if p.step == 500]
-    noise = [Prediction(id="bug-001", step=500, prediction="#########", rank=1)]
-    with_noise = evaluate_checkpoint(examples(), preds_500 + noise)
-    without = evaluate_checkpoint(examples(), preds_500)
-    assert with_noise == without
+def test_non_copy_pct_counts_everything_but_copies():
+    records = [
+        _record(BehaviorClass.COPY, 0),
+        _record(BehaviorClass.COPY, 1),
+        _record(BehaviorClass.MODIFICATION, 2),
+        _record(BehaviorClass.EXACT_MATCH, 3),
+    ]
+    assert summarize_records(records).non_copy_pct == 50.0
+
+
+def test_non_copy_pct_engineered_distribution():
+    behaviors = [BehaviorClass.COPY] * 8 + [BehaviorClass.MODIFICATION] * 2
+    records = [_record(b, i) for i, b in enumerate(behaviors)]
+    assert summarize_records(records).non_copy_pct == 20.0
+
+
+def test_non_copy_pct_all_copies():
+    records = [_record(BehaviorClass.COPY, i) for i in range(5)]
+    assert summarize_records(records).non_copy_pct == 0.0
+
+
+def test_non_copy_pct_all_exact_matches():
+    records = [_record(BehaviorClass.EXACT_MATCH, i) for i in range(5)]
+    assert summarize_records(records).non_copy_pct == 100.0
 
 
 # ----------------------------------------------------------------------
@@ -201,19 +228,6 @@ def test_series_rejects_duplicate_steps():
 def test_empty_series_has_no_final():
     with pytest.raises(InputError):
         CheckpointSeries().final
-
-
-def test_series_stats_windows_from_a_step():
-    series = build_series([
-        checkpoint(step=0, sv=10.0),
-        checkpoint(step=500, sv=90.0),
-        checkpoint(step=1000, sv=94.0),
-    ])
-    stats = series_stats(series, from_step=500)
-    assert stats.mean == pytest.approx(92.0)
-    assert stats.n == 2
-    with pytest.raises(InputError):
-        series_stats(series, from_step=99999)
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +278,40 @@ def test_run_tracking_off_cadence_step_is_an_input_error():
     config = TrackingConfig(sample_size=10, interval_steps=400, seed=42)
     with pytest.raises(InputError, match="multiple"):
         run_tracking(examples(), predictions(), config)
+
+
+def test_run_tracking_ignores_secondary_beams():
+    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
+    noise = [Prediction(id="bug-001", step=500, prediction="#########", rank=1)]
+    with_noise = run_tracking(examples(), predictions() + noise, config)
+    without = run_tracking(examples(), predictions(), config)
+    assert with_noise == without
+
+
+def test_run_tracking_names_the_step_missing_a_prediction():
+    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
+    later = [
+        Prediction(id=ex.id, step=1500, prediction=ex.fixed)
+        for ex in examples() if ex.id != "bug-002"
+    ]
+    with pytest.raises(InputError, match=r"'bug-002' at step 1500"):
+        run_tracking(examples(), predictions() + later, config)
+    with pytest.raises(InputError, match=r"'bug-002' at step 1500"):
+        run_tracking(examples(), predictions() + later, config, workers=2)
+
+
+def test_serial_run_uses_the_given_parser_and_leaves_module_state_alone():
+    class CountingParser(BuiltinParser):
+        calls = 0
+
+        def parse(self, code):
+            CountingParser.calls += 1
+            return super().parse(code)
+
+    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
+    run_tracking(examples(), predictions(), config, parser=CountingParser())
+    assert CountingParser.calls == len(SMALL_PREDICTIONS)
+    assert tracking._WORKER_PARSER is None
 
 
 def test_run_tracking_requires_rank_zero_predictions():
