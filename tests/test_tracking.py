@@ -209,6 +209,13 @@ def test_non_copy_pct_all_exact_matches():
     assert summarize_records(records).non_copy_pct == 100.0
 
 
+def test_non_copy_pct_empty_is_an_input_error():
+    # The non-copy share of zero records is undefined, even when the step
+    # is given explicitly and need not be read from a record.
+    with pytest.raises(InputError):
+        summarize_records([], step=500)
+
+
 # ----------------------------------------------------------------------
 # series
 
