@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .abstraction import abstract_identifiers, check_conformance
@@ -38,6 +37,9 @@ from .corpus import (
 from .errors import EnvironmentFailure, InputError, UsageError
 from .report import (
     Provenance,
+    _corpus_stats_obj,
+    _jsonl,
+    _write_files,
     build_report,
     emit_cases,
     emit_report,
@@ -67,33 +69,6 @@ _LOSS_SCHEMA = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: one command plus everything it needs."""
-
-    command: str
-    corpus: Path | None = None
-    preds: Path | None = None
-    snippets: Path | None = None
-    out_dir: Path | None = None
-    field_name: str = "code"
-    split: str | None = None
-    seed: int = 42
-    sample_size: int = 100
-    interval_steps: int = 500
-    fixed_sample: bool = False
-    em_normalize: str = "none"
-    ned_tokens: bool = False
-    strict_gaps: bool = False
-    verify_only: bool = False
-    parser: str = "builtin"
-    workers: int = 1
-    cases: int = 0
-    step: int | None = None
-    loss_log: Path | None = None
-    extra: dict = field(default_factory=dict)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exceptions, not exits."""
 
@@ -111,6 +86,13 @@ def _add_common(sub: argparse.ArgumentParser, workers_default: int) -> None:
                           f"(default: {workers_default})")
 
 
+def _add_inputs(sub: argparse.ArgumentParser, out_help: str) -> None:
+    sub.add_argument("--corpus", required=True, type=Path, help="examples JSONL file")
+    sub.add_argument("--preds", required=True, type=Path, help="predictions JSONL file")
+    sub.add_argument("--out", dest="out_dir", required=True, type=Path, help=out_help)
+    sub.add_argument("--split", default=None, help="restrict corpus to one split")
+
+
 def build_arg_parser() -> _Parser:
     workers_default = os.cpu_count() or 1
     top = _Parser(
@@ -120,6 +102,9 @@ def build_arg_parser() -> _Parser:
     )
     sub = top.add_subparsers(dest="command", metavar="command")
     sub.required = True
+    # Options a subcommand does not declare, for the helpers that read them.
+    top.set_defaults(split=None, seed=42, workers=1, em_normalize="none",
+                     ned_tokens=False, step=None, loss_log=None)
 
     p = sub.add_parser("stats", help="summarize a corpus",
                        description=f"Summarize corpus shape. {_EXAMPLES_SCHEMA}")
@@ -157,11 +142,7 @@ def build_arg_parser() -> _Parser:
         "eval", help="evaluate one prediction set",
         description=f"Evaluate a single-checkpoint prediction set. "
                     f"{_EXAMPLES_SCHEMA} {_PREDICTIONS_SCHEMA}")
-    p.add_argument("--corpus", required=True, type=Path, help="examples JSONL file")
-    p.add_argument("--preds", required=True, type=Path, help="predictions JSONL file")
-    p.add_argument("--out", dest="out_dir", required=True, type=Path,
-                   help="output directory for report files")
-    p.add_argument("--split", default=None, help="restrict corpus to one split")
+    _add_inputs(p, "output directory for report files")
     p.add_argument("--cases", type=int, default=0,
                    help="also emit a case bundle of this size")
     p.add_argument("--em-normalize", choices=["none", "whitespace"], default="none",
@@ -175,11 +156,7 @@ def build_arg_parser() -> _Parser:
         description=f"Evaluate every training step in a prediction dump, "
                     f"sampling the validation set per checkpoint. "
                     f"{_EXAMPLES_SCHEMA} {_PREDICTIONS_SCHEMA} {_LOSS_SCHEMA}")
-    p.add_argument("--corpus", required=True, type=Path, help="examples JSONL file")
-    p.add_argument("--preds", required=True, type=Path, help="predictions JSONL file")
-    p.add_argument("--out", dest="out_dir", required=True, type=Path,
-                   help="output directory for report files")
-    p.add_argument("--split", default=None, help="restrict corpus to one split")
+    _add_inputs(p, "output directory for report files")
     p.add_argument("--sample", dest="sample_size", type=int, default=100,
                    help="validation examples per checkpoint (default: 100)")
     p.add_argument("--interval", dest="interval_steps", type=int, default=500,
@@ -204,25 +181,17 @@ def build_arg_parser() -> _Parser:
         "inspect", help="emit a qualitative case bundle",
         description=f"Sample cases with diffs for manual inspection. "
                     f"{_EXAMPLES_SCHEMA} {_PREDICTIONS_SCHEMA}")
-    p.add_argument("--corpus", required=True, type=Path, help="examples JSONL file")
-    p.add_argument("--preds", required=True, type=Path, help="predictions JSONL file")
-    p.add_argument("--out", dest="out_dir", required=True, type=Path,
-                   help="output directory for cases.json")
+    _add_inputs(p, "output directory for cases.json")
     p.add_argument("--cases", type=int, default=10,
                    help="number of cases to sample (default: 10)")
     p.add_argument("--step", type=int, default=None,
                    help="checkpoint step to inspect (default: last step present)")
-    p.add_argument("--split", default=None, help="restrict corpus to one split")
     _add_common(p, workers_default)
     return top
 
 
-def parse_args(argv=None) -> RunConfig:
-    ns = build_arg_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for name in vars(ns):
-        if hasattr(cfg, name):
-            setattr(cfg, name, getattr(ns, name))
+def parse_args(argv=None) -> argparse.Namespace:
+    cfg = build_arg_parser().parse_args(argv)
     if cfg.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {cfg.workers}")
     if cfg.seed < 0:
@@ -233,14 +202,14 @@ def parse_args(argv=None) -> RunConfig:
 # ----------------------------------------------------------------------
 # command bodies
 
-def _load_corpus(cfg: RunConfig):
+def _load_corpus(cfg: argparse.Namespace):
     examples = load_examples(cfg.corpus)
     if cfg.split is not None:
         examples = filter_split(examples, cfg.split)
     return examples
 
 
-def _provenance(cfg: RunConfig, **extra_config) -> Provenance:
+def _provenance(cfg: argparse.Namespace, **extra_config) -> Provenance:
     inputs = {}
     if cfg.corpus is not None:
         inputs["corpus"] = file_digest(cfg.corpus)
@@ -257,22 +226,12 @@ def _provenance(cfg: RunConfig, **extra_config) -> Provenance:
     return Provenance(seed=cfg.seed, parser=cfg.parser, inputs=inputs, config=config)
 
 
-def _cmd_stats(cfg: RunConfig) -> int:
-    stats = corpus_stats(_load_corpus(cfg))
-    obj = {
-        "n_examples": stats.n_examples,
-        "n_per_split": stats.n_per_split,
-        "mean_token_length": round(stats.mean_token_length, 6),
-        "median_token_length": round(stats.median_token_length, 6),
-        "identity_pairs": stats.identity_pairs,
-        "identity_pair_fraction": round(stats.identity_pair_fraction, 6),
-        "duplicate_buggy": stats.duplicate_buggy,
-    }
-    print(json.dumps(obj, indent=2))
+def _cmd_stats(cfg: argparse.Namespace) -> int:
+    print(json.dumps(_corpus_stats_obj(corpus_stats(_load_corpus(cfg))), indent=2))
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
+def _cmd_check(cfg: argparse.Namespace) -> int:
     parser = get_parser(cfg.parser)
     path = cfg.snippets
     total = 0
@@ -303,16 +262,11 @@ def _cmd_check(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_abstract(cfg: RunConfig) -> int:
+def _cmd_abstract(cfg: argparse.Namespace) -> int:
     examples = _load_corpus(cfg)
-    out = cfg.out_dir
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise EnvironmentFailure(f"cannot create output directory {out}: {exc}") from None
     parser = get_parser(cfg.parser)
     if cfg.verify_only:
-        lines = []
+        entries = []
         bad = 0
         for ex in examples:
             entry = {"id": ex.id}
@@ -326,38 +280,38 @@ def _cmd_abstract(cfg: RunConfig) -> int:
                 clean = clean and report.conformant
             entry["conformant"] = clean
             bad += 0 if clean else 1
-            lines.append(json.dumps(entry, ensure_ascii=False))
-        (out / "conformance.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            entries.append(entry)
+        [path] = _write_files(cfg.out_dir, {"conformance.jsonl": _jsonl(entries)})
         print(f"checked {len(examples)} example(s): "
               f"{len(examples) - bad} conformant, {bad} with violations",
               file=sys.stderr)
-        print(out / "conformance.jsonl")
+        print(path)
         return 0
-    abstracted_lines = []
-    mapping_lines = []
+    records = []
+    mappings = []
     for ex in examples:
         try:
             new_buggy, map_buggy = abstract_identifiers(ex.buggy, parser=parser)
             new_fixed, map_fixed = abstract_identifiers(ex.fixed, parser=parser)
         except InputError as exc:
             raise InputError(f"example {ex.id!r}: {exc}") from None
-        record = {
+        records.append({
             "id": ex.id, "buggy": new_buggy, "fixed": new_fixed,
             "split": ex.split,
-        }
-        abstracted_lines.append(json.dumps(record, ensure_ascii=False))
-        mapping_lines.append(json.dumps(
-            {"id": ex.id, "buggy": map_buggy.to_obj(), "fixed": map_fixed.to_obj()},
-            ensure_ascii=False,
-        ))
-    (out / "abstracted.jsonl").write_text("\n".join(abstracted_lines) + "\n", encoding="utf-8")
-    (out / "mappings.jsonl").write_text("\n".join(mapping_lines) + "\n", encoding="utf-8")
+        })
+        mappings.append(
+            {"id": ex.id, "buggy": map_buggy.to_obj(), "fixed": map_fixed.to_obj()}
+        )
+    written = _write_files(cfg.out_dir, {
+        "abstracted.jsonl": _jsonl(records),
+        "mappings.jsonl": _jsonl(mappings),
+    })
     print(f"abstracted {len(examples)} example(s)", file=sys.stderr)
-    print(out / "abstracted.jsonl")
+    print(written[0])
     return 0
 
 
-def _evaluate_one_step(cfg: RunConfig, parser):
+def _evaluate_one_step(cfg: argparse.Namespace, parser):
     """Load the inputs, pick one step, and evaluate the examples its
     predictions cover. ``eval`` takes a single-step dump only; ``inspect``
     takes ``--step`` or else the last step present."""
@@ -376,18 +330,18 @@ def _evaluate_one_step(cfg: RunConfig, parser):
         have = ", ".join(str(s) for s in sorted(by_step))
         raise InputError(f"no predictions at step {step}; steps present: {have}")
     step_preds = by_step[step]
-    covered = [ex for ex in examples if ex.id in step_preds]
     records = evaluate_examples(
-        covered, step_preds, parser=parser, step=step,
+        [ex for ex in examples if ex.id in step_preds], step_preds,
+        parser=parser, step=step,
         em_normalize=cfg.em_normalize, ned_tokens=cfg.ned_tokens,
         workers=cfg.workers,
     )
-    return examples, covered, step, step_preds, records
+    return examples, step, step_preds, records
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
+def _cmd_eval(cfg: argparse.Namespace) -> int:
     parser = get_parser(cfg.parser)
-    examples, covered, step, step_preds, records = _evaluate_one_step(cfg, parser)
+    examples, step, step_preds, records = _evaluate_one_step(cfg, parser)
     series = build_series([summarize_records(records, step=step)])
     report = build_report(
         corpus_stats(examples), series, {step: records},
@@ -395,7 +349,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
     )
     written = emit_report(report, cfg.out_dir)
     if cfg.cases:
-        bundle = extract_cases(covered, step_preds, records, cfg.cases, cfg.seed,
+        bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed,
                                parser=parser)
         written.append(emit_cases(bundle, cfg.out_dir))
     final = series.final
@@ -408,7 +362,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_track(cfg: RunConfig) -> int:
+def _cmd_track(cfg: argparse.Namespace) -> int:
     examples = _load_corpus(cfg)
     predictions = load_predictions(cfg.preds, corpus=examples)
     config = TrackingConfig(
@@ -440,12 +394,9 @@ def _cmd_track(cfg: RunConfig) -> int:
     written = emit_report(report, cfg.out_dir)
     if cfg.cases:
         final_step = series.final.step
-        by_step = predictions_by_step(predictions)
-        sample_ids = {r.example_id for r in records_by_step[final_step]}
-        covered = [ex for ex in examples if ex.id in sample_ids]
         bundle = extract_cases(
-            covered, by_step[final_step], records_by_step[final_step],
-            cfg.cases, cfg.seed, parser=parser,
+            examples, predictions_by_step(predictions)[final_step],
+            records_by_step[final_step], cfg.cases, cfg.seed, parser=parser,
         )
         written.append(emit_cases(bundle, cfg.out_dir))
     final = series.final
@@ -458,10 +409,10 @@ def _cmd_track(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_inspect(cfg: RunConfig) -> int:
+def _cmd_inspect(cfg: argparse.Namespace) -> int:
     parser = get_parser(cfg.parser)
-    _examples, covered, step, step_preds, records = _evaluate_one_step(cfg, parser)
-    bundle = extract_cases(covered, step_preds, records, cfg.cases, cfg.seed,
+    examples, step, step_preds, records = _evaluate_one_step(cfg, parser)
+    bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed,
                            parser=parser)
     path = emit_cases(bundle, cfg.out_dir)
     print(f"sampled {len(bundle.cases)} case(s) at step {step}", file=sys.stderr)
@@ -479,14 +430,10 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    return _COMMANDS[cfg.command](cfg)
-
-
 def main(argv=None) -> int:
     try:
         cfg = parse_args(argv)
-        return run(cfg)
+        return _COMMANDS[cfg.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -105,7 +105,10 @@ def _iter_jsonl(path: Path):
         raise InputError(f"{path}: not valid UTF-8: {exc}") from None
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # read_text has turned "\r\n" and "\r" into "\n". Split on that only:
+    # str.splitlines() also breaks at U+2028 and other separators that a
+    # JSON string may hold raw.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -10,6 +10,7 @@ be recomputed from the same directory.
 
 from __future__ import annotations
 
+import contextlib
 import difflib
 import hashlib
 import json
@@ -79,7 +80,6 @@ class EvalReport:
 
     corpus_stats: CorpusStats
     series: CheckpointSeries
-    final: CheckpointRecord
     behavior_counts: dict[BehaviorClass, int]
     table1: list[tuple[str, SummaryStats]]
     provenance: Provenance
@@ -197,7 +197,6 @@ def build_report(
     return EvalReport(
         corpus_stats=corpus_stats,
         series=series,
-        final=final,
         behavior_counts={cls: c for cls, (c, _pct) in distribution.items()},
         table1=build_table1(final_records),
         provenance=provenance,
@@ -276,7 +275,30 @@ def _atomic_write(path: Path, text: str) -> None:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise EnvironmentFailure(f"cannot write {path}: {exc}") from None
+
+
+def _write_files(out_dir, files: dict[str, str]) -> list[Path]:
+    """Create ``out_dir`` and write each named text into it atomically.
+    Returns the written paths; any OS error is an environment failure."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise EnvironmentFailure(f"cannot create output directory {out}: {exc}") from None
+    written = []
+    for name, text in files.items():
+        path = out / name
+        _atomic_write(path, text)
+        written.append(path)
+    return written
+
+
+def _jsonl(objs) -> str:
+    """JSON Lines text of ``objs``, one object per line; empty for none."""
+    return "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
 
 
 def render_checkpoints_csv(series: CheckpointSeries) -> str:
@@ -314,7 +336,7 @@ def render_report_json(report: EvalReport) -> str:
         "provenance": report.provenance.to_obj(),
         "corpus_stats": _corpus_stats_obj(report.corpus_stats),
         "series": [_checkpoint_obj(r) for r in report.series.records],
-        "final": _checkpoint_obj(report.final),
+        "final": _checkpoint_obj(report.series.final),
         "behavior_counts": {
             cls.value: report.behavior_counts.get(cls, 0) for cls in BEHAVIOR_ORDER
         },
@@ -326,21 +348,14 @@ def render_report_json(report: EvalReport) -> str:
 
 
 def render_records_jsonl(records_by_step: dict[int, list[EvalRecord]]) -> str:
-    lines = []
-    for step in sorted(records_by_step):
-        for r in records_by_step[step]:
-            lines.append(json.dumps(_record_obj(r), ensure_ascii=False))
-    return "\n".join(lines) + "\n" if lines else ""
+    return _jsonl(
+        _record_obj(r) for step in sorted(records_by_step) for r in records_by_step[step]
+    )
 
 
 def emit_report(report: EvalReport, out_dir) -> list[Path]:
     """Write report.json, checkpoints.csv, behavior.csv, table1.csv, and
     records.jsonl into ``out_dir``. Returns the written paths."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise EnvironmentFailure(f"cannot create output directory {out}: {exc}") from None
     files = {
         "report.json": render_report_json(report),
         "checkpoints.csv": render_checkpoints_csv(report.series),
@@ -350,12 +365,7 @@ def emit_report(report: EvalReport, out_dir) -> list[Path]:
     records_text = render_records_jsonl(report.records_by_step)
     if records_text:
         files["records.jsonl"] = records_text
-    written = []
-    for name, text in files.items():
-        path = out / name
-        _atomic_write(path, text)
-        written.append(path)
-    return written
+    return _write_files(out_dir, files)
 
 
 def _case_obj(case: Case) -> dict:
@@ -380,11 +390,4 @@ def render_cases_json(bundle: CaseBundle) -> str:
 
 def emit_cases(bundle: CaseBundle, out_dir) -> Path:
     """Write cases.json into ``out_dir``; returns the path."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise EnvironmentFailure(f"cannot create output directory {out}: {exc}") from None
-    path = out / "cases.json"
-    _atomic_write(path, render_cases_json(bundle))
-    return path
+    return _write_files(out_dir, {"cases.json": render_cases_json(bundle)})[0]

@@ -20,7 +20,9 @@ from .bindings import ParserContract, TreeLike, get_parser
 from .errors import InputError
 
 WRAP_PREFIX = "class __W { "
-WRAP_SUFFIX = " }"
+# The closing brace goes on a line of its own, so a fragment that ends in
+# a ``//`` comment cannot comment it out.
+WRAP_SUFFIX = "\n}"
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class SyntaxVerdict:
     valid: bool
     error_count: int
     error_spans: tuple[tuple[int, int], ...] = ()
-    wrapped: bool = True
 
     def __bool__(self) -> bool:
         return self.valid
@@ -41,11 +42,7 @@ def wrap_method(code: str) -> str:
     return WRAP_PREFIX + code + WRAP_SUFFIX
 
 
-def check_syntax(
-    code: str,
-    parser: ParserContract | None = None,
-    wrap: bool = True,
-) -> SyntaxVerdict:
+def check_syntax(code: str, parser: ParserContract | None = None) -> SyntaxVerdict:
     """Judge one fragment. Total: never raises on malformed input.
 
     Empty and whitespace-only fragments are invalid by definition (an
@@ -53,33 +50,24 @@ def check_syntax(
     parser.
     """
     if not code.strip():
-        return SyntaxVerdict(valid=False, error_count=1, error_spans=((0, 0),), wrapped=False)
+        return SyntaxVerdict(valid=False, error_count=1, error_spans=((0, 0),))
     if parser is None:
         parser = get_parser()
-    tree = parser.parse(wrap_method(code) if wrap else code)
-    return _verdict(code, tree, wrap)
+    return _verdict(code, parser.parse(wrap_method(code)))
 
 
-def _verdict(code: str, tree: TreeLike, wrap: bool = True) -> SyntaxVerdict:
-    """The verdict on ``code`` from a parse of it (wrapped, by default),
-    with error spans moved back to the fragment and clamped to it."""
+def _verdict(code: str, tree: TreeLike) -> SyntaxVerdict:
+    """The verdict on ``code`` from a parse of it wrapped, with error
+    spans moved back to the fragment and clamped to it."""
     raw_spans = tree.error_spans()
     if not raw_spans:
-        return SyntaxVerdict(valid=True, error_count=0, error_spans=(), wrapped=wrap)
-    if wrap:
-        lo = len(WRAP_PREFIX)
-        spans = tuple(
-            (max(0, min(s - lo, len(code))), max(0, min(e - lo, len(code))))
-            for s, e in raw_spans
-        )
-    else:
-        spans = tuple(raw_spans)
-    return SyntaxVerdict(
-        valid=False,
-        error_count=len(raw_spans),
-        error_spans=spans,
-        wrapped=wrap,
+        return SyntaxVerdict(valid=True, error_count=0, error_spans=())
+    lo = len(WRAP_PREFIX)
+    spans = tuple(
+        (max(0, min(s - lo, len(code))), max(0, min(e - lo, len(code))))
+        for s, e in raw_spans
     )
+    return SyntaxVerdict(valid=False, error_count=len(raw_spans), error_spans=spans)
 
 
 def syntax_validity(verdicts) -> float:

@@ -9,7 +9,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def load_jsonl(path):
-    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+    text = Path(path).read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.split("\n") if line.strip()]
 
 
 def write_jsonl(path, rows):

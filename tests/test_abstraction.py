@@ -280,3 +280,11 @@ def test_conformance_after_abstraction_holds_for_every_parseable_input(valid_met
         if not check_conformance(out).conformant:
             failures.append(row["id"])
     assert failures == []
+
+
+def test_fragment_ending_in_a_line_comment_abstracts():
+    code = "int g ( int x ) { return x ; } // returns x"
+    abstracted, mapping = abstract_identifiers(code)
+    assert abstracted == "int METHOD_1 ( int VAR_1 ) { return VAR_1 ; } // returns x"
+    assert mapping.to_obj()["variables"] == [["x", "VAR_1"]]
+    assert check_conformance(abstracted).conformant

@@ -248,6 +248,24 @@ def test_abstract_unparseable_example_is_named(tmp_path, capsys):
     assert "bad-123" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocked,flags", [
+    ("abstracted.jsonl", []),
+    ("mappings.jsonl", []),
+    ("conformance.jsonl", ["--verify-only"]),
+])
+def test_abstract_unwritable_output_is_environment_failure(blocked, flags, corpus_file,
+                                                           tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the file goes
+    assert main(["abstract", "--corpus", str(corpus_file), "--out", str(out),
+                 *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"environment error: cannot write {out / blocked}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not list(out.glob(".*.tmp"))
+
+
 def test_check_non_string_id_is_input_error(tmp_path, capsys):
     snippets = write_jsonl(tmp_path / "s.jsonl", [{"id": 5, "code": "int x ;"}])
     assert main(["check", "--in", str(snippets)]) == 1
@@ -291,6 +309,29 @@ def test_unreadable_input_is_an_error_naming_the_path(flag, bad, corpus_file,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+def test_raw_line_separator_inside_a_string_is_one_row(sep, tmp_path, capsys):
+    # JSON strings may hold these raw and str.splitlines() would break the
+    # row there; JSON Lines splits on "\n" only.
+    code = f'String s ( ) {{ return "a{sep}b" ; }}'
+    rows = [{"id": "sep", "buggy": code, "fixed": code},
+            {"id": "plain", "buggy": "int x ;", "fixed": "int y ;"}]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\r\n" for r in rows),
+                      encoding="utf-8")
+    assert sep in corpus.read_text(encoding="utf-8")
+    assert main(["stats", "--corpus", str(corpus)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_examples"] == 2
+    out = tmp_path / "out"
+    assert main(["abstract", "--corpus", str(corpus), "--out", str(out)]) == 0
+    abstracted = load_jsonl(out / "abstracted.jsonl")
+    assert abstracted[0]["buggy"] == f'String METHOD_1 ( ) {{ return "a{sep}b" ; }}'
+    with corpus.open("a", encoding="utf-8") as fh:
+        fh.write('{"id": "bad"}\n')
+    assert main(["stats", "--corpus", str(corpus)]) == 1
+    assert f"{corpus}:3: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

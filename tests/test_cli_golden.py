@@ -1,0 +1,195 @@
+"""Golden runs of every subcommand on the shared fixtures.
+
+Each run pins the exit code, stdout, stderr and the sha256 of every file
+the command writes, so a refactor of the command-line layer that moves a
+single byte of any output fails here. Temporary paths in stdout read as
+``<tmp>``, and the tool version in ``report.json`` as ``<version>``, so
+the pins hold on any machine and for any installed version.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repairdx.cli import main
+from repairdx.report import _tool_version
+
+from conftest import SMALL_PREDICTIONS, write_jsonl
+
+SNIPPETS = [
+    {"id": "s1", "code": "int f ( ) { return 1 ; }"},
+    {"id": "s2", "code": "int f ( { return 1 ; }"},
+    {"id": "s3", "code": "void g ( ) { if ( x ) { y ( ) ; } }"},
+    {"id": "s4", "code": "void g ( ) { if ( x ) { y ( ) ; }"},
+    {"id": "s5", "code": "   "},
+]
+
+VERIFY_CORPUS = [
+    {"id": "ok", "buggy": "int METHOD_1 ( ) { return VAR_1 ; }",
+     "fixed": "int METHOD_1 ( ) { return VAR_1 ; }"},
+    {"id": "gap", "buggy": "int METHOD_1 ( ) { return VAR_2 ; }",
+     "fixed": "int METHOD_1 ( ) { return VAR_1 + VAR_3 ; }"},
+    {"id": "mixed", "buggy": "int METHOD_1 ( ) { return count ; }",
+     "fixed": "int METHOD_1 ( ) { return VAR_0 ; }"},
+]
+
+COMMANDS = {
+    "stats": ["stats", "--corpus", "{corpus}"],
+    "check": ["check", "--in", "{snippets}", "--workers", "1"],
+    "abstract": ["abstract", "--corpus", "{corpus}", "--out", "{out}",
+                 "--workers", "1"],
+    "verify": ["abstract", "--corpus", "{verify}", "--out", "{out}",
+               "--verify-only", "--strict-gaps", "--workers", "1"],
+    "eval": ["eval", "--corpus", "{corpus}", "--preds", "{final}",
+             "--out", "{out}", "--cases", "2", "--workers", "1"],
+    "track": ["track", "--corpus", "{corpus}", "--preds", "{preds}",
+              "--out", "{out}", "--cases", "2", "--loss-log", "{loss}",
+              "--workers", "1"],
+    "inspect": ["inspect", "--corpus", "{corpus}", "--preds", "{preds}",
+                "--out", "{out}", "--cases", "2", "--workers", "1"],
+}
+
+
+def golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys):
+    """Run one command; return (exit code, stdout, stderr, {file: sha256})."""
+    files = {
+        "corpus": corpus_file,
+        "preds": predictions_file,
+        "loss": loss_file,
+        "final": write_jsonl(tmp_path / "final.jsonl",
+                             [p for p in SMALL_PREDICTIONS if p["step"] == 1000]),
+        "snippets": write_jsonl(tmp_path / "snippets.jsonl", SNIPPETS),
+        "verify": write_jsonl(tmp_path / "verify.jsonl", VERIFY_CORPUS),
+        "out": tmp_path / "out",
+    }
+    argv = [arg.format(**{k: str(v) for k, v in files.items()})
+            for arg in COMMANDS[name]]
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    version = json.dumps(_tool_version()).encode()
+    digests = {}
+    out = files["out"]
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        data = path.read_bytes().replace(version, b'"<version>"')
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    tmp = str(tmp_path)
+    return (code, captured.out.replace(tmp, "<tmp>"),
+            captured.err.replace(tmp, "<tmp>"), digests)
+
+
+EXPECTED = {
+    "abstract": (
+        0,
+        "<tmp>/out/abstracted.jsonl\n",
+        "abstracted 4 example(s)\n",
+        {
+            "abstracted.jsonl":
+                "c8515dee3d36689585b59c4e1271597a3d778e9de2a52c86bda023a3793b514f",
+            "mappings.jsonl":
+                "07a317b0d95f5054c85603c76610c8a9db9364562a3c8daba14974627a929dca",
+        },
+    ),
+    "check": (
+        0,
+        ('{"id": "s1", "valid": true, "error_count": 0, "error_spans": []}\n'
+         '{"id": "s2", "valid": false, "error_count": 2, "error_spans": [[8, 8], [8, 8]]}\n'
+         '{"id": "s3", "valid": true, "error_count": 0, "error_spans": []}\n'
+         '{"id": "s4", "valid": false, "error_count": 1, "error_spans": [[33, 33]]}\n'
+         '{"id": "s5", "valid": false, "error_count": 1, "error_spans": [[0, 0]]}\n'),
+        "checked 5 snippet(s): 2 valid (40.0%)\n",
+        {},
+    ),
+    "eval": (
+        0,
+        ("<tmp>/out/report.json\n"
+         "<tmp>/out/checkpoints.csv\n"
+         "<tmp>/out/behavior.csv\n"
+         "<tmp>/out/table1.csv\n"
+         "<tmp>/out/records.jsonl\n"
+         "<tmp>/out/cases.json\n"),
+        ("evaluated 4 example(s) at step 1000: syntax validity 100.0%, "
+         "exact match 100.0%, copy 0.0%\n"),
+        {
+            "behavior.csv":
+                "0a92878008f6ef0372a99cee53c0a63ef37241e97a957da4ff85fb3e4bde6497",
+            "cases.json":
+                "2ccbf306667260ec31cdc5d57c093e48e87df6767bd5d776b0f30771f76eaabe",
+            "checkpoints.csv":
+                "f958c7ba5e85b82996e42b820e035ef859295f94a93607d424d881b3601f8580",
+            "records.jsonl":
+                "22eaac62df965c8ab262733741aa3f73693cbf1262a8a0d783c13f3762ed3654",
+            "report.json":
+                "cda72afb38ed7c09b95b01d634848e1bdd432c4d81b0b24dcb6dd5d37eabc7df",
+            "table1.csv":
+                "adc86b16f445387c2ed6acf66748b1932980766c4b5d3fb4a7c3ec65b01a1d1a",
+        },
+    ),
+    "inspect": (
+        0,
+        "<tmp>/out/cases.json\n",
+        "sampled 2 case(s) at step 1000\n",
+        {
+            "cases.json":
+                "2ccbf306667260ec31cdc5d57c093e48e87df6767bd5d776b0f30771f76eaabe",
+        },
+    ),
+    "stats": (
+        0,
+        ("{\n"
+         '  "n_examples": 4,\n'
+         '  "n_per_split": {\n'
+         '    "test": 4\n'
+         "  },\n"
+         '  "mean_token_length": 12.25,\n'
+         '  "median_token_length": 11.5,\n'
+         '  "identity_pairs": 0,\n'
+         '  "identity_pair_fraction": 0.0,\n'
+         '  "duplicate_buggy": 0\n'
+         "}\n"),
+        "",
+        {},
+    ),
+    "track": (
+        0,
+        ("<tmp>/out/report.json\n"
+         "<tmp>/out/checkpoints.csv\n"
+         "<tmp>/out/behavior.csv\n"
+         "<tmp>/out/table1.csv\n"
+         "<tmp>/out/records.jsonl\n"
+         "<tmp>/out/cases.json\n"),
+        ("tracked 2 checkpoint(s) (steps 500..1000): final syntax validity "
+         "100.0%, final copy rate 0.0%\n"),
+        {
+            "behavior.csv":
+                "0a92878008f6ef0372a99cee53c0a63ef37241e97a957da4ff85fb3e4bde6497",
+            "cases.json":
+                "2ccbf306667260ec31cdc5d57c093e48e87df6767bd5d776b0f30771f76eaabe",
+            "checkpoints.csv":
+                "33b5fdaafc376101fad9d062f1635b4b77ad48b25e8e8fa36d5ae552e4bd11da",
+            "records.jsonl":
+                "3716720f6b19055f3826f57ee56a3e03ba41f3f203dd7da304c8520e0e337624",
+            "report.json":
+                "9092ee1545a9ba7c0c449571da8eb8373affa03dbac61140c77aec6f2238af6c",
+            "table1.csv":
+                "adc86b16f445387c2ed6acf66748b1932980766c4b5d3fb4a7c3ec65b01a1d1a",
+        },
+    ),
+    "verify": (
+        0,
+        "<tmp>/out/conformance.jsonl\n",
+        "checked 3 example(s): 1 conformant, 2 with violations\n",
+        {
+            "conformance.jsonl":
+                "50a08079a4b6247c07e23b262d75b6e70b7d637e92cf6dfa152934aa60369f6e",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_output_is_pinned(name, tmp_path, corpus_file, predictions_file,
+                                  loss_file, capsys):
+    got = golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys)
+    assert got == EXPECTED[name]

@@ -213,6 +213,13 @@ def test_output_path_blocked_by_a_file_is_an_environment_failure(tmp_path):
         emit_report(full_report(), blocker / "out")
 
 
+def test_output_file_blocked_by_a_directory_leaves_no_temp_file(tmp_path):
+    (tmp_path / "report.json").mkdir()
+    with pytest.raises(EnvironmentFailure, match="cannot write"):
+        emit_report(full_report(), tmp_path)
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
 def test_file_digest_is_sha256(tmp_path):
     path = tmp_path / "x"
     path.write_bytes(b"abc")

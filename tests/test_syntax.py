@@ -21,12 +21,12 @@ from repairdx.syntax import (
 
 def test_wrap_embeds_the_fragment_verbatim():
     assert wrap_method("int METHOD_1 ( ) { return 0 ; }") == (
-        "class __W { int METHOD_1 ( ) { return 0 ; } }"
+        "class __W { int METHOD_1 ( ) { return 0 ; }\n}"
     )
 
 
 def test_wrap_of_empty_string():
-    assert wrap_method("") == "class __W {  }"
+    assert wrap_method("") == "class __W { \n}"
 
 
 def test_wrap_never_alters_the_fragment():
@@ -48,7 +48,13 @@ def test_wrapper_alone_is_neutral():
 def test_valid_method_fragment():
     v = check_syntax("int METHOD_1 ( ) { return 0 ; }")
     assert v.valid and v.error_count == 0 and v.error_spans == ()
-    assert v.wrapped
+
+
+def test_fragment_ending_in_a_line_comment_is_valid():
+    # The comment must not swallow the wrapper's closing brace.
+    code = "void f ( ) { } // done"
+    assert check_syntax(code).valid
+    assert check_syntax(code) == check_syntax(code + "\n")
 
 
 def test_unbalanced_brace_is_invalid():
@@ -60,12 +66,11 @@ def test_empty_prediction_is_invalid():
     v = check_syntax("")
     assert not v.valid
     assert v.error_count == 1
-    assert not v.wrapped
 
 
 def test_whitespace_only_prediction_is_invalid():
     v = check_syntax(" \n\t ")
-    assert not v.valid and not v.wrapped
+    assert not v.valid
 
 
 def test_valid_iff_zero_errors():
