@@ -46,7 +46,7 @@ from .report import (
     extract_cases,
     file_digest,
 )
-from .syntax import check_syntax
+from .syntax import SyntaxVerdict, check_syntax
 from .tracking import (
     build_series,
     evaluate_examples,
@@ -104,7 +104,7 @@ def build_arg_parser() -> _Parser:
     sub.required = True
     # Options a subcommand does not declare, for the helpers that read them.
     top.set_defaults(split=None, seed=42, workers=1, em_normalize="none",
-                     ned_tokens=False, step=None, loss_log=None)
+                     ned_tokens=False, step=None, loss_log=None, cases=0)
 
     p = sub.add_parser("stats", help="summarize a corpus",
                        description=f"Summarize corpus shape. {_EXAMPLES_SCHEMA}")
@@ -196,6 +196,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         raise UsageError(f"--workers must be at least 1, got {cfg.workers}")
     if cfg.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {cfg.seed}")
+    if cfg.cases < 0:
+        raise UsageError(f"--cases must be non-negative, got {cfg.cases}")
     return cfg
 
 
@@ -234,6 +236,7 @@ def _cmd_stats(cfg: argparse.Namespace) -> int:
 def _cmd_check(cfg: argparse.Namespace) -> int:
     parser = get_parser(cfg.parser)
     path = cfg.snippets
+    verdicts: dict[str, SyntaxVerdict] = {}  # each distinct text is judged once
     total = 0
     valid = 0
     for lineno, obj in _iter_jsonl(path):
@@ -246,7 +249,9 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
         code = obj[cfg.field_name]
         if not isinstance(code, str):
             raise InputError(f"{path}:{lineno}: field {cfg.field_name!r} must be str")
-        verdict = check_syntax(code, parser=parser)
+        verdict = verdicts.get(code)
+        if verdict is None:
+            verdict = verdicts[code] = check_syntax(code, parser=parser)
         total += 1
         valid += 1 if verdict.valid else 0
         print(json.dumps({
@@ -347,11 +352,11 @@ def _cmd_eval(cfg: argparse.Namespace) -> int:
         corpus_stats(examples), series, {step: records},
         _provenance(cfg, command="eval"),
     )
-    written = emit_report(report, cfg.out_dir)
+    bundle = None
     if cfg.cases:
         bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed,
                                parser=parser)
-        written.append(emit_cases(bundle, cfg.out_dir))
+    written = emit_report(report, cfg.out_dir, cases=bundle)
     final = series.final
     print(f"evaluated {final.n} example(s) at step {step}: "
           f"syntax validity {final.syntax_validity_pct:.1f}%, "
@@ -391,14 +396,14 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
             fixed_sample=cfg.fixed_sample,
         ),
     )
-    written = emit_report(report, cfg.out_dir)
+    bundle = None
     if cfg.cases:
         final_step = series.final.step
         bundle = extract_cases(
             examples, predictions_by_step(predictions)[final_step],
             records_by_step[final_step], cfg.cases, cfg.seed, parser=parser,
         )
-        written.append(emit_cases(bundle, cfg.out_dir))
+    written = emit_report(report, cfg.out_dir, cases=bundle)
     final = series.final
     print(f"tracked {len(series.records)} checkpoint(s) "
           f"(steps {series.steps[0]}..{series.steps[-1]}): "

@@ -2,16 +2,18 @@
 
 Everything written here is deterministic: equal inputs produce
 byte-identical files. Reals are serialized with six decimal places
-(round-half-even) so golden files survive platform changes, files are
-written atomically (temp file + rename), and per-example records are
-emitted alongside the aggregates so every percentage in the report can
-be recomputed from the same directory.
+(round-half-even) so golden files survive platform changes, the files of
+one command are written as a set (every temp file first, then the
+renames), and per-example records are emitted alongside the aggregates
+so every percentage in the report can be recomputed from the same
+directory.
 """
 
 from __future__ import annotations
 
 import contextlib
 import difflib
+import errno
 import hashlib
 import json
 import os
@@ -269,31 +271,36 @@ def _corpus_stats_obj(s: CorpusStats) -> dict:
     }
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise EnvironmentFailure(f"cannot write {path}: {exc}") from None
-
-
 def _write_files(out_dir, files: dict[str, str]) -> list[Path]:
-    """Create ``out_dir`` and write each named text into it atomically.
-    Returns the written paths; any OS error is an environment failure."""
+    """Create ``out_dir`` and write the named texts into it as one set.
+
+    Every text goes to a temp file first. Only when all of them are
+    written, and no target is a directory, are they renamed into place;
+    otherwise every temp file is removed and no target changes. A failure
+    part-way through the renames is not covered: the targets renamed
+    before it are then new and the rest old. Returns the written paths;
+    any OS error is an environment failure.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise EnvironmentFailure(f"cannot create output directory {out}: {exc}") from None
-    written = []
-    for name, text in files.items():
-        path = out / name
-        _atomic_write(path, text)
-        written.append(path)
-    return written
+    pending = [(out / f".{name}.tmp", out / name) for name in files]
+    try:
+        for tmp, path in pending:
+            tmp.write_text(files[path.name], encoding="utf-8")
+        for _tmp, path in pending:
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp, _path in pending:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        raise EnvironmentFailure(f"cannot write {path}: {exc}") from None
+    return [path for _tmp, path in pending]
 
 
 def _jsonl(objs) -> str:
@@ -353,9 +360,10 @@ def render_records_jsonl(records_by_step: dict[int, list[EvalRecord]]) -> str:
     )
 
 
-def emit_report(report: EvalReport, out_dir) -> list[Path]:
-    """Write report.json, checkpoints.csv, behavior.csv, table1.csv, and
-    records.jsonl into ``out_dir``. Returns the written paths."""
+def emit_report(report: EvalReport, out_dir, cases: CaseBundle | None = None) -> list[Path]:
+    """Write report.json, checkpoints.csv, behavior.csv, table1.csv,
+    records.jsonl and, given ``cases``, cases.json into ``out_dir`` as one
+    set. Returns the written paths."""
     files = {
         "report.json": render_report_json(report),
         "checkpoints.csv": render_checkpoints_csv(report.series),
@@ -365,6 +373,8 @@ def emit_report(report: EvalReport, out_dir) -> list[Path]:
     records_text = render_records_jsonl(report.records_by_step)
     if records_text:
         files["records.jsonl"] = records_text
+    if cases is not None:
+        files["cases.json"] = render_cases_json(cases)
     return _write_files(out_dir, files)
 
 

@@ -2,9 +2,11 @@
 
 The harness is strictly post-hoc: it consumes predictions a training run
 dumped at each checkpoint, never the model itself. The (step, example)
-tasks of a run are measured in one pass, which can fan out to one pool
-of worker processes for the whole run; results are always reduced in
-example-id order, so runs are deterministic regardless of worker count.
+tasks of a run are measured in one pass. Each distinct prediction text
+is judged once per run, which can fan out to one pool of worker
+processes for the whole run; records are built in the calling process
+and always reduced in example-id order, so runs are deterministic
+regardless of worker count.
 Loss values are ingested from an auxiliary log when available — never
 computed.
 """
@@ -107,9 +109,9 @@ def _init_worker(parser_name: str) -> None:
     _WORKER_PARSER = get_parser(parser_name)
 
 
-def _measure(task: tuple, parser: ParserContract | None = None) -> EvalRecord:
+def _measure(task: tuple, valid: bool) -> EvalRecord:
+    """The record of one task, given the syntax verdict on its prediction."""
     example_id, buggy, fixed, pred_text, step, em_normalize, ned_tokens = task
-    verdict = check_syntax(pred_text, parser=parser)
     behavior = classify_behavior(buggy, pred_text, fixed)
     distance = levenshtein(pred_text, fixed)
     if ned_tokens:
@@ -124,14 +126,14 @@ def _measure(task: tuple, parser: ParserContract | None = None) -> EvalRecord:
         exact=exact_match(pred_text, fixed, normalize=em_normalize),
         edit_distance=distance,
         ned=ned,
-        syntax_valid=verdict.valid,
+        syntax_valid=valid,
         near_copy=is_near_copy(pred_text, buggy),
         pred_len=len(pred_text),
     )
 
 
-def _measure_in_worker(task: tuple) -> EvalRecord:
-    return _measure(task, _WORKER_PARSER)
+def _judge_in_worker(text: str) -> bool:
+    return check_syntax(text, parser=_WORKER_PARSER).valid
 
 
 def _tasks(
@@ -159,19 +161,24 @@ def _tasks(
 def _evaluate(
     groups: list[list[tuple]], parser: ParserContract, workers: int
 ) -> list[list[EvalRecord]]:
-    """Measure every task of a run in one worker pool (or one serial loop).
+    """Measure every task of a run.
 
-    Records come back per group of tasks, each group sorted by example id.
+    Each distinct prediction text is judged once, in one worker pool (or
+    one serial loop); the records are then built here from those
+    verdicts. Records come back per group of tasks, each group sorted by
+    example id.
     """
     tasks = [t for group in groups for t in group]
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(tasks) // (workers * 4))
+    texts = list(dict.fromkeys(t[3] for t in tasks))
+    if workers > 1 and len(texts) > 1:
+        ctx = multiprocessing.get_context()
+        chunk = max(1, len(texts) // (workers * 4))
         with ctx.Pool(workers, initializer=_init_worker, initargs=(parser.name,)) as pool:
-            records = pool.map(_measure_in_worker, tasks, chunksize=chunk)
+            verdicts = pool.map(_judge_in_worker, texts, chunksize=chunk)
     else:
-        records = [_measure(t, parser) for t in tasks]
-    done = iter(records)
+        verdicts = [check_syntax(text, parser=parser).valid for text in texts]
+    valid = dict(zip(texts, verdicts))
+    done = (_measure(t, valid[t[3]]) for t in tasks)
     return [sorted((next(done) for _ in group), key=lambda r: r.example_id) for group in groups]
 
 

@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repairdx import cli
 from repairdx.cli import main, parse_args
 from repairdx.errors import UsageError
 
@@ -69,6 +70,13 @@ def test_parse_args_rejects_bad_worker_count():
 def test_parse_args_rejects_negative_seed():
     with pytest.raises(UsageError):
         parse_args(["check", "--in", "s.jsonl", "--seed", "-1"])
+
+
+@pytest.mark.parametrize("command", ["eval", "track", "inspect"])
+def test_parse_args_rejects_negative_case_count(command):
+    with pytest.raises(UsageError, match="--cases must be non-negative, got -3"):
+        parse_args([command, "--corpus", "c.jsonl", "--preds", "p.jsonl",
+                    "--out", "r", "--cases", "-3"])
 
 
 def test_main_without_subcommand_is_usage_error(capsys):
@@ -141,6 +149,31 @@ def test_check_emits_one_verdict_per_snippet(tmp_path, capsys):
     assert lines[1]["error_count"] >= 1
     assert lines[1]["error_spans"]
     assert "checked 2 snippet(s): 1 valid (50.0%)" in captured.err
+
+
+def test_check_judges_each_distinct_text_once(tmp_path, capsys, monkeypatch):
+    good, bad = "int f ( ) { return 1 ; }", "int f ( { return 1 ; }"
+    rows = [{"id": f"s{i}", "code": code}
+            for i, code in enumerate([good, bad, good, good, bad, good])]
+    snippets = write_jsonl(tmp_path / "snippets.jsonl", rows)
+    judged = []
+    real = cli.check_syntax
+
+    def counting(code, parser=None):
+        judged.append(code)
+        return real(code, parser=parser)
+
+    monkeypatch.setattr(cli, "check_syntax", counting)
+    assert main(["check", "--in", str(snippets)]) == 0
+    captured = capsys.readouterr()
+    assert judged == [good, bad]
+    lines = [json.loads(l) for l in captured.out.splitlines()]
+    assert [l["id"] for l in lines] == [r["id"] for r in rows]
+    for line, row in zip(lines, rows):
+        verdict = real(row["code"])
+        assert line["valid"] is verdict.valid
+        assert line["error_spans"] == [list(s) for s in verdict.error_spans]
+    assert "checked 6 snippet(s): 4 valid (66.7%)" in captured.err
 
 
 def test_check_honors_field_flag(tmp_path, capsys):
@@ -257,6 +290,11 @@ def test_abstract_unwritable_output_is_environment_failure(blocked, flags, corpu
                                                            tmp_path, capsys):
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)  # a directory where the file goes
+    others = [] if flags else [
+        name for name in ("abstracted.jsonl", "mappings.jsonl") if name != blocked
+    ]
+    for name in others:
+        (out / name).write_text("old\n", encoding="utf-8")
     assert main(["abstract", "--corpus", str(corpus_file), "--out", str(out),
                  *flags]) == 2
     captured = capsys.readouterr()
@@ -264,6 +302,8 @@ def test_abstract_unwritable_output_is_environment_failure(blocked, flags, corpu
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not list(out.glob(".*.tmp"))
+    for name in others:  # the output set is written whole or not at all
+        assert (out / name).read_text(encoding="utf-8") == "old\n"
 
 
 def test_check_non_string_id_is_input_error(tmp_path, capsys):
@@ -504,6 +544,77 @@ def test_track_output_is_byte_identical_at_one_and_two_workers(tmp_path,
     report = json.loads(outputs[0]["report.json"])
     assert [c["step"] for c in report["series"]] == [0, 500, 1000, 1500]
     assert len(outputs[0]["records.jsonl"].splitlines()) == 4 * 8
+
+
+def test_shared_text_is_measured_per_example_at_any_worker_count(tmp_path):
+    corpus = [
+        {"id": "a", "buggy": "int f ( ) { return 1 ; }", "fixed": "int f ( ) { return 2 ; }"},
+        {"id": "b", "buggy": "int f ( ) { return 3 ; }", "fixed": "int f ( ) { return 4 ; }"},
+        {"id": "c", "buggy": "int g ( ) { return 5 ; }", "fixed": "int g ( ) { return 6 ; }"},
+    ]
+    shared = corpus[0]["buggy"]  # a copy for "a", a modification for "b"
+    preds = [
+        {"id": row["id"], "step": step,
+         "prediction": row["fixed"] if row["id"] == "c" else shared}
+        for step in (500, 1000) for row in corpus
+    ]
+    corpus_path = write_jsonl(tmp_path / "corpus.jsonl", corpus)
+    preds_path = write_jsonl(tmp_path / "preds.jsonl", preds)
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["track", "--corpus", str(corpus_path),
+                     "--preds", str(preds_path), "--out", str(out),
+                     "--workers", workers]) == 0
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("records.jsonl", "report.json")})
+    assert outputs[0] == outputs[1]
+    records = [json.loads(l) for l in outputs[0]["records.jsonl"].splitlines()]
+    assert [(r["id"], r["behavior"], r["edit_distance"]) for r in records] == [
+        ("a", "copy", 1), ("b", "modification", 1), ("c", "exact_match", 0),
+    ] * 2
+
+
+@pytest.mark.parametrize("command", ["eval", "track"])
+@pytest.mark.parametrize("cases,err", [
+    pytest.param("1000", "error: asked for 1000 cases but only 4 records exist",
+                 id="too-many"),
+    pytest.param("-3", "usage error: --cases must be non-negative, got -3",
+                 id="negative"),
+])
+def test_bad_case_count_leaves_the_output_untouched(command, cases, err, corpus_file,
+                                                    final_predictions_file, tmp_path,
+                                                    capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_text("old\n", encoding="utf-8")
+    assert main([command, "--corpus", str(corpus_file),
+                 "--preds", str(final_predictions_file), "--out", str(out),
+                 "--cases", cases]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err)
+    assert captured.out == ""
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    assert (out / "report.json").read_text(encoding="utf-8") == "old\n"
+
+
+def test_report_and_cases_are_written_as_one_set(corpus_file, predictions_file,
+                                                 tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "cases.json").mkdir(parents=True)  # a directory where the file goes
+    names = ("report.json", "checkpoints.csv", "behavior.csv", "table1.csv",
+             "records.jsonl")
+    for name in names:
+        (out / name).write_text(f"old {name}\n", encoding="utf-8")
+    assert main(["track", "--corpus", str(corpus_file),
+                 "--preds", str(predictions_file), "--out", str(out),
+                 "--cases", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"environment error: cannot write {out / 'cases.json'}")
+    assert captured.out == ""
+    assert not list(out.glob(".*.tmp"))
+    for name in names:
+        assert (out / name).read_text(encoding="utf-8") == f"old {name}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Checkpoint evaluation: invariants, determinism, worker parity."""
 
+import multiprocessing
+
 import pytest
 
 from repairdx import tracking
@@ -129,8 +131,9 @@ def test_token_ned_under_ned_tokens():
 
 
 def test_measure_of_two_empty_texts_is_zero():
-    record = _measure(("e", "x", "", "", 0, "none", False))
+    record = _measure(("e", "x", "", "", 0, "none", False), valid=False)
     assert record.edit_distance == 0 and record.ned == 0.0
+    assert record.syntax_valid is False
 
 
 def test_missing_prediction_is_named():
@@ -319,6 +322,46 @@ def test_serial_run_uses_the_given_parser_and_leaves_module_state_alone():
     run_tracking(examples(), predictions(), config, parser=CountingParser())
     assert CountingParser.calls == len(SMALL_PREDICTIONS)
     assert tracking._WORKER_PARSER is None
+
+
+def test_run_tracking_judges_each_distinct_text_once(monkeypatch):
+    judged = []
+    real = tracking.check_syntax
+
+    def counting(code, parser=None):
+        judged.append(code)
+        return real(code, parser=parser)
+
+    monkeypatch.setattr(tracking, "check_syntax", counting)
+    # Every example copies its input at every step; at step 1500 bug-002
+    # also repeats bug-001's input.
+    preds = [
+        Prediction(id=ex.id, step=step, prediction=ex.buggy)
+        for step in (500, 1000, 1500) for ex in examples()
+    ]
+    preds[-3] = Prediction(id="bug-002", step=1500, prediction=examples()[0].buggy)
+    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
+    _series, records_by_step = run_tracking(examples(), preds, config)
+    assert sorted(judged) == sorted({p.prediction for p in preds})
+    assert len(judged) == 4
+    text = {(p.step, p.id): p.prediction for p in preds}
+    for step, records in records_by_step.items():
+        assert len(records) == 4
+        for r in records:
+            assert r.syntax_valid == real(text[step, r.example_id]).valid
+
+
+def test_pool_results_do_not_depend_on_the_start_method(monkeypatch):
+    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
+    serial = run_tracking(examples(), predictions(), config)
+    spawn = multiprocessing.get_context("spawn")
+
+    def default_context(method=None):
+        assert method is None, "the pool must use the platform's default start method"
+        return spawn
+
+    monkeypatch.setattr(multiprocessing, "get_context", default_context)
+    assert run_tracking(examples(), predictions(), config, workers=2) == serial
 
 
 def test_run_tracking_requires_rank_zero_predictions():
