@@ -16,7 +16,6 @@ from .abstraction import (
     abstract_identifiers,
     check_conformance,
 )
-from .bindings import BuiltinParser, ParserContract, available_bindings, get_parser
 from .corpus import (
     CorpusStats,
     Prediction,
@@ -29,7 +28,7 @@ from .corpus import (
     predictions_by_step,
     sample_validation,
 )
-from .errors import EnvironmentFailure, InputError, ParserUnavailableError, UsageError
+from .errors import EnvironmentFailure, InputError, UsageError
 from .metrics import (
     BehaviorClass,
     EvalRecord,
@@ -80,7 +79,6 @@ __all__ = [
     "AbstractionMapping",
     "AbstractionReport",
     "BehaviorClass",
-    "BuiltinParser",
     "Case",
     "CaseBundle",
     "CheckpointRecord",
@@ -90,8 +88,6 @@ __all__ = [
     "EvalRecord",
     "EvalReport",
     "InputError",
-    "ParserContract",
-    "ParserUnavailableError",
     "Prediction",
     "Provenance",
     "RepairExample",
@@ -103,7 +99,6 @@ __all__ = [
     "Violation",
     "abstract_identifiers",
     "aggregate",
-    "available_bindings",
     "behavior_distribution",
     "build_report",
     "build_series",
@@ -118,7 +113,6 @@ __all__ = [
     "extract_cases",
     "file_digest",
     "filter_split",
-    "get_parser",
     "is_near_copy",
     "levenshtein",
     "load_examples",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .bindings import BuiltinParser, _BuiltinTree
 from .errors import InputError
 from .javaparse import IDENTIFIER, Node, parse_java, tokenize
 from .javaparse.lexer import BAD, IDENT
@@ -193,9 +192,7 @@ def _identifier_occurrences(root: Node) -> list[tuple[int, int, str, str]]:
     return out
 
 
-def abstract_identifiers(
-    code: str, parser=None
-) -> tuple[str, AbstractionMapping]:
+def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
     """Replace user-defined identifiers with indexed placeholders.
 
     The input must be a grammatically valid method fragment; abstraction
@@ -203,17 +200,14 @@ def abstract_identifiers(
     the syntax verdict. Already-abstracted code is renumbered into
     canonical first-occurrence order and otherwise left intact.
 
-    Category detection is tied to the builtin grammar's node shapes, so
-    the fragment is parsed once by the builtin parser, whose tree also
-    gives the verdict. Another ``parser`` takes part only in the validity
-    check, at the cost of its own parse.
+    The fragment is parsed once: the same tree gives the verdict (the one
+    :func:`check_syntax` gives) and the identifier categories.
     """
-    builtin = parser is None or isinstance(parser, BuiltinParser)
-    wrapped_root = parse_java(wrap_method(code)) if code.strip() else None
-    if builtin and wrapped_root is not None:
-        verdict = _verdict(code, _BuiltinTree(wrapped_root))
-    else:  # blank code, or another parser's own judgement
-        verdict = check_syntax(code, parser=parser)
+    if code.strip():
+        wrapped_root = parse_java(wrap_method(code))
+        verdict = _verdict(code, wrapped_root)
+    else:
+        verdict = check_syntax(code)
     if not verdict.valid:
         raise UnparseableCodeError(
             f"cannot abstract code that does not parse "

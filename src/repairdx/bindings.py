@@ -1,148 +1,20 @@
-"""Parser bindings.
+"""Two names the benchmark still uses; nothing else in the toolkit does.
 
-Syntax checking and abstraction are written against a small parser
-contract rather than a concrete parser, so the backing implementation can
-be swapped. Two bindings exist:
-
-* ``builtin`` — the in-tree error-recovering recursive-descent parser.
-  Always available; the default.
-* ``treesitter`` — an adapter over the ``tree_sitter`` +
-  ``tree_sitter_java`` packages, for environments that have them. When the
-  packages are absent, requesting this binding raises
-  :class:`~repairdx.errors.ParserUnavailableError` (an environment
-  failure, not an input error).
-
-Both bindings expose the same surface: ``parse(code) -> tree`` where the
-tree offers ``error_spans()`` (byte-offset spans of ERROR/MISSING
-regions), ``walk()`` over nodes with ``kind``/``start``/``end``/``text``,
-and determinism (equal input, equal tree).
+``perfbench/run.py`` times start-up with ``get_parser('builtin')``, and
+``perfbench/traced.py`` times verdict parses by wrapping ``parse_java``
+here, which is why :func:`repairdx.syntax.check_syntax` looks the parser
+up on this module at call time. Both stay only until the benchmark stops
+naming them (ROADMAP item 6); this module then goes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Protocol, runtime_checkable
-
-from .errors import ParserUnavailableError, UsageError
-from .javaparse import Node, parse_java
+from .errors import UsageError
+from .javaparse import parse_java
 
 
-@runtime_checkable
-class TreeLike(Protocol):
-    """The slice of a parse tree the toolkit consumes."""
-
-    def error_spans(self) -> list[tuple[int, int]]: ...
-
-    def walk(self) -> Iterator[object]: ...
-
-
-class ParserContract(Protocol):
-    """Any object with a deterministic, total ``parse``."""
-
-    name: str
-
-    def parse(self, code: str) -> TreeLike: ...
-
-
-class _BuiltinTree:
-    """Adapter giving the in-tree parse tree the contract surface."""
-
-    __slots__ = ("root",)
-
-    def __init__(self, root: Node):
-        self.root = root
-
-    def error_spans(self) -> list[tuple[int, int]]:
-        spans = [(n.start, n.end) for n in self.root.walk() if n.is_error]
-        spans.sort()
-        return spans
-
-    def walk(self) -> Iterator[Node]:
-        return self.root.walk()
-
-
-class BuiltinParser:
-    """Default binding: the in-tree error-recovering parser."""
-
-    name = "builtin"
-
-    def parse(self, code: str) -> _BuiltinTree:
-        return _BuiltinTree(parse_java(code))
-
-
-class TreeSitterParser:
-    """Optional binding over the tree-sitter Java grammar."""
-
-    name = "treesitter"
-
-    def __init__(self):
-        try:
-            import tree_sitter
-            import tree_sitter_java
-        except ImportError as exc:
-            raise ParserUnavailableError(
-                "the 'treesitter' parser binding requires the tree_sitter and "
-                "tree_sitter_java packages, which are not installed; "
-                "use --parser builtin or install them"
-            ) from exc
-        self._language = tree_sitter.Language(tree_sitter_java.language())
-        self._parser = tree_sitter.Parser(self._language)
-
-    def parse(self, code: str) -> "_TreeSitterTree":
-        raw = self._parser.parse(code.encode("utf-8"))
-        return _TreeSitterTree(raw, code)
-
-
-class _TreeSitterTree:
-    __slots__ = ("_tree", "_code")
-
-    def __init__(self, tree, code: str):
-        self._tree = tree
-        self._code = code
-
-    def _nodes(self) -> Iterable[object]:
-        stack = [self._tree.root_node]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def error_spans(self) -> list[tuple[int, int]]:
-        data = self._code.encode("utf-8")
-        spans = []
-        for node in self._nodes():
-            if node.type == "ERROR" or node.is_missing:
-                # Convert byte offsets to character offsets.
-                start = len(data[: node.start_byte].decode("utf-8", "replace"))
-                end = len(data[: node.end_byte].decode("utf-8", "replace"))
-                spans.append((start, end))
-        spans.sort()
-        return spans
-
-    def walk(self) -> Iterator[object]:
-        return iter(self._nodes())
-
-
-_BINDINGS = {
-    "builtin": BuiltinParser,
-    "treesitter": TreeSitterParser,
-}
-
-
-def available_bindings() -> list[str]:
-    return sorted(_BINDINGS)
-
-
-def get_parser(name: str = "builtin") -> ParserContract:
-    """Construct a parser binding by name.
-
-    Unknown names are input errors (exit 1); a known binding whose
-    backing library is missing raises ParserUnavailableError (exit 2).
-    """
-    try:
-        factory = _BINDINGS[name]
-    except KeyError:
-        raise UsageError(
-            f"unknown parser binding {name!r}; available: "
-            + ", ".join(available_bindings())
-        ) from None
-    return factory()
+def get_parser(name: str = "builtin"):
+    """The in-tree parser's ``parse_java``; ``builtin`` is the only name."""
+    if name != "builtin":
+        raise UsageError(f"unknown parser {name!r}; the only parser is 'builtin'")
+    return parse_java

@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 from .abstraction import abstract_identifiers, check_conformance
-from .bindings import get_parser
 from .corpus import (
     _iter_jsonl,
     _require,
@@ -77,8 +76,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub: argparse.ArgumentParser, workers_default: int) -> None:
-    sub.add_argument("--parser", default="builtin",
-                     help="parser binding to use (default: builtin)")
     sub.add_argument("--seed", type=int, default=42,
                      help="seed for all deterministic sampling (default: 42)")
     sub.add_argument("--workers", type=int, default=workers_default,
@@ -198,6 +195,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         raise UsageError(f"--seed must be non-negative, got {cfg.seed}")
     if cfg.cases < 0:
         raise UsageError(f"--cases must be non-negative, got {cfg.cases}")
+    if cfg.cases == 0 and cfg.command == "inspect":  # 0 means "no bundle" elsewhere
+        raise UsageError("--cases must be positive for inspect, got 0")
     return cfg
 
 
@@ -225,7 +224,7 @@ def _provenance(cfg: argparse.Namespace, **extra_config) -> Provenance:
         "split": cfg.split,
         **extra_config,
     }
-    return Provenance(seed=cfg.seed, parser=cfg.parser, inputs=inputs, config=config)
+    return Provenance(seed=cfg.seed, inputs=inputs, config=config)
 
 
 def _cmd_stats(cfg: argparse.Namespace) -> int:
@@ -234,7 +233,6 @@ def _cmd_stats(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_check(cfg: argparse.Namespace) -> int:
-    parser = get_parser(cfg.parser)
     path = cfg.snippets
     verdicts: dict[str, SyntaxVerdict] = {}  # each distinct text is judged once
     total = 0
@@ -251,7 +249,7 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
             raise InputError(f"{path}:{lineno}: field {cfg.field_name!r} must be str")
         verdict = verdicts.get(code)
         if verdict is None:
-            verdict = verdicts[code] = check_syntax(code, parser=parser)
+            verdict = verdicts[code] = check_syntax(code)
         total += 1
         valid += 1 if verdict.valid else 0
         print(json.dumps({
@@ -269,7 +267,6 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
 
 def _cmd_abstract(cfg: argparse.Namespace) -> int:
     examples = _load_corpus(cfg)
-    parser = get_parser(cfg.parser)
     if cfg.verify_only:
         entries = []
         bad = 0
@@ -296,8 +293,8 @@ def _cmd_abstract(cfg: argparse.Namespace) -> int:
     mappings = []
     for ex in examples:
         try:
-            new_buggy, map_buggy = abstract_identifiers(ex.buggy, parser=parser)
-            new_fixed, map_fixed = abstract_identifiers(ex.fixed, parser=parser)
+            new_buggy, map_buggy = abstract_identifiers(ex.buggy)
+            new_fixed, map_fixed = abstract_identifiers(ex.fixed)
         except InputError as exc:
             raise InputError(f"example {ex.id!r}: {exc}") from None
         records.append({
@@ -316,7 +313,7 @@ def _cmd_abstract(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_one_step(cfg: argparse.Namespace, parser):
+def _evaluate_one_step(cfg: argparse.Namespace):
     """Load the inputs, pick one step, and evaluate the examples its
     predictions cover. ``eval`` takes a single-step dump only; ``inspect``
     takes ``--step`` or else the last step present."""
@@ -335,9 +332,13 @@ def _evaluate_one_step(cfg: argparse.Namespace, parser):
         have = ", ".join(str(s) for s in sorted(by_step))
         raise InputError(f"no predictions at step {step}; steps present: {have}")
     step_preds = by_step[step]
+    covered = [ex for ex in examples if ex.id in step_preds]
+    if cfg.cases > len(covered):  # one record per covered example
+        raise InputError(
+            f"asked for {cfg.cases} cases but only {len(covered)} records exist"
+        )
     records = evaluate_examples(
-        [ex for ex in examples if ex.id in step_preds], step_preds,
-        parser=parser, step=step,
+        covered, step_preds, step=step,
         em_normalize=cfg.em_normalize, ned_tokens=cfg.ned_tokens,
         workers=cfg.workers,
     )
@@ -345,8 +346,7 @@ def _evaluate_one_step(cfg: argparse.Namespace, parser):
 
 
 def _cmd_eval(cfg: argparse.Namespace) -> int:
-    parser = get_parser(cfg.parser)
-    examples, step, step_preds, records = _evaluate_one_step(cfg, parser)
+    examples, step, step_preds, records = _evaluate_one_step(cfg)
     series = build_series([summarize_records(records, step=step)])
     report = build_report(
         corpus_stats(examples), series, {step: records},
@@ -354,8 +354,7 @@ def _cmd_eval(cfg: argparse.Namespace) -> int:
     )
     bundle = None
     if cfg.cases:
-        bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed,
-                               parser=parser)
+        bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed)
     written = emit_report(report, cfg.out_dir, cases=bundle)
     final = series.final
     print(f"evaluated {final.n} example(s) at step {step}: "
@@ -377,10 +376,8 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
         fixed_sample=cfg.fixed_sample,
     )
     loss_by_step = load_loss_log(cfg.loss_log) if cfg.loss_log else None
-    parser = get_parser(cfg.parser)
     series, records_by_step = run_tracking(
-        examples, predictions, config, parser=parser,
-        loss_by_step=loss_by_step,
+        examples, predictions, config, loss_by_step=loss_by_step,
         em_normalize=cfg.em_normalize, ned_tokens=cfg.ned_tokens,
         workers=cfg.workers,
     )
@@ -401,7 +398,7 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
         final_step = series.final.step
         bundle = extract_cases(
             examples, predictions_by_step(predictions)[final_step],
-            records_by_step[final_step], cfg.cases, cfg.seed, parser=parser,
+            records_by_step[final_step], cfg.cases, cfg.seed,
         )
     written = emit_report(report, cfg.out_dir, cases=bundle)
     final = series.final
@@ -415,10 +412,8 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(cfg: argparse.Namespace) -> int:
-    parser = get_parser(cfg.parser)
-    examples, step, step_preds, records = _evaluate_one_step(cfg, parser)
-    bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed,
-                           parser=parser)
+    examples, step, step_preds, records = _evaluate_one_step(cfg)
+    bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed)
     path = emit_cases(bundle, cfg.out_dir)
     print(f"sampled {len(bundle.cases)} case(s) at step {step}", file=sys.stderr)
     print(path)

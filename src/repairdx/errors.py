@@ -1,8 +1,8 @@
 """Error taxonomy shared across the toolkit.
 
 Problems with user-supplied data are distinct from problems with the
-environment the tool runs in; the CLI maps the former to exit code 1 and
-the latter to exit code 2.
+environment the tool runs in, such as an output path it cannot write;
+the CLI maps the former to exit code 1 and the latter to exit code 2.
 """
 
 
@@ -16,7 +16,3 @@ class UsageError(InputError):
 
 class EnvironmentFailure(Exception):
     """The toolkit cannot operate in this environment (exit code 2)."""
-
-
-class ParserUnavailableError(EnvironmentFailure):
-    """The requested parser binding cannot be constructed here."""

@@ -59,7 +59,6 @@ class Provenance:
     """Everything needed to reproduce a report from scratch."""
 
     seed: int
-    parser: str
     inputs: dict[str, str] = field(default_factory=dict)  # label -> sha256
     config: dict = field(default_factory=dict)
     tool: str = TOOL_NAME
@@ -70,7 +69,7 @@ class Provenance:
             "tool": self.tool,
             "version": self.version,
             "seed": self.seed,
-            "parser": self.parser,
+            "parser": "builtin",
             "config": dict(sorted(self.config.items())),
             "inputs": dict(sorted(self.inputs.items())),
         }
@@ -133,7 +132,6 @@ def extract_cases(
     records: list[EvalRecord],
     k: int,
     seed: int,
-    parser=None,
 ) -> CaseBundle:
     """Seeded deterministic sample of k cases, with both diffs rendered.
 
@@ -167,7 +165,7 @@ def extract_cases(
                 fixed=ex.fixed,
                 prediction=text,
                 behavior=record.behavior,
-                verdict=check_syntax(text, parser=parser),
+                verdict=check_syntax(text),
                 diff_vs_buggy=_unified(ex.buggy, text, "buggy", "prediction"),
                 diff_vs_fixed=_unified(text, ex.fixed, "prediction", "fixed"),
             )

@@ -17,7 +17,6 @@ import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bindings import ParserContract, get_parser
 from .corpus import (
     Prediction,
     RepairExample,
@@ -100,15 +99,6 @@ class CheckpointSeries:
 # ----------------------------------------------------------------------
 # per-example evaluation
 
-# Set only inside pool workers, by the pool initializer.
-_WORKER_PARSER: ParserContract | None = None
-
-
-def _init_worker(parser_name: str) -> None:
-    global _WORKER_PARSER
-    _WORKER_PARSER = get_parser(parser_name)
-
-
 def _measure(task: tuple, valid: bool) -> EvalRecord:
     """The record of one task, given the syntax verdict on its prediction."""
     example_id, buggy, fixed, pred_text, step, em_normalize, ned_tokens = task
@@ -133,7 +123,7 @@ def _measure(task: tuple, valid: bool) -> EvalRecord:
 
 
 def _judge_in_worker(text: str) -> bool:
-    return check_syntax(text, parser=_WORKER_PARSER).valid
+    return check_syntax(text).valid
 
 
 def _tasks(
@@ -158,9 +148,7 @@ def _tasks(
     return tasks
 
 
-def _evaluate(
-    groups: list[list[tuple]], parser: ParserContract, workers: int
-) -> list[list[EvalRecord]]:
+def _evaluate(groups: list[list[tuple]], workers: int) -> list[list[EvalRecord]]:
     """Measure every task of a run.
 
     Each distinct prediction text is judged once, in one worker pool (or
@@ -173,10 +161,10 @@ def _evaluate(
     if workers > 1 and len(texts) > 1:
         ctx = multiprocessing.get_context()
         chunk = max(1, len(texts) // (workers * 4))
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(parser.name,)) as pool:
+        with ctx.Pool(workers) as pool:
             verdicts = pool.map(_judge_in_worker, texts, chunksize=chunk)
     else:
-        verdicts = [check_syntax(text, parser=parser).valid for text in texts]
+        verdicts = [check_syntax(text).valid for text in texts]
     valid = dict(zip(texts, verdicts))
     done = (_measure(t, valid[t[3]]) for t in tasks)
     return [sorted((next(done) for _ in group), key=lambda r: r.example_id) for group in groups]
@@ -185,7 +173,6 @@ def _evaluate(
 def evaluate_examples(
     examples: list[RepairExample],
     predictions: dict[str, Prediction],
-    parser: ParserContract | None = None,
     step: int | None = None,
     em_normalize: str = "none",
     ned_tokens: bool = False,
@@ -197,10 +184,8 @@ def evaluate_examples(
     step. Every example must be covered; a missing prediction is an input
     error naming the example. Records come back sorted by example id.
     """
-    if parser is None:
-        parser = get_parser()
     tasks = _tasks(step, examples, predictions, em_normalize, ned_tokens)
-    return _evaluate([tasks], parser, workers)[0]
+    return _evaluate([tasks], workers)[0]
 
 
 def summarize_records(
@@ -252,7 +237,6 @@ def run_tracking(
     examples: list[RepairExample],
     predictions: list[Prediction],
     config: TrackingConfig,
-    parser: ParserContract | None = None,
     loss_by_step: dict[int, float] | None = None,
     em_normalize: str = "none",
     ned_tokens: bool = False,
@@ -264,8 +248,6 @@ def run_tracking(
     from (seed, step) — or from the seed alone under ``fixed_sample`` —
     and each sampled example must have a rank-0 prediction at that step.
     """
-    if parser is None:
-        parser = get_parser()
     by_step = predictions_by_step(predictions)
     if not by_step:
         raise InputError("prediction set contains no rank-0 predictions")
@@ -276,7 +258,7 @@ def run_tracking(
                em_normalize, ned_tokens)
         for step in steps
     ]
-    records_by_step = dict(zip(steps, _evaluate(groups, parser, workers)))
+    records_by_step = dict(zip(steps, _evaluate(groups, workers)))
     checkpoint_records = [
         summarize_records(records, step=step, eval_loss=loss_by_step.get(step))
         for step, records in records_by_step.items()

@@ -76,9 +76,9 @@ def _fragments(*row_sets):
     return [row["code"] for rows in row_sets for row in rows] + ["  \n\t "]
 
 
-def _verdict_acted_on(code, parser=None):
+def _verdict_acted_on(code):
     try:
-        abstract_identifiers(code, parser=parser)
+        abstract_identifiers(code)
     except UnparseableCodeError as exc:
         return exc.verdict
     return None  # went ahead: the verdict it acted on was valid
@@ -100,7 +100,6 @@ def test_builtin_parser_runs_once_per_fragment(monkeypatch, valid_methods,
                                               broken_methods, abstraction_methods):
     import repairdx.abstraction
     import repairdx.bindings
-    from repairdx.bindings import BuiltinParser
 
     calls = []
 
@@ -114,28 +113,9 @@ def test_builtin_parser_runs_once_per_fragment(monkeypatch, valid_methods,
         monkeypatch.setattr(module, "parse_java", counting(module.parse_java))
     codes = _fragments(valid_methods, broken_methods, abstraction_methods)
     for code in codes:
-        for parser in (None, BuiltinParser()):
-            calls.clear()
-            _verdict_acted_on(code, parser=parser)
-            assert len(calls) == (1 if code.strip() else 0), code
-
-
-def test_other_parser_still_decides_validity():
-    class BrokenTree:
-        def error_spans(self):
-            return [(0, 1)]
-
-    class RejectAll:
-        name = "reject-all"
-        calls = 0
-
-        def parse(self, code):
-            RejectAll.calls += 1
-            return BrokenTree()
-
-    with pytest.raises(UnparseableCodeError):
-        abstract_identifiers("int f ( ) { return 1 ; }", parser=RejectAll())
-    assert RejectAll.calls == 1
+        calls.clear()
+        _verdict_acted_on(code)
+        assert len(calls) == (1 if code.strip() else 0), code
 
 
 def test_types_get_type_placeholders():

@@ -1,46 +1,37 @@
-"""Tests for the parser-binding layer.
+"""Tests for ``repairdx.bindings``, the two names the benchmark still uses.
 
-The toolkit talks to parsers through a tiny contract (``parse`` returning
-a tree with ``error_spans()`` and ``walk()``). These tests pin the
-contract for the builtin binding and the failure modes of binding lookup.
+``get_parser('builtin')`` is the benchmark's start-up statement, and
+``parse_java`` on this module is the name its tracer wraps to time
+verdict parses. These tests pin both until the benchmark stops naming
+them.
 """
 
 import random
 
 import pytest
 
-from repairdx.bindings import (
-    BuiltinParser,
-    TreeLike,
-    available_bindings,
-    get_parser,
-)
-from repairdx.errors import (
-    EnvironmentFailure,
-    InputError,
-    ParserUnavailableError,
-    UsageError,
-)
+import repairdx.bindings
+from repairdx import javaparse
+from repairdx.bindings import get_parser, parse_java
+from repairdx.errors import InputError, UsageError
+from repairdx.syntax import check_syntax
+
+
+def _error_spans(tree):
+    return sorted((n.start, n.end) for n in tree.error_nodes())
 
 
 # ---------------------------------------------------------------------------
-# Binding lookup
+# get_parser
 # ---------------------------------------------------------------------------
 
 
 def test_builtin_is_always_available():
-    assert "builtin" in available_bindings()
-
-
-def test_available_bindings_is_sorted():
-    names = available_bindings()
-    assert names == sorted(names)
+    assert get_parser("builtin") is javaparse.parse_java
 
 
 def test_get_parser_defaults_to_builtin():
-    parser = get_parser()
-    assert parser.name == "builtin"
-    assert isinstance(parser, BuiltinParser)
+    assert get_parser() is get_parser("builtin")
 
 
 def test_unknown_binding_is_a_usage_error():
@@ -58,88 +49,66 @@ def test_unknown_binding_error_is_an_input_error():
 
 
 def test_treesitter_binding_unavailable_here():
-    # The optional binding's backing packages are not installed in this
-    # environment; requesting it must fail as an environment problem
-    # (exit code 2), not an input problem.
-    try:
-        import tree_sitter  # noqa: F401
-        import tree_sitter_java  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        pytest.skip("tree-sitter packages are installed; binding would work")
-    with pytest.raises(ParserUnavailableError) as excinfo:
+    # The tree-sitter binding is gone: its name is now just unknown.
+    with pytest.raises(UsageError) as excinfo:
         get_parser("treesitter")
     assert "builtin" in str(excinfo.value)
 
 
-def test_parser_unavailable_is_an_environment_failure():
-    assert issubclass(ParserUnavailableError, EnvironmentFailure)
-    assert not issubclass(ParserUnavailableError, InputError)
-
-
 # ---------------------------------------------------------------------------
-# Builtin binding satisfies the contract
+# parse_java, as the verdict parse
 # ---------------------------------------------------------------------------
 
 
-def test_builtin_tree_satisfies_treelike():
-    tree = get_parser("builtin").parse("class A { }")
-    assert isinstance(tree, TreeLike)
+def test_check_syntax_parses_through_this_module(monkeypatch):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_java(text)
+
+    monkeypatch.setattr(repairdx.bindings, "parse_java", counting)
+    assert check_syntax("int f ( ) { return 1 ; }").valid
+    assert not check_syntax("int f ( { return 1 ; }").valid
+    assert len(parsed) == 2
 
 
 def test_clean_parse_has_no_error_spans():
-    tree = get_parser("builtin").parse("class A { int f ( ) { return 1 ; } }")
-    assert tree.error_spans() == []
+    tree = parse_java("class A { int f ( ) { return 1 ; } }")
+    assert _error_spans(tree) == []
 
 
 def test_broken_parse_reports_error_spans_in_bounds():
     code = "class A { int f ( ) { return ; }"  # missing closing brace
-    tree = get_parser("builtin").parse(code)
-    spans = tree.error_spans()
+    spans = _error_spans(parse_java(code))
     assert spans, "a broken snippet must surface at least one error span"
     for start, end in spans:
         assert 0 <= start <= end <= len(code)
 
 
-def test_error_spans_are_sorted():
-    code = "class A { ### int f ( { return ; }"
-    spans = get_parser("builtin").parse(code).error_spans()
-    assert spans == sorted(spans)
-
-
 def test_builtin_parse_is_total_on_garbage():
     rng = random.Random(67)
     alphabet = "{}();=+-#\"'\\\n\t abcdefXYZ0189$_@<>[]"
-    parser = get_parser("builtin")
     for _ in range(300):
         soup = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 80)))
-        tree = parser.parse(soup)  # must not raise
-        for start, end in tree.error_spans():
+        tree = parse_java(soup)  # must not raise
+        for start, end in _error_spans(tree):
             assert 0 <= start <= end <= len(soup)
 
 
 def test_builtin_parse_is_deterministic():
-    parser = get_parser("builtin")
-    code = "class A { void f ( ) { if ( x ) { y ( ) ; } ### } }"
-    first = parser.parse(code).error_spans()
-    for _ in range(5):
-        assert parser.parse(code).error_spans() == first
-
-
-def test_two_parser_instances_agree():
-    code = "interface I { int f ( int ) ; }"
-    a = get_parser("builtin").parse(code).error_spans()
-    b = get_parser("builtin").parse(code).error_spans()
-    assert a == b
+    for code in ("class A { void f ( ) { if ( x ) { y ( ) ; } ### } }",
+                 "interface I { int f ( int ) ; }"):
+        first = _error_spans(parse_java(code))
+        for _ in range(5):
+            assert _error_spans(parse_java(code)) == first
 
 
 def test_walk_yields_nodes_with_contract_fields():
-    tree = get_parser("builtin").parse("class A { int x ; }")
-    nodes = list(tree.walk())
+    # The fields a verdict and the abstraction read off every node.
+    nodes = list(parse_java("class A { int x ; }").walk())
     assert nodes
     for node in nodes:
-        assert hasattr(node, "kind")
-        assert hasattr(node, "start")
-        assert hasattr(node, "end")
+        assert isinstance(node.kind, str)
+        assert isinstance(node.is_error, bool)
         assert 0 <= node.start <= node.end

@@ -10,7 +10,8 @@ import os
 
 import pytest
 
-from repairdx import cli
+from repairdx import cli, tracking
+from repairdx import report as report_module
 from repairdx.cli import main, parse_args
 from repairdx.errors import UsageError
 
@@ -32,7 +33,7 @@ def test_parse_args_track_defaults():
     assert cfg.fixed_sample is False
     assert cfg.em_normalize == "none"
     assert cfg.ned_tokens is False
-    assert cfg.parser == "builtin"
+    assert "parser" not in vars(cfg)
     assert cfg.workers >= 1
     assert cfg.split is None
     assert cfg.loss_log is None
@@ -159,9 +160,9 @@ def test_check_judges_each_distinct_text_once(tmp_path, capsys, monkeypatch):
     judged = []
     real = cli.check_syntax
 
-    def counting(code, parser=None):
+    def counting(code):
         judged.append(code)
-        return real(code, parser=parser)
+        return real(code)
 
     monkeypatch.setattr(cli, "check_syntax", counting)
     assert main(["check", "--in", str(snippets)]) == 0
@@ -213,23 +214,24 @@ def test_check_empty_file_is_input_error(tmp_path, capsys):
     assert "no snippets" in capsys.readouterr().err
 
 
-def test_check_treesitter_binding_is_environment_failure(tmp_path, capsys):
-    try:
-        import tree_sitter  # noqa: F401
-        import tree_sitter_java  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        pytest.skip("tree-sitter packages are installed; binding would work")
+@pytest.mark.parametrize("name", ["builtin", "treesitter"])
+@pytest.mark.parametrize("command", ["check", "abstract", "eval", "track", "inspect"])
+def test_parser_option_is_a_usage_error(command, name, corpus_file,
+                                        final_predictions_file, tmp_path, capsys):
     snippets = write_jsonl(tmp_path / "s.jsonl", [{"id": "s1", "code": "int x ;"}])
-    assert main(["check", "--in", str(snippets), "--parser", "treesitter"]) == 2
-    assert "environment error" in capsys.readouterr().err
-
-
-def test_check_unknown_parser_is_usage_error(tmp_path, capsys):
-    snippets = write_jsonl(tmp_path / "s.jsonl", [{"id": "s1", "code": "int x ;"}])
-    assert main(["check", "--in", str(snippets), "--parser", "antlr"]) == 1
-    assert "antlr" in capsys.readouterr().err
+    inputs = {
+        "check": ["--in", str(snippets)],
+        "abstract": ["--corpus", str(corpus_file)],
+    }.get(command, ["--corpus", str(corpus_file),
+                    "--preds", str(final_predictions_file)])
+    out = [] if command == "check" else ["--out", str(tmp_path / "out")]
+    assert main([command, *inputs, *out, "--parser", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ")
+    assert "--parser" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -575,27 +577,42 @@ def test_shared_text_is_measured_per_example_at_any_worker_count(tmp_path):
     ] * 2
 
 
-@pytest.mark.parametrize("command", ["eval", "track"])
-@pytest.mark.parametrize("cases,err", [
-    pytest.param("1000", "error: asked for 1000 cases but only 4 records exist",
-                 id="too-many"),
-    pytest.param("-3", "usage error: --cases must be non-negative, got -3",
-                 id="negative"),
+_BAD_CASE_COUNTS = {
+    "too-many": ("1000", "error: asked for 1000 cases but only 4 records exist"),
+    "negative": ("-3", "usage error: --cases must be non-negative, got -3"),
+}
+
+
+@pytest.mark.parametrize("command,cases,err", [
+    pytest.param(command, cases, err, id=f"{name}-{command}")
+    for name, (cases, err) in _BAD_CASE_COUNTS.items()
+    for command in ("eval", "track", "inspect")
+] + [
+    pytest.param("inspect", "0", "usage error: --cases must be positive for inspect, got 0",
+                 id="zero-inspect"),
 ])
 def test_bad_case_count_leaves_the_output_untouched(command, cases, err, corpus_file,
                                                     final_predictions_file, tmp_path,
-                                                    capsys):
+                                                    capsys, monkeypatch):
+    judged = []
+    for module in (tracking, report_module):
+        real = module.check_syntax
+        monkeypatch.setattr(module, "check_syntax",
+                            lambda code, real=real: judged.append(code) or real(code))
     out = tmp_path / "out"
     out.mkdir()
     (out / "report.json").write_text("old\n", encoding="utf-8")
     assert main([command, "--corpus", str(corpus_file),
                  "--preds", str(final_predictions_file), "--out", str(out),
-                 "--cases", cases]) == 1
+                 "--cases", cases, "--workers", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(err)
     assert captured.out == ""
     assert [p.name for p in out.iterdir()] == ["report.json"]
     assert (out / "report.json").read_text(encoding="utf-8") == "old\n"
+    # Only track learns the size of its final sample from the run itself.
+    if (command, cases) != ("track", "1000"):
+        assert judged == []
 
 
 def test_report_and_cases_are_written_as_one_set(corpus_file, predictions_file,

@@ -46,7 +46,7 @@ def full_report(loss=None):
     series, records_by_step = tracked(loss)
     return build_report(
         corpus_stats(examples()), series, records_by_step,
-        Provenance(seed=42, parser="builtin", config={"command": "track"}),
+        Provenance(seed=42, config={"command": "track"}),
     )
 
 
@@ -130,6 +130,7 @@ def test_report_json_shape():
     report = full_report(loss={500: 0.91, 1000: 0.42})
     obj = json.loads(render_report_json(report))
     assert obj["provenance"]["seed"] == 42
+    assert obj["provenance"]["parser"] == "builtin"
     assert obj["corpus_stats"]["n_examples"] == 4
     assert [row["step"] for row in obj["series"]] == [500, 1000]
     assert obj["final"]["step"] == 1000

@@ -93,6 +93,7 @@ def test_error_spans_on_random_garbage_stay_in_bounds():
     for _ in range(300):
         code = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 60)))
         v = check_syntax(code)
+        assert list(v.error_spans) == sorted(v.error_spans), code
         for start, end in v.error_spans:
             assert 0 <= start <= end <= len(code)
 

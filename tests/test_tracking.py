@@ -5,7 +5,6 @@ import multiprocessing
 import pytest
 
 from repairdx import tracking
-from repairdx.bindings import BuiltinParser
 from repairdx.corpus import Prediction, RepairExample, TrackingConfig
 from repairdx.errors import InputError
 from repairdx.metrics import (
@@ -310,27 +309,13 @@ def test_run_tracking_names_the_step_missing_a_prediction():
         run_tracking(examples(), predictions() + later, config, workers=2)
 
 
-def test_serial_run_uses_the_given_parser_and_leaves_module_state_alone():
-    class CountingParser(BuiltinParser):
-        calls = 0
-
-        def parse(self, code):
-            CountingParser.calls += 1
-            return super().parse(code)
-
-    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
-    run_tracking(examples(), predictions(), config, parser=CountingParser())
-    assert CountingParser.calls == len(SMALL_PREDICTIONS)
-    assert tracking._WORKER_PARSER is None
-
-
 def test_run_tracking_judges_each_distinct_text_once(monkeypatch):
     judged = []
     real = tracking.check_syntax
 
-    def counting(code, parser=None):
+    def counting(code):
         judged.append(code)
-        return real(code, parser=parser)
+        return real(code)
 
     monkeypatch.setattr(tracking, "check_syntax", counting)
     # Every example copies its input at every step; at step 1500 bug-002
