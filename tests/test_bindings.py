@@ -96,12 +96,28 @@ def test_builtin_parse_is_total_on_garbage():
             assert 0 <= start <= end <= len(soup)
 
 
+def test_error_spans_are_sorted():
+    # The verdict reports spans in source order.
+    for code in ("class A { ### int f ( { return ; }",
+                 "class A { int f ( ) { ### ; } int g ( ) { @@ ; } }"):
+        spans = list(check_syntax(code).error_spans)
+        assert spans
+        assert spans == sorted(spans)
+
+
 def test_builtin_parse_is_deterministic():
-    for code in ("class A { void f ( ) { if ( x ) { y ( ) ; } ### } }",
-                 "interface I { int f ( int ) ; }"):
-        first = _error_spans(parse_java(code))
-        for _ in range(5):
-            assert _error_spans(parse_java(code)) == first
+    code = "class A { void f ( ) { if ( x ) { y ( ) ; } ### } }"
+    first = _error_spans(parse_java(code))
+    for _ in range(5):
+        assert _error_spans(parse_java(code)) == first
+
+
+def test_two_parser_instances_agree():
+    # Two lookups of the builtin parser give the same spans.
+    code = "interface I { int f ( int ) ; }"
+    a = _error_spans(get_parser("builtin")(code))
+    b = _error_spans(get_parser("builtin")(code))
+    assert a == b
 
 
 def test_walk_yields_nodes_with_contract_fields():
