@@ -375,6 +375,11 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
         seed=cfg.seed,
         fixed_sample=cfg.fixed_sample,
     )
+    final_sample = min(cfg.sample_size, len(examples))  # one record per sampled example
+    if cfg.cases > final_sample:
+        raise InputError(
+            f"asked for {cfg.cases} cases but only {final_sample} records exist"
+        )
     loss_by_step = load_loss_log(cfg.loss_log) if cfg.loss_log else None
     series, records_by_step = run_tracking(
         examples, predictions, config, loss_by_step=loss_by_step,

@@ -14,11 +14,17 @@ The parser is deterministic: equal inputs yield equal trees. Instances are
 single-use; `parse_java` constructs a fresh one per call. Parse time is
 linear in nesting depth: lambda lookahead reads a paren-match table built
 once per parse, and binary operators are parsed by precedence climbing.
+
+Recursion is bounded by a depth guard, not by the interpreter. Every
+recursive cycle of the grammar passes through a guarded method
+(statement, member, expression, unary, primary, type, array initializer,
+annotation), each of which counts one level against `_MAX_DEPTH`. A cycle
+costs at most 10 frames per 3 levels, so the deepest parse stays under
+750 frames and runs at the default recursion limit of 1,000. Nothing here
+touches interpreter-global state, so parsing is safe from any thread.
 """
 
 from __future__ import annotations
-
-import sys
 
 from .lexer import (
     BAD,
@@ -79,6 +85,8 @@ _UNARY_START_PUNCT = frozenset(["(", "!", "~", "+", "-", "++", "--", "{", ";", "
 # Tokens that may close one or more type-argument lists.
 _GT_TOKENS = frozenset([">", ">>", ">>>", ">=", ">>=", ">>>="])
 
+# Guarded levels per parse. Frames per level are kept low (see the module
+# docstring) so that the guard, not the recursion limit, stops a nest.
 _MAX_DEPTH = 220
 
 
@@ -238,27 +246,30 @@ class JavaParser:
                 return mods
 
     def _parse_annotation(self) -> Node:
-        kids = [self.take(), self.expect_ident()]
-        while self.at(".") and self.peek(1).kind == IDENT:
-            kids.append(self.take())
-            kids.append(self.take())
-        if self.at("("):
-            kids.append(self._parse_annotation_arguments())
-        return self._node("annotation", kids)
-
-    def _parse_annotation_arguments(self) -> Node:
-        kids = [self.take()]
-        if not self.at(")") and not self.at_eof():
-            while True:
-                before = self.i
-                kids.append(self._parse_annotation_value())
-                if self.at(","):
-                    kids.append(self.take())
-                    continue  # a comma demands another value
-                if self.at(")") or self.at_eof() or self.i == before:
-                    break
-        kids.append(self.expect(")"))
-        return self._node("annotation_arguments", kids)
+        self.depth += 1
+        try:
+            if self.depth > _MAX_DEPTH:
+                return self._error_until(frozenset([")"]))
+            kids = [self.take(), self.expect_ident()]
+            while self.at(".") and self.peek(1).kind == IDENT:
+                kids.append(self.take())
+                kids.append(self.take())
+            if self.at("("):
+                args = [self.take()]
+                if not self.at(")") and not self.at_eof():
+                    while True:
+                        before = self.i
+                        args.append(self._parse_annotation_value())
+                        if self.at(","):
+                            args.append(self.take())
+                            continue  # a comma demands another value
+                        if self.at(")") or self.at_eof() or self.i == before:
+                            break
+                args.append(self.expect(")"))
+                kids.append(self._node("annotation_arguments", args))
+            return self._node("annotation", kids)
+        finally:
+            self.depth -= 1
 
     def _parse_annotation_value(self) -> Node:
         if self.at("{"):
@@ -268,59 +279,40 @@ class JavaParser:
         return self.parse_expression()
 
     def _parse_type_declaration(self, mods: list[Node] | None = None) -> Node:
+        """A class, interface, enum or annotation type: head, then body.
+
+        The four share this one frame, and the enum body is parsed here
+        too, so that each level of nested declarations costs three frames
+        (member, declaration, class body).
+        """
         if mods is None:
             mods = self._parse_modifiers()
-        if self.at("class"):
-            return self._parse_class(mods)
-        if self.at("interface"):
-            return self._parse_interface(mods)
-        if self.at("enum"):
-            return self._parse_enum(mods)
-        if self.at("@") and self.peek(1).text == "interface":
-            return self._parse_annotation_type(mods)
         kids = list(mods)
-        kids.append(self.missing("type declaration"))
-        return self._node("type_declaration", kids)
-
-    def _parse_class(self, mods: list[Node]) -> Node:
-        kids = list(mods)
-        kids.append(self.take())  # class
+        t = self.peek()
+        word = t.text if t.kind in (PUNCT, KEYWORD) else ""
+        if word == "@" and self.peek(1).text == "interface":
+            kids.append(self.take())  # @
+            kids.append(self.take())  # interface
+            kids.append(self.expect_ident())
+            kids.append(self._parse_class_body())
+            return self._node("annotation_declaration", kids)
+        if word not in ("class", "interface", "enum"):
+            kids.append(self.missing("type declaration"))
+            return self._node("type_declaration", kids)
+        kids.append(self.take())
         kids.append(self.expect_ident())
-        if self.at("<"):
+        if word != "enum" and self.at("<"):
             kids.append(self._parse_type_parameters())
-        if self.at("extends"):
+        if word != "enum" and self.at("extends"):
             kids.append(self.take())
-            kids.append(self.parse_type())
-        if self.at("implements"):
-            kids.append(self.take())
-            kids.append(self._parse_type_list())
-        kids.append(self._parse_class_body())
-        return self._node("class_declaration", kids)
-
-    def _parse_interface(self, mods: list[Node]) -> Node:
-        kids = list(mods)
-        kids.append(self.take())  # interface
-        kids.append(self.expect_ident())
-        if self.at("<"):
-            kids.append(self._parse_type_parameters())
-        if self.at("extends"):
+            kids.append(self.parse_type() if word == "class" else self._parse_type_list())
+        if word != "interface" and self.at("implements"):
             kids.append(self.take())
             kids.append(self._parse_type_list())
-        kids.append(self._parse_class_body())
-        return self._node("interface_declaration", kids)
-
-    def _parse_enum(self, mods: list[Node]) -> Node:
-        kids = list(mods)
-        kids.append(self.take())  # enum
-        kids.append(self.expect_ident())
-        if self.at("implements"):
-            kids.append(self.take())
-            kids.append(self._parse_type_list())
-        kids.append(self._parse_enum_body())
-        return self._node("enum_declaration", kids)
-
-    def _parse_enum_body(self) -> Node:
-        kids = [self.expect("{")]
+        if word != "enum":
+            kids.append(self._parse_class_body())
+            return self._node(f"{word}_declaration", kids)
+        body = [self.expect("{")]
         while self.at_ident() or self.at("@"):
             const = self._parse_modifiers()
             const.append(self.expect_ident())
@@ -328,24 +320,18 @@ class JavaParser:
                 const.append(self._parse_arguments())
             if self.at("{"):
                 const.append(self._parse_class_body())
-            kids.append(self._node("enum_constant", const))
+            body.append(self._node("enum_constant", const))
             if self.at(","):
-                kids.append(self.take())
+                body.append(self.take())
             else:
                 break
         if self.at(";"):
-            kids.append(self.take())
-            kids.extend(self._parse_members_until_brace())
-        kids.append(self.expect("}"))
-        return self._node("enum_body", kids)
-
-    def _parse_annotation_type(self, mods: list[Node]) -> Node:
-        kids = list(mods)
-        kids.append(self.take())  # @
-        kids.append(self.take())  # interface
-        kids.append(self.expect_ident())
-        kids.append(self._parse_class_body())
-        return self._node("annotation_declaration", kids)
+            body.append(self.take())
+            kids.append(self._parse_class_body(body, "enum_body"))
+        else:
+            body.append(self.expect("}"))
+            kids.append(self._node("enum_body", body))
+        return self._node("enum_declaration", kids)
 
     def _parse_type_list(self) -> Node:
         kids = [self.parse_type()]
@@ -354,95 +340,91 @@ class JavaParser:
             kids.append(self.parse_type())
         return self._node("type_list", kids)
 
-    def _parse_class_body(self) -> Node:
-        kids = [self.expect("{")]
-        kids.extend(self._parse_members_until_brace())
-        kids.append(self.expect("}"))
-        return self._node("class_body", kids)
-
-    def _parse_members_until_brace(self) -> list[Node]:
-        members: list[Node] = []
+    def _parse_class_body(self, kids: list[Node] | None = None,
+                          kind: str = "class_body") -> Node:
+        """Members up to the closing brace; an enum body passes in its
+        opening brace, constants and ';' as ``kids``."""
+        if kids is None:
+            kids = [self.expect("{")]
         while not self.at("}") and not self.at_eof():
             before = self.i
-            members.append(self._parse_member())
+            kids.append(self._parse_member())
             if self.i == before:
-                members.append(
+                kids.append(
                     self._error_until(
                         frozenset(["}", ";", "class", "interface", "enum"])
                     )
                 )
-        return members
+        kids.append(self.expect("}"))
+        return self._node(kind, kids)
 
     def _parse_member(self) -> Node:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
                 return self._error_until(frozenset(["}"]))
-            return self._parse_member_inner()
+            if self.at(";"):
+                return self.take()
+            mods = self._parse_modifiers()
+            if self.at("{"):
+                kids = list(mods)
+                kids.append(self.parse_block())
+                return self._node("initializer", kids)
+            if self.at_any(("class", "interface", "enum")) or (
+                self.at("@") and self.peek(1).text == "interface"
+            ):
+                return self._parse_type_declaration(mods)
+            kids = list(mods)
+            if self.at("<"):
+                kids.append(self._parse_type_parameters())
+            # Constructor: bare name directly followed by its parameter list.
+            if self.at_ident() and self.peek(1).text == "(" and self.peek(1).kind == PUNCT:
+                kids.append(self.take())
+                kids.append(self._parse_formal_parameters())
+                if self.at("throws"):
+                    kids.append(self.take())
+                    kids.append(self._parse_type_list())
+                kids.append(self.parse_block() if self.at("{") else self.missing("{"))
+                return self._node("constructor_declaration", kids)
+            t = self.peek()
+            can_start_type = self.at_ident() or (
+                t.kind == KEYWORD and t.text in PRIMITIVE_TYPES
+            )
+            if not can_start_type:
+                if kids:
+                    kids.append(self.missing("member declaration"))
+                    return self._node("member_declaration", kids)
+                return self._error_until(
+                    frozenset(["}", ";", "class", "interface", "enum"])
+                )
+            kids.append(self.parse_type())
+            name = self.expect_ident()
+            if self.at("("):
+                kids.append(name)
+                kids.append(self._parse_formal_parameters())
+                while self.at("[") and self.peek(1).text == "]":
+                    kids.append(self.take())
+                    kids.append(self.take())
+                if self.at("throws"):
+                    kids.append(self.take())
+                    kids.append(self._parse_type_list())
+                if self.at("default"):  # annotation-type element default
+                    kids.append(self.take())
+                    kids.append(self._parse_annotation_value())
+                    kids.append(self.expect(";"))
+                elif self.at("{"):
+                    kids.append(self.parse_block())
+                else:
+                    kids.append(self.expect(";"))
+                return self._node("method_declaration", kids)
+            kids.append(self._parse_declarator_rest(name))
+            while self.at(","):
+                kids.append(self.take())
+                kids.append(self._parse_declarator_rest(self.expect_ident()))
+            kids.append(self.expect(";"))
+            return self._node("field_declaration", kids)
         finally:
             self.depth -= 1
-
-    def _parse_member_inner(self) -> Node:
-        if self.at(";"):
-            return self.take()
-        mods = self._parse_modifiers()
-        if self.at("{"):
-            kids = list(mods)
-            kids.append(self.parse_block())
-            return self._node("initializer", kids)
-        if self.at_any(("class", "interface", "enum")) or (
-            self.at("@") and self.peek(1).text == "interface"
-        ):
-            return self._parse_type_declaration(mods)
-        kids = list(mods)
-        if self.at("<"):
-            kids.append(self._parse_type_parameters())
-        # Constructor: bare name directly followed by its parameter list.
-        if self.at_ident() and self.peek(1).text == "(" and self.peek(1).kind == PUNCT:
-            kids.append(self.take())
-            kids.append(self._parse_formal_parameters())
-            if self.at("throws"):
-                kids.append(self.take())
-                kids.append(self._parse_type_list())
-            kids.append(self.parse_block() if self.at("{") else self.missing("{"))
-            return self._node("constructor_declaration", kids)
-        t = self.peek()
-        can_start_type = self.at_ident() or (
-            t.kind == KEYWORD and t.text in PRIMITIVE_TYPES
-        )
-        if not can_start_type:
-            if kids:
-                kids.append(self.missing("member declaration"))
-                return self._node("member_declaration", kids)
-            return self._error_until(
-                frozenset(["}", ";", "class", "interface", "enum"])
-            )
-        kids.append(self.parse_type())
-        name = self.expect_ident()
-        if self.at("("):
-            kids.append(name)
-            kids.append(self._parse_formal_parameters())
-            while self.at("[") and self.peek(1).text == "]":
-                kids.append(self.take())
-                kids.append(self.take())
-            if self.at("throws"):
-                kids.append(self.take())
-                kids.append(self._parse_type_list())
-            if self.at("default"):  # annotation-type element default
-                kids.append(self.take())
-                kids.append(self._parse_annotation_value())
-                kids.append(self.expect(";"))
-            elif self.at("{"):
-                kids.append(self.parse_block())
-            else:
-                kids.append(self.expect(";"))
-            return self._node("method_declaration", kids)
-        kids.append(self._parse_declarator_rest(name))
-        while self.at(","):
-            kids.append(self.take())
-            kids.append(self._parse_declarator_rest(self.expect_ident()))
-        kids.append(self.expect(";"))
-        return self._node("field_declaration", kids)
 
     def _parse_declarator_rest(self, name: Node) -> Node:
         kids = [name]
@@ -451,35 +433,31 @@ class JavaParser:
             kids.append(self.take())
         if self.at("="):
             kids.append(self.take())
-            kids.append(self._parse_variable_initializer())
+            kids.append(
+                self._parse_array_initializer() if self.at("{") else self.parse_expression()
+            )
         return self._node("variable_declarator", kids)
-
-    def _parse_variable_initializer(self) -> Node:
-        if self.at("{"):
-            return self._parse_array_initializer()
-        return self.parse_expression()
 
     def _parse_array_initializer(self) -> Node:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
                 return self._error_until(frozenset(["}", ","]))
-            return self._parse_array_initializer_inner()
+            kids = [self.take()]  # {
+            while not self.at("}") and not self.at_eof():
+                before = self.i
+                kids.append(
+                    self._parse_array_initializer() if self.at("{") else self.parse_expression()
+                )
+                if self.at(","):
+                    kids.append(self.take())
+                elif not self.at("}"):
+                    if self.i == before:
+                        kids.append(self._error_until(frozenset(["}", ","])))
+            kids.append(self.expect("}"))
+            return self._node("array_initializer", kids)
         finally:
             self.depth -= 1
-
-    def _parse_array_initializer_inner(self) -> Node:
-        kids = [self.take()]  # {
-        while not self.at("}") and not self.at_eof():
-            before = self.i
-            kids.append(self._parse_variable_initializer())
-            if self.at(","):
-                kids.append(self.take())
-            elif not self.at("}"):
-                if self.i == before:
-                    kids.append(self._error_until(frozenset(["}", ","])))
-        kids.append(self.expect("}"))
-        return self._node("array_initializer", kids)
 
     def _parse_formal_parameters(self) -> Node:
         kids = [self.expect("(")]
@@ -553,31 +531,28 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 return self.missing("type")
-            return self._parse_type_inner()
-        finally:
-            self.depth -= 1
-
-    def _parse_type_inner(self) -> Node:
-        t = self.peek()
-        if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
-            base = self._node("primitive_type", [self.take()])
-        else:
-            kids = [self.expect_ident()]
-            if self.at("<"):
-                kids.append(self._parse_type_arguments())
-            while self.at(".") and self.peek(1).kind == IDENT:
-                kids.append(self.take())
-                kids.append(self.take())
+            t = self.peek()
+            if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
+                base = self._node("primitive_type", [self.take()])
+            else:
+                kids = [self.expect_ident()]
                 if self.at("<"):
                     kids.append(self._parse_type_arguments())
-            base = self._node("named_type", kids)
-        dims: list[Node] = []
-        while self.at("[") and self.peek(1).text == "]":
-            dims.append(self.take())
-            dims.append(self.take())
-        if dims:
-            return self._node("array_type", [base, *dims])
-        return base
+                while self.at(".") and self.peek(1).kind == IDENT:
+                    kids.append(self.take())
+                    kids.append(self.take())
+                    if self.at("<"):
+                        kids.append(self._parse_type_arguments())
+                base = self._node("named_type", kids)
+            dims: list[Node] = []
+            while self.at("[") and self.peek(1).text == "]":
+                dims.append(self.take())
+                dims.append(self.take())
+            if dims:
+                return self._node("array_type", [base, *dims])
+            return base
+        finally:
+            self.depth -= 1
 
     def _parse_type_arguments(self) -> Node:
         kids = [self.take()]  # <
@@ -761,51 +736,48 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 return self._error_until(frozenset(["}", ";"]))
-            return self._parse_statement_inner()
-        finally:
-            self.depth -= 1
-
-    def _parse_statement_inner(self) -> Node:
-        t = self.peek()
-        if t.kind == PUNCT:
-            if t.text == "{":
-                return self.parse_block()
-            if t.text == ";":
-                return self._node("empty_statement", [self.take()])
-            if t.text == "@":
-                return self._parse_local_declaration()
-            if t.text in _UNARY_START_PUNCT:
-                return self._parse_expression_statement()
-            return self._error_until(frozenset(["}"]), self._stmt_start)
-        if t.kind == KEYWORD:
-            handler = _STATEMENT_DISPATCH.get(t.text)
-            if handler is not None:
-                return handler(self)
-            if t.text == "final":
-                return self._parse_local_declaration()
-            if t.text == "class":
-                return self._parse_type_declaration([])
-            if t.text in PRIMITIVE_TYPES:
+            t = self.peek()
+            if t.kind == PUNCT:
+                if t.text == "{":
+                    return self.parse_block()
+                if t.text == ";":
+                    return self._node("empty_statement", [self.take()])
+                if t.text == "@":
+                    return self._parse_local_declaration()
+                if t.text in _UNARY_START_PUNCT:
+                    return self._parse_expression_statement()
+                return self._error_until(frozenset(["}"]), self._stmt_start)
+            if t.kind == KEYWORD:
+                handler = _STATEMENT_DISPATCH.get(t.text)
+                if handler is not None:
+                    return handler(self)
+                if t.text == "final":
+                    return self._parse_local_declaration()
+                if t.text == "class":
+                    return self._parse_type_declaration([])
+                if t.text in PRIMITIVE_TYPES:
+                    if self._local_declaration_ahead():
+                        return self._parse_local_declaration()
+                    return self._parse_expression_statement()
+                if t.text in _LITERAL_KEYWORDS or t.text in ("new", "this", "super"):
+                    return self._parse_expression_statement()
+                return self._error_until(frozenset(["}"]), self._stmt_start)
+            if t.kind == IDENT:
+                nxt = self.peek(1)
+                if nxt.kind == PUNCT and nxt.text == ":":
+                    kids = [self.take(), self.take(), self.parse_statement()]
+                    return self._node("labeled_statement", kids)
+                if t.text == "yield" and self._yield_statement_ahead():
+                    kids = [self.take(), self.parse_expression(), self.expect(";")]
+                    return self._node("yield_statement", kids)
                 if self._local_declaration_ahead():
                     return self._parse_local_declaration()
                 return self._parse_expression_statement()
-            if t.text in _LITERAL_KEYWORDS or t.text in ("new", "this", "super"):
+            if t.kind in _LITERAL_KINDS:
                 return self._parse_expression_statement()
             return self._error_until(frozenset(["}"]), self._stmt_start)
-        if t.kind == IDENT:
-            nxt = self.peek(1)
-            if nxt.kind == PUNCT and nxt.text == ":":
-                kids = [self.take(), self.take(), self.parse_statement()]
-                return self._node("labeled_statement", kids)
-            if t.text == "yield" and self._yield_statement_ahead():
-                kids = [self.take(), self.parse_expression(), self.expect(";")]
-                return self._node("yield_statement", kids)
-            if self._local_declaration_ahead():
-                return self._parse_local_declaration()
-            return self._parse_expression_statement()
-        if t.kind in _LITERAL_KINDS:
-            return self._parse_expression_statement()
-        return self._error_until(frozenset(["}"]), self._stmt_start)
+        finally:
+            self.depth -= 1
 
     def _yield_statement_ahead(self) -> bool:
         """`yield <expr>` vs. `yield` the identifier (restricted since 14)."""
@@ -826,18 +798,16 @@ class JavaParser:
         kids = [self.parse_expression(), self.expect(";")]
         return self._node("expression_statement", kids)
 
-    def _parse_local_declaration(self, with_semi: bool = True) -> Node:
-        mods = self._parse_modifiers()
+    def _parse_local_declaration(self) -> Node:
+        kids = self._parse_modifiers()
         if self.at("class"):
-            return self._parse_class(mods)
-        kids = list(mods)
+            return self._parse_type_declaration(kids)
         kids.append(self.parse_type())
         kids.append(self._parse_declarator_rest(self.expect_ident()))
         while self.at(","):
             kids.append(self.take())
             kids.append(self._parse_declarator_rest(self.expect_ident()))
-        if with_semi:
-            kids.append(self.expect(";"))
+        kids.append(self.expect(";"))
         return self._node("local_variable_declaration", kids)
 
     def _parse_if(self) -> Node:
@@ -873,10 +843,21 @@ class JavaParser:
             kids.append(self.parse_statement())
             return self._node("enhanced_for_statement", kids)
         if not self.at(";"):
-            if self._local_declaration_ahead():
-                kids.append(self._parse_local_declaration(with_semi=False))
-            else:
+            if not self._local_declaration_ahead():
                 kids.append(self._parse_expression_list())
+            else:
+                # A local declaration without its ';', parsed in this frame
+                # so that an initializer sits no deeper than in a statement.
+                init = self._parse_modifiers()
+                if self.at("class"):
+                    kids.append(self._parse_type_declaration(init))
+                else:
+                    init.append(self.parse_type())
+                    init.append(self._parse_declarator_rest(self.expect_ident()))
+                    while self.at(","):
+                        init.append(self.take())
+                        init.append(self._parse_declarator_rest(self.expect_ident()))
+                    kids.append(self._node("local_variable_declaration", init))
         kids.append(self.expect(";"))
         if not self.at(";"):
             kids.append(self.parse_expression())
@@ -917,42 +898,39 @@ class JavaParser:
         return self._node("expression_list", kids)
 
     def _parse_switch(self) -> Node:
+        """A switch statement or expression. Block and labels are parsed
+        in this frame, so a rule body `-> { ... }` is one frame from it."""
         kids = [self.take(), self.expect("("), self.parse_expression(), self.expect(")")]
-        kids.append(self._parse_switch_block())
-        return self._node("switch_statement", kids)
-
-    def _parse_switch_block(self) -> Node:
-        kids = [self.expect("{")]
+        block = [self.expect("{")]
         while not self.at("}") and not self.at_eof():
             before = self.i
             if self.at("case") or self.at("default"):
-                kids.append(self._parse_switch_label())
+                label = [self.take()]
+                if label[0].kind == "case":
+                    label.append(self.parse_expression())
+                    while self.at(","):
+                        label.append(self.take())
+                        label.append(self.parse_expression())
+                if self.at("->"):
+                    label.append(self.take())
+                    if self.at("{"):
+                        label.append(self.parse_block())
+                    elif self.at("throw"):
+                        label.append(self._parse_throw())
+                    else:
+                        label.append(self.parse_expression())
+                        label.append(self.expect(";"))
+                    block.append(self._node("switch_rule", label))
+                else:
+                    label.append(self.expect(":"))
+                    block.append(self._node("switch_label", label))
             else:
-                kids.append(self.parse_statement())
+                block.append(self.parse_statement())
             if self.i == before:
-                kids.append(self._error_until(frozenset(["}", "case", "default"])))
-        kids.append(self.expect("}"))
-        return self._node("switch_block", kids)
-
-    def _parse_switch_label(self) -> Node:
-        kids = [self.take()]
-        if kids[0].kind == "case":
-            kids.append(self.parse_expression())
-            while self.at(","):
-                kids.append(self.take())
-                kids.append(self.parse_expression())
-        if self.at("->"):
-            kids.append(self.take())
-            if self.at("{"):
-                kids.append(self.parse_block())
-            elif self.at("throw"):
-                kids.append(self._parse_throw())
-            else:
-                kids.append(self.parse_expression())
-                kids.append(self.expect(";"))
-            return self._node("switch_rule", kids)
-        kids.append(self.expect(":"))
-        return self._node("switch_label", kids)
+                block.append(self._error_until(frozenset(["}", "case", "default"])))
+        block.append(self.expect("}"))
+        kids.append(self._node("switch_block", block))
+        return self._node("switch_statement", kids)
 
     def _parse_return(self) -> Node:
         kids = [self.take()]
@@ -1002,7 +980,16 @@ class JavaParser:
         handlers = 0
         while self.at("catch"):
             handlers += 1
-            kids.append(self._parse_catch())
+            catch = [self.take(), self.expect("(")]
+            catch.extend(self._parse_modifiers())
+            catch.append(self.parse_type())
+            while self.at("|"):
+                catch.append(self.take())
+                catch.append(self.parse_type())
+            catch.append(self.expect_ident())
+            catch.append(self.expect(")"))
+            catch.append(self.parse_block() if self.at("{") else self.missing("{"))
+            kids.append(self._node("catch_clause", catch))
         if self.at("finally"):
             handlers += 1
             kids.append(self.take())
@@ -1015,7 +1002,17 @@ class JavaParser:
         kids = [self.take()]  # (
         while not self.at(")") and not self.at_eof():
             before = self.i
-            kids.append(self._parse_resource())
+            res = self._parse_modifiers()
+            if self._scan_type() and self.at_ident():
+                self.i = before
+                res = self._parse_modifiers()
+                res.append(self.parse_type())
+                res.append(self.expect_ident())
+                res.append(self.expect("="))
+            else:
+                self.i = before
+            res.append(self.parse_expression())
+            kids.append(self._node("resource", res))
             if self.at(";"):
                 kids.append(self.take())
             elif not self.at(")"):
@@ -1023,34 +1020,6 @@ class JavaParser:
                     break
         kids.append(self.expect(")"))
         return self._node("resource_list", kids)
-
-    def _parse_resource(self) -> Node:
-        mark = self.i
-        mods = self._parse_modifiers()
-        if self._scan_type() and self.at_ident():
-            self.i = mark
-            kids = self._parse_modifiers()
-            kids.append(self.parse_type())
-            kids.append(self.expect_ident())
-            kids.append(self.expect("="))
-            kids.append(self.parse_expression())
-            return self._node("resource", kids)
-        self.i = mark
-        kids = list(mods)
-        kids.append(self.parse_expression())
-        return self._node("resource", kids)
-
-    def _parse_catch(self) -> Node:
-        kids = [self.take(), self.expect("(")]
-        kids.extend(self._parse_modifiers())
-        kids.append(self.parse_type())
-        while self.at("|"):
-            kids.append(self.take())
-            kids.append(self.parse_type())
-        kids.append(self.expect_ident())
-        kids.append(self.expect(")"))
-        kids.append(self.parse_block() if self.at("{") else self.missing("{"))
-        return self._node("catch_clause", kids)
 
     # ------------------------------------------------------------------
     # expressions
@@ -1060,39 +1029,36 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 return self.missing("expression")
-            return self._parse_assignment()
+            if self._lambda_ahead():
+                return self._parse_lambda()
+            left = self._parse_binary(0)
+            if self.at("?"):
+                kids = [left, self.take(), self.parse_expression()]
+                kids.append(self.expect(":"))
+                kids.append(self.parse_expression())
+                left = self._node("ternary", kids)
+            t = self.peek()
+            if t.kind == PUNCT and t.text in _ASSIGN_OPS:
+                kids = [left, self.take(), self.parse_expression()]
+                return self._node("assignment", kids)
+            return left
         finally:
             self.depth -= 1
-
-    def _parse_assignment(self) -> Node:
-        if self._lambda_ahead():
-            return self._parse_lambda()
-        left = self._parse_ternary()
-        t = self.peek()
-        if t.kind == PUNCT and t.text in _ASSIGN_OPS:
-            kids = [left, self.take(), self.parse_expression()]
-            return self._node("assignment", kids)
-        return left
-
-    def _parse_ternary(self) -> Node:
-        cond = self._parse_binary(0)
-        if self.at("?"):
-            kids = [cond, self.take(), self.parse_expression()]
-            kids.append(self.expect(":"))
-            kids.append(self.parse_expression())
-            return self._node("ternary", kids)
-        return cond
 
     def _parse_binary(self, min_level: int) -> Node:
         """Precedence climbing over _BINARY_LEVELS (Pratt 1973).
 
-        One frame per operand; operators of one level associate left.
-        `cap` is the level of the last operator taken, and a frame never
-        takes a tighter operator after a looser one: after `x instanceof T`
-        the `+` of `+ 1` stays unconsumed, since a type is no operand.
+        Operators of one level associate left. `cap` is the level of the
+        last operator taken, and an operand never takes a tighter operator
+        after a looser one: after `x instanceof T` the `+` of `+ 1` stays
+        unconsumed, since a type is no operand. The right operand of an
+        operator is climbed on an explicit stack, not by recursion, so a
+        chain through all ten levels costs one frame.
         """
+        top = len(_BINARY_LEVELS) - 1
+        pending: list[tuple[int, int, Node, Node]] = []
         left = self._parse_unary()
-        cap = len(_BINARY_LEVELS) - 1
+        cap = top
         while True:
             t = self.peek()
             level = _BINARY_LEVEL.get(t.text)
@@ -1101,7 +1067,11 @@ class JavaParser:
                 or not min_level <= level <= cap
                 or t.kind not in (PUNCT, KEYWORD)
             ):
-                return left
+                if not pending:
+                    return left
+                min_level, cap, lhs, op = pending.pop()
+                left = self._node("binary_expression", [lhs, op, left])
+                continue
             cap = level
             if t.text == "instanceof":
                 kids = [left, self.take(), self.parse_type()]
@@ -1109,9 +1079,8 @@ class JavaParser:
                     kids.append(self.take())
                 left = self._node("instanceof_expression", kids)
                 continue
-            op = self.take()
-            right = self._parse_binary(level + 1)
-            left = self._node("binary_expression", [left, op, right])
+            pending.append((min_level, cap, left, self.take()))
+            min_level, cap, left = level + 1, top, self._parse_unary()
 
     def _parse_unary(self) -> Node:
         self.depth += 1
@@ -1137,7 +1106,22 @@ class JavaParser:
             if t.kind != PUNCT:
                 return node
             if t.text == ".":
-                node = self._parse_dot(node)
+                dot = self.take()
+                if self.at_any(("class", "this", "super")):
+                    kind = "class_literal" if self.at("class") else "field_access"
+                    node = self._node(kind, [node, dot, self.take()])
+                elif self.at("new"):  # qualified inner-class creation
+                    node = self._parse_creation(node, dot)
+                else:
+                    kids = [node, dot]
+                    if self.at("<"):
+                        kids.append(self._parse_type_arguments())
+                    kids.append(self.expect_ident())
+                    if self.at("("):
+                        kids.append(self._parse_arguments())
+                        node = self._node("method_invocation", kids)
+                    else:
+                        node = self._node("field_access", kids)
             elif t.text == "(" and node.kind in (IDENTIFIER, "this", "super"):
                 node = self._node("method_invocation", [node, self._parse_arguments()])
             elif t.text == "[" and self.peek(1).text != "]":
@@ -1166,26 +1150,6 @@ class JavaParser:
                 return self._node("class_literal", kids)
             else:
                 return node
-
-    def _parse_dot(self, receiver: Node) -> Node:
-        dot = self.take()
-        if self.at("class"):
-            return self._node("class_literal", [receiver, dot, self.take()])
-        if self.at("this"):
-            return self._node("field_access", [receiver, dot, self.take()])
-        if self.at("super"):
-            return self._node("field_access", [receiver, dot, self.take()])
-        if self.at("new"):  # qualified inner-class creation
-            return self._parse_creation(receiver, dot)
-        kids: list[Node] = [receiver, dot]
-        if self.at("<"):
-            kids.append(self._parse_type_arguments())
-        name = self.expect_ident()
-        kids.append(name)
-        if self.at("("):
-            kids.append(self._parse_arguments())
-            return self._node("method_invocation", kids)
-        return self._node("field_access", kids)
 
     def _parse_arguments(self) -> Node:
         kids = [self.expect("(")]
@@ -1293,42 +1257,39 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 return self.missing("expression")
-            return self._parse_primary_inner()
+            t = self.peek()
+            if t.kind in _LITERAL_KINDS:
+                return self.take()
+            if t.kind == IDENT:
+                return self.take()
+            if t.kind == KEYWORD:
+                if t.text in _LITERAL_KEYWORDS:
+                    tok = self.advance()
+                    return Node(LITERAL, tok.start, tok.end, text=tok.text)
+                if t.text in ("this", "super"):
+                    return self.take()
+                if t.text == "new":
+                    return self._parse_creation()
+                if t.text == "switch":
+                    return self._parse_switch()
+                if t.text in PRIMITIVE_TYPES:
+                    # Only as `int.class` / `int[].class`.
+                    kids = [self._node("primitive_type", [self.take()])]
+                    while self.at("[") and self.peek(1).text == "]":
+                        kids.append(self.take())
+                        kids.append(self.take())
+                    kids.append(self.expect("."))
+                    kids.append(self.expect("class"))
+                    return self._node("class_literal", kids)
+                return self.missing("expression")
+            if t.kind == PUNCT and t.text == "(":
+                kids = [self.take(), self.parse_expression(), self.expect(")")]
+                return self._node("parenthesized_expression", kids)
+            if t.kind == BAD:
+                return self.take()  # becomes an ERROR leaf
+            return self.missing("expression")
         finally:
             self.depth -= 1
-
-    def _parse_primary_inner(self) -> Node:
-        t = self.peek()
-        if t.kind in _LITERAL_KINDS:
-            return self.take()
-        if t.kind == IDENT:
-            return self.take()
-        if t.kind == KEYWORD:
-            if t.text in _LITERAL_KEYWORDS:
-                tok = self.advance()
-                return Node(LITERAL, tok.start, tok.end, text=tok.text)
-            if t.text in ("this", "super"):
-                return self.take()
-            if t.text == "new":
-                return self._parse_creation()
-            if t.text == "switch":
-                return self._parse_switch()
-            if t.text in PRIMITIVE_TYPES:
-                # Only as `int.class` / `int[].class`.
-                kids = [self._node("primitive_type", [self.take()])]
-                while self.at("[") and self.peek(1).text == "]":
-                    kids.append(self.take())
-                    kids.append(self.take())
-                kids.append(self.expect("."))
-                kids.append(self.expect("class"))
-                return self._node("class_literal", kids)
-            return self.missing("expression")
-        if t.kind == PUNCT and t.text == "(":
-            kids = [self.take(), self.parse_expression(), self.expect(")")]
-            return self._node("parenthesized_expression", kids)
-        if t.kind == BAD:
-            return self.take()  # becomes an ERROR leaf
-        return self.missing("expression")
 
 
 _STATEMENT_DISPATCH = {
@@ -1350,14 +1311,8 @@ _STATEMENT_DISPATCH = {
 def parse_java(src: str) -> Node:
     """Parse a compilation unit; never raises on malformed input.
 
-    The recursion limit is raised for the duration of the call so that the
-    parser's own depth guard, not the interpreter's frame limit, is what
-    bounds pathologically nested input.
+    Input nested past the depth guard gets ERROR or MISSING nodes where the
+    guard cuts. The parse needs under 750 frames at any depth, so it runs
+    at the interpreter's default recursion limit, which it leaves alone.
     """
-    old_limit = sys.getrecursionlimit()
-    if old_limit < 20000:
-        sys.setrecursionlimit(20000)
-    try:
-        return JavaParser(src).parse()
-    finally:
-        sys.setrecursionlimit(old_limit)
+    return JavaParser(src).parse()

@@ -1,11 +1,13 @@
 """Grammatical validity of Java method bodies.
 
 A method fragment is not a compilation unit, so it is wrapped in a
-minimal synthetic class before parsing. Validity is then a single
-question: does the parse tree contain any ERROR or MISSING node? The
-wrapper is fixed and itself well-formed, so a clean parse of the wrapped
-text certifies the fragment and any error necessarily originates in (or
-is induced by) the fragment.
+minimal synthetic class before parsing. The fragment is valid when the
+parse tree of the wrapped text holds no ERROR or MISSING node and is
+exactly one type declaration, the wrapper's, ending at the wrapper's last
+brace. A clean tree alone does not certify the fragment: `} class X {`
+closes the synthetic class early and opens a second one, which the
+wrapper's brace then closes. Any error originates in (or is induced by)
+the fragment, since the wrapper is fixed and itself well-formed.
 
 The parser is the in-tree error-recovering one. Spans reported in a
 verdict are translated back into the coordinate system of the original
@@ -60,11 +62,18 @@ def check_syntax(code: str) -> SyntaxVerdict:
 
 def _verdict(code: str, root: Node) -> SyntaxVerdict:
     """The verdict on ``code`` from the parse tree of it wrapped, with
-    error spans moved back to the fragment and clamped to it."""
+    error spans moved back to the fragment and clamped to it.
+
+    A clean tree whose wrapper class ends early has one error: the
+    fragment's ``}`` that closed the wrapper.
+    """
+    lo = len(WRAP_PREFIX)
     raw_spans = sorted((n.start, n.end) for n in root.error_nodes())
     if not raw_spans:
-        return SyntaxVerdict(valid=True, error_count=0, error_spans=())
-    lo = len(WRAP_PREFIX)
+        wrapper = root.children[0]
+        if len(root.children) == 1 and wrapper.end == lo + len(code) + len(WRAP_SUFFIX):
+            return SyntaxVerdict(valid=True, error_count=0, error_spans=())
+        raw_spans = [(wrapper.end - 1, wrapper.end)]
     spans = tuple(
         (max(0, min(s - lo, len(code))), max(0, min(e - lo, len(code))))
         for s, e in raw_spans

@@ -158,7 +158,8 @@ def _evaluate(groups: list[list[tuple]], workers: int) -> list[list[EvalRecord]]
     """
     tasks = [t for group in groups for t in group]
     texts = list(dict.fromkeys(t[3] for t in tasks))
-    if workers > 1 and len(texts) > 1:
+    workers = min(workers, len(texts))
+    if workers > 1:
         ctx = multiprocessing.get_context()
         chunk = max(1, len(texts) // (workers * 4))
         with ctx.Pool(workers) as pool:

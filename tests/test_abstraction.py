@@ -72,6 +72,14 @@ def test_unparseable_input_error_carries_the_verdict():
     assert isinstance(exc_info.value, InputError)
 
 
+def test_fragment_that_closes_the_wrapper_is_not_abstracted():
+    code = "} class X { int y ; "
+    with pytest.raises(UnparseableCodeError) as exc_info:
+        abstract_identifiers(code)
+    assert exc_info.value.verdict == check_syntax(code)
+    assert not exc_info.value.verdict.valid
+
+
 def _fragments(*row_sets):
     return [row["code"] for rows in row_sets for row in rows] + ["  \n\t "]
 

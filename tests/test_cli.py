@@ -610,9 +610,7 @@ def test_bad_case_count_leaves_the_output_untouched(command, cases, err, corpus_
     assert captured.out == ""
     assert [p.name for p in out.iterdir()] == ["report.json"]
     assert (out / "report.json").read_text(encoding="utf-8") == "old\n"
-    # Only track learns the size of its final sample from the run itself.
-    if (command, cases) != ("track", "1000"):
-        assert judged == []
+    assert judged == []
 
 
 def test_report_and_cases_are_written_as_one_set(corpus_file, predictions_file,

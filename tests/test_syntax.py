@@ -103,6 +103,23 @@ def test_check_syntax_is_deterministic():
         assert check_syntax(code) == check_syntax(code)
 
 
+# A fragment that closes the wrapper class early and opens a second class
+# parses clean; the wrapper's own brace then closes the second class.
+WRAPPER_ESCAPES = [
+    ("} class X {", 0),
+    ("int f ( ) { return 1 ; } } class Z { void h ( ) { }", 25),
+]
+
+
+@pytest.mark.parametrize("code,brace", WRAPPER_ESCAPES)
+def test_fragment_that_closes_the_wrapper_is_invalid(code, brace):
+    assert code[brace] == "}"
+    v = check_syntax(code)
+    assert not v.valid
+    assert v.error_count == 1
+    assert v.error_spans == ((brace, brace + 1),)
+
+
 def test_appending_unmatched_brace_turns_valid_into_invalid():
     base = "void f ( ) { g ( ) ; }"
     assert check_syntax(base).valid

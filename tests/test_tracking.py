@@ -349,6 +349,27 @@ def test_pool_results_do_not_depend_on_the_start_method(monkeypatch):
     assert run_tracking(examples(), predictions(), config, workers=2) == serial
 
 
+@pytest.mark.parametrize("workers,expected", [(64, 3), (2, 2)])
+def test_pool_has_no_more_workers_than_distinct_texts(monkeypatch, workers, expected):
+    # One step, three distinct prediction texts over four examples.
+    texts = ["int a ;", "int b ;", "int a ;", "int c ( ) { }"]
+    preds = [Prediction(id=f"bug-00{i}", step=500, prediction=text)
+             for i, text in enumerate(texts, 1)]
+    sizes = []
+    real = multiprocessing.get_context()
+
+    class RecordingContext:
+        def Pool(self, processes):
+            sizes.append(processes)
+            return real.Pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: RecordingContext())
+    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
+    pooled = run_tracking(examples(), preds, config, workers=workers)
+    assert sizes == [expected]
+    assert pooled == run_tracking(examples(), preds, config)
+
+
 def test_run_tracking_requires_rank_zero_predictions():
     config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
     beams = [Prediction(id="bug-001", step=500, prediction="x", rank=1)]
