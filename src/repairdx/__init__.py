@@ -68,12 +68,16 @@ from .tracking import (
     summarize_records,
 )
 
-try:
-    from importlib.metadata import version as _version
 
-    __version__ = _version("repairdx")
-except Exception:  # pragma: no cover - not installed
-    __version__ = "0.0.0+unpackaged"
+def __getattr__(name: str):
+    # `__version__` is computed on access, by the function that stamps
+    # report.json, so that importing the package skips the lookup.
+    if name == "__version__":
+        from .report import _tool_version
+
+        return _tool_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AbstractionMapping",

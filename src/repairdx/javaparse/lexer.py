@@ -3,11 +3,23 @@
 Total over arbitrary input: characters that cannot start a token, and
 unterminated string/char literals, become BAD tokens instead of raising.
 Comments and whitespace are skipped. Offsets index into the source string.
+
+One compiled master pattern (the "Writing a Tokenizer" recipe of the `re`
+documentation) skips the whitespace and comments before a token and
+matches the token in the same call: an ASCII identifier or keyword, an
+ASCII number it can finish exactly, or an operator. Everything else (a
+non-ASCII start character, a string or char literal, a number the
+pattern cannot finish exactly) falls back to a per-character dispatch over
+`str` predicates. The fast path is exact because `\\s` is
+`str.isspace()` and `\\w` is `str.isalnum()` or `_`; `\\d` is not
+`str.isdigit()` (`²`, `٣`) and no `re` class is `str.isalpha()`, so
+those decisions stay in the dispatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 KEYWORDS = frozenset(
     """
@@ -49,12 +61,42 @@ _HEX = set("0123456789abcdefABCDEF_")
 _SUFFIX = set("lLfFdD")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     start: int
     end: int
+
+
+# The group names are the token kinds they yield. A match always
+# succeeds: when no token group matches, the empty last alternative
+# leaves `lastgroup` None and the dispatch takes over at `end()`.
+# The number is matched greedily inside a lookahead, which `re` never
+# re-enters, so it cannot backtrack to a shorter literal; it then must
+# not run into a word character or '.', where the scanner could read on
+# (`1e²`, `0xp+.`, `1.x`). A '.' before any digit, ASCII or not, starts
+# a number, so the '.' operator is not matched before a digit or any
+# non-ASCII word character; the dispatch judges those.
+_MASTER = re.compile(
+    r"""
+    (?:\s+|//[^\n]*\n?|/\*(?:[\s\S]*?\*/|[\s\S]*))*
+    (?:
+        (?P<ident>[A-Za-z_$][\w$]*)
+      | (?P<number>(?=(?P<literal>
+            \.?
+            (?:0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?[0-9]*)?
+              |0[bB][01_]*
+              |[0-9][0-9_]*(?:\.(?=[0-9eEfFdD])[0-9_]*)?(?:[eE][+-]?[0-9]+)?
+            )[lLfFdD]?
+        ))(?P=literal)(?![\w.]))
+      | (?P<punct>"""
+    + "|".join(re.escape(op) + (r"(?![^\W_A-Za-z])" if op == "." else "") for op in _OPERATORS)
+    + r""")
+      |
+    )
+    """,
+    re.VERBOSE,
+)
 
 
 def _ident_start(ch: str) -> bool:
@@ -131,67 +173,62 @@ def _scan_quoted(src: str, i: int, quote: str) -> tuple[int, bool]:
     return i, False
 
 
-def tokenize(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
+def _dispatch(src: str, i: int) -> Token:
+    """The token at ``i``, which is no whitespace and starts no comment."""
     n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and src[i + 1] == "/":
-            j = src.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if ch == "/" and i + 1 < n and src[i + 1] == "*":
-            j = src.find("*/", i + 2)
-            i = n if j < 0 else j + 2
-            continue
-        start = i
-        if _ident_start(ch):
-            i += 1
-            while i < n and _ident_part(src[i]):
-                i += 1
-            text = src[start:i]
-            kind = KEYWORD if text in KEYWORDS else IDENT
-            tokens.append(Token(kind, text, start, i))
-            continue
-        if ch.isdigit():
-            i = _scan_number(src, i)
-            tokens.append(Token(NUMBER, src[start:i], start, i))
-            continue
-        if ch == "." and i + 1 < n and src[i + 1].isdigit():
-            i = _scan_number(src, i + 1)
-            tokens.append(Token(NUMBER, src[start:i], start, i))
-            continue
-        if ch == '"':
-            if src.startswith('"""', i):  # text block
-                j = src.find('"""', i + 3)
-                if j < 0:
-                    tokens.append(Token(BAD, src[i:], start, n))
-                    i = n
-                else:
-                    i = j + 3
-                    tokens.append(Token(STRING, src[start:i], start, i))
-                continue
-            i, ok = _scan_quoted(src, i, '"')
-            tokens.append(Token(STRING if ok else BAD, src[start:i], start, i))
-            continue
-        if ch == "'":
-            i, ok = _scan_quoted(src, i, "'")
-            tokens.append(Token(CHAR if ok else BAD, src[start:i], start, i))
-            continue
-        op = None
-        for cand in _OP_BY_FIRST.get(ch, ()):
-            if src.startswith(cand, i):
-                op = cand
+    ch = src[i]
+    if _ident_start(ch):
+        j = i + 1
+        while j < n and _ident_part(src[j]):
+            j += 1
+        text = src[i:j]
+        return Token(KEYWORD if text in KEYWORDS else IDENT, text, i, j)
+    if ch.isdigit():
+        j = _scan_number(src, i)
+        return Token(NUMBER, src[i:j], i, j)
+    if ch == "." and i + 1 < n and src[i + 1].isdigit():
+        j = _scan_number(src, i + 1)
+        return Token(NUMBER, src[i:j], i, j)
+    if ch == '"':
+        if src.startswith('"""', i):  # text block
+            j = src.find('"""', i + 3)
+            if j < 0:
+                return Token(BAD, src[i:], i, n)
+            return Token(STRING, src[i:j + 3], i, j + 3)
+        j, ok = _scan_quoted(src, i, '"')
+        return Token(STRING if ok else BAD, src[i:j], i, j)
+    if ch == "'":
+        j, ok = _scan_quoted(src, i, "'")
+        return Token(CHAR if ok else BAD, src[i:j], i, j)
+    for op in _OP_BY_FIRST.get(ch, ()):
+        if src.startswith(op, i):
+            return Token(PUNCT, op, i, i + len(op))
+    return Token(BAD, ch, i, i + 1)
+
+
+def tokenize(src: str) -> list[Token]:
+    """Every token of ``src``, then exactly one EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    new = tuple.__new__
+    n = len(src)
+    i = 0
+    while True:
+        m = match(src, i)
+        kind = m.lastgroup
+        if kind is None:
+            i = m.end()
+            if i >= n:
                 break
-        if op is not None:
-            i += len(op)
-            tokens.append(Token(PUNCT, op, start, i))
+            tok = _dispatch(src, i)
+            append(tok)
+            i = tok.end
             continue
-        i += 1
-        tokens.append(Token(BAD, ch, start, i))
-    tokens.append(Token(EOF, "", n, n))
+        start, i = m.span(kind)
+        text = src[start:i]
+        if kind == IDENT and text in KEYWORDS:
+            kind = KEYWORD
+        append(new(Token, (kind, text, start, i)))
+    append(Token(EOF, "", n, n))
     return tokens

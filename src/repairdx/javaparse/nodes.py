@@ -18,7 +18,7 @@ IDENTIFIER = "identifier"
 LITERAL = "literal"
 
 
-@dataclass(repr=False)
+@dataclass(repr=False, slots=True)
 class Node:
     kind: str
     start: int
@@ -42,7 +42,17 @@ class Node:
             stack.extend(reversed(node.children))
 
     def error_nodes(self) -> list["Node"]:
-        return [n for n in self.walk() if n.is_error]
+        """ERROR and MISSING nodes, in the pre-order of `walk`."""
+        found = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            kind = node.kind
+            if kind == ERROR or kind == MISSING:
+                found.append(node)
+            if node.children:
+                stack.extend(reversed(node.children))
+        return found
 
     def sexp(self) -> str:
         """Compact s-expression form, used for golden comparisons."""

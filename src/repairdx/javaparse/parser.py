@@ -70,6 +70,8 @@ _BINARY_LEVELS: list[frozenset[str]] = [
 _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 _LITERAL_KINDS = frozenset([NUMBER, STRING, CHAR])
+# Node kind of a leaf by token kind; other leaves take their lexeme.
+_LEAF_KIND = {IDENT: IDENTIFIER, NUMBER: LITERAL, STRING: LITERAL, CHAR: LITERAL, BAD: ERROR}
 _LITERAL_KEYWORDS = frozenset(["true", "false", "null"])
 
 _STATEMENT_KEYWORDS = frozenset(
@@ -95,7 +97,11 @@ class JavaParser:
 
     def __init__(self, src: str):
         self.src = src
-        self.toks = tokenize(src)
+        # A copy padded with a second EOF, so that peek(1) needs no bounds
+        # check (`i` never moves past the first EOF) and the list that
+        # tokenize returned keeps its one EOF.
+        toks = tokenize(src)
+        self.toks = toks + toks[-1:]
         self.i = 0
         self.depth = 0
         self._paren_match: dict[int, int] | None = None
@@ -104,24 +110,22 @@ class JavaParser:
     # token plumbing
 
     def peek(self, k: int = 0) -> Token:
-        j = self.i + k
-        if j >= len(self.toks):
-            return self.toks[-1]
-        return self.toks[j]
+        """The token ``k`` ahead; lookahead never goes past ``k`` = 1."""
+        return self.toks[self.i + k]
 
     def at_eof(self) -> bool:
-        return self.peek().kind == EOF
+        return self.toks[self.i].kind == EOF
 
     def at(self, text: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.text == text and (t.kind == PUNCT or t.kind == KEYWORD)
 
     def at_any(self, texts) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.text in texts and (t.kind == PUNCT or t.kind == KEYWORD)
 
     def at_ident(self) -> bool:
-        return self.peek().kind == IDENT
+        return self.toks[self.i].kind == IDENT
 
     def advance(self) -> Token:
         t = self.toks[self.i]
@@ -129,22 +133,15 @@ class JavaParser:
             self.i += 1
         return t
 
-    def _leaf(self, tok: Token) -> Node:
-        if tok.kind == IDENT:
-            kind = IDENTIFIER
-        elif tok.kind in _LITERAL_KINDS:
-            kind = LITERAL
-        elif tok.kind == BAD:
-            kind = ERROR
-        else:
-            kind = tok.text
-        return Node(kind, tok.start, tok.end, text=tok.text)
-
     def take(self) -> Node:
-        return self._leaf(self.advance())
+        """The current token as a leaf node; its kind is its lexeme unless
+        the token kind names one."""
+        kind, text, start, end = self.advance()
+        return Node(_LEAF_KIND.get(kind, text), start, end, [], text)
 
     def expect(self, text: str) -> Node:
-        if self.at(text):
+        t = self.toks[self.i]
+        if t.text == text and (t.kind == PUNCT or t.kind == KEYWORD):
             return self.take()
         return self.missing(text)
 
@@ -154,16 +151,16 @@ class JavaParser:
         return self.missing("identifier")
 
     def missing(self, what: str) -> Node:
-        p = self.peek().start
-        return Node(MISSING, p, p, text=what)
+        p = self.toks[self.i].start
+        return Node(MISSING, p, p, [], what)
 
     def _node(self, kind: str, children: list[Node]) -> Node:
-        children = [c for c in children if c is not None]
+        """A node over ``children``, a list it takes ownership of."""
         if children:
             start = children[0].start
-            end = max(c.end for c in children)
+            end = max([c.end for c in children])
         else:
-            start = end = self.peek().start
+            start = end = self.toks[self.i].start
         return Node(kind, start, end, children)
 
     def _error_until(self, stop_texts: frozenset[str], stop_pred=None) -> Node:
@@ -259,7 +256,13 @@ class JavaParser:
                 if not self.at(")") and not self.at_eof():
                     while True:
                         before = self.i
-                        args.append(self._parse_annotation_value())
+                        nxt = self.peek(1)
+                        if self.at_ident() and nxt.kind == PUNCT and nxt.text == "=":
+                            # An element-value pair, as an assignment node.
+                            pair = [self.take(), self.take(), self._parse_annotation_value()]
+                            args.append(self._node("assignment", pair))
+                        else:
+                            args.append(self._parse_annotation_value())
                         if self.at(","):
                             args.append(self.take())
                             continue  # a comma demands another value
@@ -272,8 +275,10 @@ class JavaParser:
             self.depth -= 1
 
     def _parse_annotation_value(self) -> Node:
+        """An element value (JLS 9.7.1): an array of element values, an
+        annotation, or an expression."""
         if self.at("{"):
-            return self._parse_array_initializer()
+            return self._parse_array_initializer(element_values=True)
         if self.at("@"):
             return self._parse_annotation()
         return self.parse_expression()
@@ -438,7 +443,12 @@ class JavaParser:
             )
         return self._node("variable_declarator", kids)
 
-    def _parse_array_initializer(self) -> Node:
+    def _parse_array_initializer(self, element_values: bool = False) -> Node:
+        """`{ ... }` of expressions, or of annotation element values.
+
+        Element values recurse through this guard (nested arrays) or the
+        annotation guard (annotations), so their cycles are bounded too.
+        """
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
@@ -446,9 +456,12 @@ class JavaParser:
             kids = [self.take()]  # {
             while not self.at("}") and not self.at_eof():
                 before = self.i
-                kids.append(
-                    self._parse_array_initializer() if self.at("{") else self.parse_expression()
-                )
+                if element_values:
+                    kids.append(self._parse_annotation_value())
+                elif self.at("{"):
+                    kids.append(self._parse_array_initializer())
+                else:
+                    kids.append(self.parse_expression())
                 if self.at(","):
                     kids.append(self.take())
                 elif not self.at("}"):

@@ -13,7 +13,6 @@ computed.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,6 +159,8 @@ def _evaluate(groups: list[list[tuple]], workers: int) -> list[list[EvalRecord]]
     texts = list(dict.fromkeys(t[3] for t in tasks))
     workers = min(workers, len(texts))
     if workers > 1:
+        import multiprocessing  # only a pooled run pays for the import
+
         ctx = multiprocessing.get_context()
         chunk = max(1, len(texts) // (workers * 4))
         with ctx.Pool(workers) as pool:

@@ -1,7 +1,11 @@
-"""Lexer behavior: token kinds, spans, maximal munch, and error tokens."""
+"""Lexer behavior: token kinds, spans, maximal munch, error tokens, and
+equality with the per-character scanner kept in ``reference_lexer``."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repairdx.javaparse import parser as parser_module
 from repairdx.javaparse.lexer import (
     BAD,
     CHAR,
@@ -15,6 +19,8 @@ from repairdx.javaparse.lexer import (
     PRIMITIVE_TYPES,
     tokenize,
 )
+
+from reference_lexer import tokenize as reference_tokenize
 
 
 def kinds_and_texts(src):
@@ -135,3 +141,80 @@ def test_empty_input_yields_only_eof():
 def test_whitespace_only_input_yields_only_eof():
     toks = tokenize(" \t\n  ")
     assert len(toks) == 1 and toks[0].kind == EOF
+
+
+# ----------------------------------------------------------------------
+# the master-pattern lexer against the per-character scanner it replaced
+
+def _stream(toks):
+    return [(t.kind, t.text, t.start, t.end) for t in toks]
+
+
+# Where `re` classes and `str` predicates part: superscript and vulgar
+# fractions are digits or numerics but not decimals, U+0663 is a decimal
+# outside ASCII, and U+00A0, U+2028, U+3000 and U+001C are whitespace.
+PIECES = list("abxXeEpPfFdDlL019_$.+-*/=<>!&|^%~?:;,()[]{}@\"'\\ \n\t") + [
+    "²", "½", "٣", "é", "\u00a0", "\u2028", "\u3000", "\x1c", '"""', "/*", "*/",
+    "//", "0x", "0b", "1e", ".5", "...", "->", "int", "return",
+]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(PIECES), st.text(max_size=3)), max_size=30))
+def test_tokens_match_the_reference_scanner(pieces):
+    src = "".join(pieces)
+    assert _stream(tokenize(src)) == _stream(reference_tokenize(src))
+
+
+@pytest.mark.parametrize("src", [
+    "0xp+.", ".0xB", "1e²", ".²", "1.x",
+    "..5", "1.5.3", ".5.5", "0x1p+x", "1e+x", "1.²", "é1", "a . ٣", "/*/ x", "x // c",
+])
+def test_trap_inputs_match_the_reference_scanner(src):
+    assert _stream(tokenize(src)) == _stream(reference_tokenize(src))
+
+
+def test_trap_inputs_keep_their_scanner_tokens():
+    assert kinds_and_texts("0xp+.") == [(NUMBER, "0xp+"), (PUNCT, ".")]
+    assert kinds_and_texts(".0xB") == [(NUMBER, ".0xB")]
+    assert kinds_and_texts("1e²") == [(NUMBER, "1e²")]
+    assert kinds_and_texts(".²") == [(NUMBER, ".²")]
+    assert kinds_and_texts("1.x") == [(NUMBER, "1"), (PUNCT, "."), (IDENT, "x")]
+
+
+def test_fixture_tokens_match_the_reference_scanner(valid_methods, broken_methods,
+                                                    abstraction_methods, flagged_constructs):
+    rows = valid_methods + broken_methods + abstraction_methods + flagged_constructs
+    for row in rows:
+        assert _stream(tokenize(row["code"])) == _stream(reference_tokenize(row["code"]))
+
+
+@pytest.mark.parametrize("src", ["", "a", "a ( ) ;", "/* open", '"open', "x // end"])
+def test_exactly_one_trailing_eof(src):
+    toks = tokenize(src)
+    assert [t.kind for t in toks].count(EOF) == 1
+    assert toks[-1] == (EOF, "", len(src), len(src))
+
+
+def test_a_parse_leaves_the_token_list_it_was_given_unpadded(monkeypatch):
+    # The parser pads a copy with a second EOF; the list that tokenize
+    # returned, which a wrapper on the parser's name may count, keeps one.
+    seen = []
+
+    def recording(src):
+        seen.append(tokenize(src))
+        return seen[-1]
+
+    monkeypatch.setattr(parser_module, "tokenize", recording)
+    src = "int f ( ) { return 1 ; }"
+    parser_module.JavaParser(src).parse()
+    assert len(seen) == 1
+    assert _stream(seen[0]) == _stream(reference_tokenize(src))
+
+
+def test_token_is_an_immutable_tuple_with_named_fields():
+    tok = tokenize("x")[0]
+    assert tok == (IDENT, "x", 0, 1)
+    assert (tok.kind, tok.text, tok.start, tok.end) == tuple(tok)
+    with pytest.raises(AttributeError):
+        tok.kind = KEYWORD

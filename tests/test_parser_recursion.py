@@ -61,6 +61,11 @@ FAMILIES = {
     "array_initializers": (lambda n: "int [ ] x = " + "{ " * n + "} " * n + ";", 220),
     "generics": (lambda n: "A < " * n + "B" + " >" * n + " x ;", 219),
     "annotations": (lambda n: "@ A ( " * n + "@ A" + " )" * n + " void f ( ) { }", 219),
+    # Element-value arrays: through the annotation and array guards in
+    # turn, and through the array guard alone.
+    "annotation_arrays": (lambda n: "@ A ( { " * n + "@ A" + " } )" * n + " void f ( ) { }", 110),
+    "annotation_array_nests": (
+        lambda n: "@ A ( " + "{ " * n + "@ A" + " }" * n + " ) void f ( ) { }", 218),
     "switch_expressions": (
         lambda n: _ret("switch ( k ) { default -> " * n + "0" + " ; }" * n), 72),
     "labels": (lambda n: _body("l : " * n + ";"), 219),

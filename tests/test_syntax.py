@@ -126,6 +126,25 @@ def test_appending_unmatched_brace_turns_valid_into_invalid():
     assert not check_syntax(base + " }").valid
 
 
+# Element-value arrays (JLS 9.7.1) hold annotations, expressions and
+# nested arrays; an array initializer outside an annotation holds no
+# annotation.
+@pytest.mark.parametrize("code,valid", [
+    ("@ A ( { @ B , @ C } ) void f ( ) { }", True),
+    ("@ A ( x = { @ B } ) void f ( ) { }", True),
+    ("@ A ( x = { 1 , 2 } , y = @ B ) void f ( ) { }", True),
+    ("@ A ( { @ B ( { 1 } ) , } ) void f ( ) { }", True),
+    ("@ A ( { { @ B } } ) void f ( ) { }", True),
+    ("@ A ( { 1 , 2 } ) void f ( ) { }", True),
+    ("int [ ] x = { @ B } ;", False),
+    ("void f ( ) { int [ ] x = { @ B } ; }", False),
+    ("@ A ( { @ B ) void f ( ) { }", False),
+    ("@ A ( x = ) void f ( ) { }", False),
+])
+def test_annotation_element_value_arrays(code, valid):
+    assert check_syntax(code).valid is valid
+
+
 # ----------------------------------------------------------------------
 # syntax_validity
 
