@@ -45,7 +45,6 @@ from .report import (
     CaseBundle,
     EvalReport,
     Provenance,
-    behavior_distribution,
     build_report,
     emit_cases,
     emit_report,
@@ -103,7 +102,6 @@ __all__ = [
     "Violation",
     "abstract_identifiers",
     "aggregate",
-    "behavior_distribution",
     "build_report",
     "build_series",
     "check_conformance",

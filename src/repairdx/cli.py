@@ -68,6 +68,13 @@ _LOSS_SCHEMA = (
 )
 
 
+_EM_NORMALIZE_HELP = (
+    "exact-match comparison mode for the records' 'exact' field and table1's "
+    "Exact Match row (default: none); the exact_match behavior class, as in "
+    "checkpoints.csv, behavior.csv and on stderr, always compares bytes"
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exceptions, not exits."""
 
@@ -75,9 +82,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, workers_default: int) -> None:
-    sub.add_argument("--seed", type=int, default=42,
-                     help="seed for all deterministic sampling (default: 42)")
+def _add_workers(sub: argparse.ArgumentParser, workers_default: int) -> None:
     sub.add_argument("--workers", type=int, default=workers_default,
                      help="worker processes for per-example evaluation "
                           f"(default: {workers_default})")
@@ -88,6 +93,8 @@ def _add_inputs(sub: argparse.ArgumentParser, out_help: str) -> None:
     sub.add_argument("--preds", required=True, type=Path, help="predictions JSONL file")
     sub.add_argument("--out", dest="out_dir", required=True, type=Path, help=out_help)
     sub.add_argument("--split", default=None, help="restrict corpus to one split")
+    sub.add_argument("--seed", type=int, default=42,
+                     help="seed for all deterministic sampling (default: 42)")
 
 
 def build_arg_parser() -> _Parser:
@@ -117,7 +124,7 @@ def build_arg_parser() -> _Parser:
                    help="snippets JSONL file")
     p.add_argument("--field", dest="field_name", default="code",
                    help="name of the text field to check (default: code)")
-    _add_common(p, workers_default)
+    _add_workers(p, workers_default)
 
     p = sub.add_parser(
         "abstract", help="abstract identifiers in a corpus",
@@ -133,7 +140,7 @@ def build_arg_parser() -> _Parser:
                    help="check conformance instead of abstracting")
     p.add_argument("--strict-gaps", action="store_true",
                    help="flag placeholder index gaps (verify mode)")
-    _add_common(p, workers_default)
+    _add_workers(p, workers_default)
 
     p = sub.add_parser(
         "eval", help="evaluate one prediction set",
@@ -143,10 +150,10 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--cases", type=int, default=0,
                    help="also emit a case bundle of this size")
     p.add_argument("--em-normalize", choices=["none", "whitespace"], default="none",
-                   help="exact-match comparison mode (default: none)")
+                   help=_EM_NORMALIZE_HELP)
     p.add_argument("--ned-tokens", action="store_true",
                    help="compute NED over whitespace tokens instead of characters")
-    _add_common(p, workers_default)
+    _add_workers(p, workers_default)
 
     p = sub.add_parser(
         "track", help="evaluate a multi-checkpoint dump",
@@ -169,10 +176,10 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--cases", type=int, default=0,
                    help="also emit a case bundle from the final checkpoint")
     p.add_argument("--em-normalize", choices=["none", "whitespace"], default="none",
-                   help="exact-match comparison mode (default: none)")
+                   help=_EM_NORMALIZE_HELP)
     p.add_argument("--ned-tokens", action="store_true",
                    help="compute NED over whitespace tokens instead of characters")
-    _add_common(p, workers_default)
+    _add_workers(p, workers_default)
 
     p = sub.add_parser(
         "inspect", help="emit a qualitative case bundle",
@@ -183,7 +190,7 @@ def build_arg_parser() -> _Parser:
                    help="number of cases to sample (default: 10)")
     p.add_argument("--step", type=int, default=None,
                    help="checkpoint step to inspect (default: last step present)")
-    _add_common(p, workers_default)
+    _add_workers(p, workers_default)
     return top
 
 
@@ -345,25 +352,37 @@ def _evaluate_one_step(cfg: argparse.Namespace):
     return examples, step, step_preds, records
 
 
-def _cmd_eval(cfg: argparse.Namespace) -> int:
-    examples, step, step_preds, records = _evaluate_one_step(cfg)
-    series = build_series([summarize_records(records, step=step)])
+def _write_report(cfg: argparse.Namespace, examples, series, records_by_step,
+                  final_preds, summary: str, **extra_config) -> int:
+    """Write the report of a run, with a case bundle from the final
+    checkpoint under ``--cases``; then print ``summary`` to stderr and the
+    written paths to stdout."""
     report = build_report(
-        corpus_stats(examples), series, {step: records},
-        _provenance(cfg, command="eval"),
+        corpus_stats(examples), series, records_by_step,
+        _provenance(cfg, command=cfg.command, **extra_config),
     )
     bundle = None
     if cfg.cases:
-        bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed)
+        bundle = extract_cases(
+            examples, final_preds, records_by_step[series.final.step], cfg.cases, cfg.seed,
+        )
     written = emit_report(report, cfg.out_dir, cases=bundle)
-    final = series.final
-    print(f"evaluated {final.n} example(s) at step {step}: "
-          f"syntax validity {final.syntax_validity_pct:.1f}%, "
-          f"exact match {final.exact_match_pct:.1f}%, "
-          f"copy {final.copy_pct:.1f}%", file=sys.stderr)
+    print(summary, file=sys.stderr)
     for path in written:
         print(path)
     return 0
+
+
+def _cmd_eval(cfg: argparse.Namespace) -> int:
+    examples, step, step_preds, records = _evaluate_one_step(cfg)
+    final = summarize_records(records, step=step)
+    return _write_report(
+        cfg, examples, build_series([final]), {step: records}, step_preds,
+        f"evaluated {final.n} example(s) at step {step}: "
+        f"syntax validity {final.syntax_validity_pct:.1f}%, "
+        f"exact match {final.exact_match_pct:.1f}%, "
+        f"copy {final.copy_pct:.1f}%",
+    )
 
 
 def _cmd_track(cfg: argparse.Namespace) -> int:
@@ -390,30 +409,17 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
     if orphans:
         print("warning: --loss-log has eval_loss at step(s) with no predictions, "
               f"ignored: {', '.join(str(s) for s in orphans)}", file=sys.stderr)
-    report = build_report(
-        corpus_stats(examples), series, records_by_step,
-        _provenance(
-            cfg, command="track",
-            sample_size=cfg.sample_size, interval_steps=cfg.interval_steps,
-            fixed_sample=cfg.fixed_sample,
-        ),
-    )
-    bundle = None
-    if cfg.cases:
-        final_step = series.final.step
-        bundle = extract_cases(
-            examples, predictions_by_step(predictions)[final_step],
-            records_by_step[final_step], cfg.cases, cfg.seed,
-        )
-    written = emit_report(report, cfg.out_dir, cases=bundle)
     final = series.final
-    print(f"tracked {len(series.records)} checkpoint(s) "
-          f"(steps {series.steps[0]}..{series.steps[-1]}): "
-          f"final syntax validity {final.syntax_validity_pct:.1f}%, "
-          f"final copy rate {final.copy_pct:.1f}%", file=sys.stderr)
-    for path in written:
-        print(path)
-    return 0
+    return _write_report(
+        cfg, examples, series, records_by_step,
+        predictions_by_step(predictions)[final.step],
+        f"tracked {len(series.records)} checkpoint(s) "
+        f"(steps {series.steps[0]}..{series.steps[-1]}): "
+        f"final syntax validity {final.syntax_validity_pct:.1f}%, "
+        f"final copy rate {final.copy_pct:.1f}%",
+        sample_size=cfg.sample_size, interval_steps=cfg.interval_steps,
+        fixed_sample=cfg.fixed_sample,
+    )
 
 
 def _cmd_inspect(cfg: argparse.Namespace) -> int:

@@ -27,13 +27,6 @@ class BehaviorClass(Enum):
         return self.value
 
 
-BEHAVIOR_ORDER = (
-    BehaviorClass.EXACT_MATCH,
-    BehaviorClass.COPY,
-    BehaviorClass.MODIFICATION,
-)
-
-
 def normalize_whitespace(text: str) -> str:
     """Collapse all whitespace runs to single spaces and strip the ends."""
     return " ".join(text.split())

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .corpus import CorpusStats, Prediction, RepairExample
 from .errors import EnvironmentFailure, InputError
-from .metrics import BEHAVIOR_ORDER, BehaviorClass, EvalRecord, SummaryStats, aggregate
+from .metrics import BehaviorClass, EvalRecord, SummaryStats, aggregate
 from .syntax import SyntaxVerdict, check_syntax
 from .tracking import CheckpointRecord, CheckpointSeries
 
@@ -81,7 +81,6 @@ class EvalReport:
 
     corpus_stats: CorpusStats
     series: CheckpointSeries
-    behavior_counts: dict[BehaviorClass, int]
     table1: list[tuple[str, SummaryStats]]
     provenance: Provenance
     records_by_step: dict[int, list[EvalRecord]] = field(default_factory=dict)
@@ -105,18 +104,6 @@ class Case:
 class CaseBundle:
     seed: int
     cases: list[Case] = field(default_factory=list)
-
-
-def behavior_distribution(records) -> dict[BehaviorClass, tuple[int, float]]:
-    """Count and percentage per behavior class; all classes always present."""
-    records = list(records)
-    if not records:
-        raise InputError("cannot build a behavior distribution from zero records")
-    counts = {cls: 0 for cls in BEHAVIOR_ORDER}
-    for r in records:
-        counts[r.behavior] += 1
-    n = len(records)
-    return {cls: (c, 100.0 * c / n) for cls, c in counts.items()}
 
 
 def _unified(a: str, b: str, a_name: str, b_name: str) -> str:
@@ -173,32 +160,28 @@ def extract_cases(
     return CaseBundle(seed=seed, cases=cases)
 
 
-def build_table1(records: list[EvalRecord]) -> list[tuple[str, SummaryStats]]:
-    """Exact-match and NED summaries over one record set."""
-    if not records:
-        raise InputError("cannot build summary table from zero records")
-    em = aggregate([1.0 if r.exact else 0.0 for r in records])
-    ned = aggregate([r.ned for r in records])
-    return [("Exact Match", em), ("Normalized Edit Distance", ned)]
-
-
 def build_report(
     corpus_stats: CorpusStats,
     series: CheckpointSeries,
     records_by_step: dict[int, list[EvalRecord]],
     provenance: Provenance,
 ) -> EvalReport:
-    """Assemble the full report from a tracking (or single-step) run."""
+    """Assemble the full report from a tracking (or single-step) run.
+
+    Behavior counts and NED come from the final checkpoint record. Only
+    the Exact Match row of table1 is aggregated here, from the records'
+    ``exact`` field, since it follows ``--em-normalize`` and the behavior
+    class does not.
+    """
     final = series.final
     final_records = records_by_step.get(final.step)
     if not final_records:
         raise InputError(f"no per-example records for final step {final.step}")
-    distribution = behavior_distribution(final_records)
+    exact = aggregate([1.0 if r.exact else 0.0 for r in final_records])
     return EvalReport(
         corpus_stats=corpus_stats,
         series=series,
-        behavior_counts={cls: c for cls, (c, _pct) in distribution.items()},
-        table1=build_table1(final_records),
+        table1=[("Exact Match", exact), ("Normalized Edit Distance", final.ned_stats)],
         provenance=provenance,
         records_by_step=records_by_step,
     )
@@ -318,14 +301,10 @@ def render_checkpoints_csv(series: CheckpointSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_behavior_csv(behavior_counts: dict[BehaviorClass, int]) -> str:
-    total = sum(behavior_counts.values())
-    if total == 0:
-        raise InputError("behavior counts are all zero")
+def render_behavior_csv(final: CheckpointRecord) -> str:
     lines = [BEHAVIOR_HEADER]
-    for cls in BEHAVIOR_ORDER:
-        count = behavior_counts.get(cls, 0)
-        lines.append(f"{cls.value},{count},{_f(100.0 * count / total)}")
+    for cls, count in final.behavior_counts.items():
+        lines.append(f"{cls.value},{count},{_f(100.0 * count / final.n)}")
     return "\n".join(lines) + "\n"
 
 
@@ -343,7 +322,7 @@ def render_report_json(report: EvalReport) -> str:
         "series": [_checkpoint_obj(r) for r in report.series.records],
         "final": _checkpoint_obj(report.series.final),
         "behavior_counts": {
-            cls.value: report.behavior_counts.get(cls, 0) for cls in BEHAVIOR_ORDER
+            cls.value: count for cls, count in report.series.final.behavior_counts.items()
         },
         "table1": [
             {"metric": name, **_stats_obj(stats)} for name, stats in report.table1
@@ -365,7 +344,7 @@ def emit_report(report: EvalReport, out_dir, cases: CaseBundle | None = None) ->
     files = {
         "report.json": render_report_json(report),
         "checkpoints.csv": render_checkpoints_csv(report.series),
-        "behavior.csv": render_behavior_csv(report.behavior_counts),
+        "behavior.csv": render_behavior_csv(report.series.final),
         "table1.csv": render_table1_csv(report.table1),
     }
     records_text = render_records_jsonl(report.records_by_step)

@@ -13,6 +13,7 @@ computed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,44 +39,55 @@ from .metrics import (
 )
 from .syntax import check_syntax
 
-_PCT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CheckpointRecord:
     """Aggregated metrics for one checkpoint.
 
-    The three behavior-class percentages partition the sample and sum to
-    100; ``non_copy_pct`` is the complementary view (how often the model
-    changed its input at all, exact fixes included).
+    The counts are the reduction; the percentages are read from them.
+    The three behavior-class counts partition the sample, so their
+    percentages sum to 100; ``non_copy_pct`` is the complementary view
+    (how often the model changed its input at all, exact fixes included).
     """
 
     step: int
     n: int
-    syntax_validity_pct: float
-    exact_match_pct: float
-    copy_pct: float
-    modification_pct: float
+    valid_count: int
+    exact_match_count: int
+    copy_count: int
+    modification_count: int
     ned_stats: SummaryStats
     eval_loss: float | None = None
     near_copy_count: int = 0
 
     def __post_init__(self):
-        for name in ("syntax_validity_pct", "exact_match_pct", "copy_pct", "modification_pct"):
-            value = getattr(self, name)
-            if not -_PCT_TOL <= value <= 100 + _PCT_TOL:
-                raise InputError(f"{name} out of range [0, 100]: {value!r}")
-        total = self.exact_match_pct + self.copy_pct + self.modification_pct
-        if abs(total - 100.0) > _PCT_TOL:
-            raise InputError(
-                f"behavior percentages must sum to 100, got {total!r} at step {self.step}"
-            )
         if self.n <= 0:
             raise InputError(f"checkpoint at step {self.step} has no examples")
+        for name in ("valid_count", "exact_match_count", "copy_count",
+                     "modification_count", "near_copy_count"):
+            value = getattr(self, name)
+            if not 0 <= value <= self.n:
+                raise InputError(f"{name} out of range [0, {self.n}]: {value!r}")
+        total = self.exact_match_count + self.copy_count + self.modification_count
+        if total != self.n:
+            raise InputError(
+                f"behavior counts must sum to n={self.n}, got {total} at step {self.step}"
+            )
+
+    syntax_validity_pct = property(lambda self: 100.0 * self.valid_count / self.n)
+    exact_match_pct = property(lambda self: 100.0 * self.exact_match_count / self.n)
+    copy_pct = property(lambda self: 100.0 * self.copy_count / self.n)
+    modification_pct = property(lambda self: 100.0 * self.modification_count / self.n)
 
     @property
     def non_copy_pct(self) -> float:
         return self.exact_match_pct + self.modification_pct
+
+    @property
+    def behavior_counts(self) -> dict[BehaviorClass, int]:
+        """Count per behavior class, in the class order the reports use."""
+        counts = (self.exact_match_count, self.copy_count, self.modification_count)
+        return dict(zip(BehaviorClass, counts))
 
 
 @dataclass
@@ -98,26 +110,26 @@ class CheckpointSeries:
 # ----------------------------------------------------------------------
 # per-example evaluation
 
-def _measure(task: tuple, valid: bool) -> EvalRecord:
-    """The record of one task, given the syntax verdict on its prediction."""
-    example_id, buggy, fixed, pred_text, step, em_normalize, ned_tokens = task
-    behavior = classify_behavior(buggy, pred_text, fixed)
-    distance = levenshtein(pred_text, fixed)
+def _measure(ex: RepairExample, pred: Prediction, valid: bool,
+             em_normalize: str, ned_tokens: bool) -> EvalRecord:
+    """The record of one prediction, given the syntax verdict on its text."""
+    text, fixed = pred.prediction, ex.fixed
+    distance = levenshtein(text, fixed)
     if ned_tokens:
-        ned = normalized_edit_distance(pred_text, fixed, tokens=True)
+        ned = normalized_edit_distance(text, fixed, tokens=True)
     else:  # character NED is this same distance, scaled by the longer side
-        longer = max(len(pred_text), len(fixed))
+        longer = max(len(text), len(fixed))
         ned = distance / longer if longer else 0.0
     return EvalRecord(
-        example_id=example_id,
-        step=step,
-        behavior=behavior,
-        exact=exact_match(pred_text, fixed, normalize=em_normalize),
+        example_id=ex.id,
+        step=pred.step,
+        behavior=classify_behavior(ex.buggy, text, fixed),
+        exact=exact_match(text, fixed, normalize=em_normalize),
         edit_distance=distance,
         ned=ned,
         syntax_valid=valid,
-        near_copy=is_near_copy(pred_text, buggy),
-        pred_len=len(pred_text),
+        near_copy=is_near_copy(text, ex.buggy),
+        pred_len=len(text),
     )
 
 
@@ -129,10 +141,8 @@ def _tasks(
     step: int | None,
     examples: list[RepairExample],
     predictions: dict[str, Prediction],
-    em_normalize: str,
-    ned_tokens: bool,
-) -> list[tuple]:
-    """One measurement task per example; every example needs a prediction."""
+) -> list[tuple[RepairExample, Prediction]]:
+    """One (example, prediction) pair per example; each needs a prediction."""
     tasks = []
     for ex in examples:
         pred = predictions.get(ex.id)
@@ -141,22 +151,20 @@ def _tasks(
                 f"no rank-0 prediction for sampled example {ex.id!r}"
                 + (f" at step {step}" if step is not None else "")
             )
-        tasks.append(
-            (ex.id, ex.buggy, ex.fixed, pred.prediction, pred.step, em_normalize, ned_tokens)
-        )
+        tasks.append((ex, pred))
     return tasks
 
 
-def _evaluate(groups: list[list[tuple]], workers: int) -> list[list[EvalRecord]]:
-    """Measure every task of a run.
+def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]], workers: int,
+              em_normalize: str, ned_tokens: bool) -> list[list[EvalRecord]]:
+    """Measure every (example, prediction) pair of a run.
 
     Each distinct prediction text is judged once, in one worker pool (or
     one serial loop); the records are then built here from those
-    verdicts. Records come back per group of tasks, each group sorted by
+    verdicts. Records come back per group of pairs, each group sorted by
     example id.
     """
-    tasks = [t for group in groups for t in group]
-    texts = list(dict.fromkeys(t[3] for t in tasks))
+    texts = list(dict.fromkeys(pred.prediction for group in groups for _ex, pred in group))
     workers = min(workers, len(texts))
     if workers > 1:
         import multiprocessing  # only a pooled run pays for the import
@@ -168,8 +176,8 @@ def _evaluate(groups: list[list[tuple]], workers: int) -> list[list[EvalRecord]]
     else:
         verdicts = [check_syntax(text).valid for text in texts]
     valid = dict(zip(texts, verdicts))
-    done = (_measure(t, valid[t[3]]) for t in tasks)
-    return [sorted((next(done) for _ in group), key=lambda r: r.example_id) for group in groups]
+    return [sorted((_measure(ex, pred, valid[pred.prediction], em_normalize, ned_tokens)
+                    for ex, pred in group), key=lambda r: r.example_id) for group in groups]
 
 
 def evaluate_examples(
@@ -186,8 +194,8 @@ def evaluate_examples(
     step. Every example must be covered; a missing prediction is an input
     error naming the example. Records come back sorted by example id.
     """
-    tasks = _tasks(step, examples, predictions, em_normalize, ned_tokens)
-    return _evaluate([tasks], workers)[0]
+    tasks = _tasks(step, examples, predictions)
+    return _evaluate([tasks], workers, em_normalize, ned_tokens)[0]
 
 
 def summarize_records(
@@ -200,7 +208,6 @@ def summarize_records(
         raise InputError("cannot summarize zero evaluation records")
     if step is None:
         step = records[0].step
-    n = len(records)
     counts = {cls: 0 for cls in BehaviorClass}
     valid = 0
     near = 0
@@ -212,11 +219,11 @@ def summarize_records(
             near += 1
     return CheckpointRecord(
         step=step,
-        n=n,
-        syntax_validity_pct=100.0 * valid / n,
-        exact_match_pct=100.0 * counts[BehaviorClass.EXACT_MATCH] / n,
-        copy_pct=100.0 * counts[BehaviorClass.COPY] / n,
-        modification_pct=100.0 * counts[BehaviorClass.MODIFICATION] / n,
+        n=len(records),
+        valid_count=valid,
+        exact_match_count=counts[BehaviorClass.EXACT_MATCH],
+        copy_count=counts[BehaviorClass.COPY],
+        modification_count=counts[BehaviorClass.MODIFICATION],
         ned_stats=aggregate([r.ned for r in records]),
         eval_loss=eval_loss,
         near_copy_count=near,
@@ -256,11 +263,10 @@ def run_tracking(
     loss_by_step = loss_by_step or {}
     steps = sorted(by_step)
     groups = [
-        _tasks(step, sample_validation(examples, config, step), by_step[step],
-               em_normalize, ned_tokens)
+        _tasks(step, sample_validation(examples, config, step), by_step[step])
         for step in steps
     ]
-    records_by_step = dict(zip(steps, _evaluate(groups, workers)))
+    records_by_step = dict(zip(steps, _evaluate(groups, workers, em_normalize, ned_tokens)))
     checkpoint_records = [
         summarize_records(records, step=step, eval_loss=loss_by_step.get(step))
         for step, records in records_by_step.items()
@@ -270,9 +276,11 @@ def run_tracking(
 
 def load_loss_log(path) -> dict[int, float]:
     """Read ``{"step": int, "train_loss"?: float, "eval_loss"?: float}``
-    lines; return eval_loss by step. Loss is ingested, never computed."""
+    lines; return eval_loss by step. Loss is ingested, never computed. A
+    repeated or non-finite eval_loss is an input error naming the line."""
     path = Path(path)
     losses: dict[int, float] = {}
+    seen: dict[int, int] = {}
     for lineno, obj in _iter_jsonl(path):
         if "step" not in obj:
             raise InputError(f"{path}:{lineno}: expected an object with a 'step' field")
@@ -284,5 +292,11 @@ def load_loss_log(path) -> dict[int, float]:
             continue
         if not isinstance(loss, (int, float)) or isinstance(loss, bool):
             raise InputError(f"{path}:{lineno}: 'eval_loss' must be a number")
+        if not abs(loss) <= sys.float_info.max:  # NaN, infinities, ints past float range
+            raise InputError(f"{path}:{lineno}: 'eval_loss' must be finite, got {loss!r}")
+        if step in seen:
+            raise InputError(f"{path}:{lineno}: duplicate eval_loss for step={step} "
+                             f"(first seen on line {seen[step]})")
+        seen[step] = lineno
         losses[step] = float(loss)
     return losses

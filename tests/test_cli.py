@@ -7,6 +7,7 @@ subcommand writes.
 
 import json
 import os
+import statistics
 
 import pytest
 
@@ -70,7 +71,19 @@ def test_parse_args_rejects_bad_worker_count():
 
 def test_parse_args_rejects_negative_seed():
     with pytest.raises(UsageError):
-        parse_args(["check", "--in", "s.jsonl", "--seed", "-1"])
+        parse_args(["eval", "--corpus", "c.jsonl", "--preds", "p.jsonl",
+                    "--out", "r", "--seed", "-1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--in", "s.jsonl"],
+    ["abstract", "--corpus", "c.jsonl", "--out", "r"],
+])
+def test_seed_is_a_usage_error_where_nothing_is_sampled(argv, capsys):
+    # Neither command samples anything; both still accept --workers.
+    assert parse_args([*argv, "--workers", "2"]).workers == 2
+    assert main([*argv, "--seed", "1"]) == 1
+    assert "usage error: unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "track", "inspect"])
@@ -428,6 +441,43 @@ def test_eval_rejects_multistep_dump(corpus_file, predictions_file,
     assert "track" in err
 
 
+def test_em_normalize_moves_only_the_exact_field_and_table1(tmp_path, capsys):
+    # One prediction equals its fix byte for byte, the other only up to
+    # whitespace. The behavior class compares bytes; --em-normalize moves
+    # the records' "exact" field and table1's Exact Match row only.
+    fixed = ["int f ( ) { return 1 ; }", "int g ( ) { return 2 ; }"]
+    corpus = write_jsonl(tmp_path / "c.jsonl", [
+        {"id": "a", "buggy": "int f ( ) { return 0 ; }", "fixed": fixed[0]},
+        {"id": "b", "buggy": "int g ( ) { return 0 ; }", "fixed": fixed[1]},
+    ])
+    preds = write_jsonl(tmp_path / "p.jsonl", [
+        {"id": "a", "step": 0, "prediction": fixed[0]},
+        {"id": "b", "step": 0, "prediction": fixed[1].replace(" ", "  ")},
+    ])
+    out = tmp_path / "out"
+    assert main(["eval", "--corpus", str(corpus), "--preds", str(preds),
+                 "--out", str(out), "--em-normalize", "whitespace",
+                 "--workers", "1"]) == 0
+    assert "exact match 50.0%" in capsys.readouterr().err
+    records = load_jsonl(out / "records.jsonl")
+    assert [(r["exact"], r["behavior"]) for r in records] == [
+        (True, "exact_match"), (True, "modification")]
+    checkpoint = (out / "checkpoints.csv").read_text().splitlines()[1].split(",")
+    assert checkpoint[3] == "50.000000"  # exact_match column
+    behavior = (out / "behavior.csv").read_text().splitlines()
+    assert behavior[1] == "exact_match,1,50.000000"
+    table1 = (out / "table1.csv").read_text().splitlines()
+    assert table1[1] == "Exact Match,1.000000,1.000000,0.000000"
+    report = json.loads((out / "report.json").read_text())
+    assert report["behavior_counts"]["exact_match"] == 1
+    assert report["final"]["exact_match_pct"] == 50.0
+    with pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "'exact' field and table1's Exact Match row" in help_text
+    assert "always compares bytes" in help_text
+
+
 def test_eval_unknown_prediction_id_is_named(corpus_file, tmp_path, capsys):
     preds = write_jsonl(tmp_path / "p.jsonl", [
         {"id": "ghost-999", "step": 500, "prediction": "int x ;"},
@@ -487,6 +537,107 @@ def test_track_warns_about_loss_steps_without_predictions(corpus_file,
                         "predictions, ignored: 0, 1500"]
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert [c["eval_loss"] for c in report["series"]] == [0.91, None]
+
+
+@pytest.mark.parametrize("row", [
+    {"step": 500, "eval_loss": float("inf")},
+    {"step": 500, "eval_loss": float("nan")},
+])
+def test_track_rejects_a_non_finite_loss_before_writing(row, corpus_file,
+                                                        predictions_file,
+                                                        tmp_path, capsys):
+    loss = write_jsonl(tmp_path / "loss.jsonl", [row])  # json writes Infinity, NaN
+    out = tmp_path / "results"
+    assert main(["track", "--corpus", str(corpus_file),
+                 "--preds", str(predictions_file), "--out", str(out),
+                 "--loss-log", str(loss)]) == 1
+    assert "loss.jsonl:1: 'eval_loss' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _oracle_inputs(tmp_path):
+    """Six examples and three checkpoints. Per (step, example) the
+    prediction is, in turn: the fix; the input; the fix with doubled
+    spaces (exact only under --em-normalize whitespace); the input with
+    doubled spaces (a near-copy); the fix cut short (invalid Java)."""
+    corpus = [
+        {"id": f"e{i}", "buggy": f"int f{i} ( ) {{ return {i} ; }}",
+         "fixed": f"int f{i} ( ) {{ return {i} + {i + 1} ; }}"}
+        for i in range(6)
+    ]
+    preds = []
+    for step in (0, 500, 1000):
+        for i, ex in enumerate(corpus):
+            buggy, fixed = ex["buggy"], ex["fixed"]
+            text = [fixed, buggy, fixed.replace(" ", "  "),
+                    buggy.replace(" ", "  "), fixed[:-2]][(i + step // 500) % 5]
+            preds.append({"id": ex["id"], "step": step, "prediction": text})
+    return (write_jsonl(tmp_path / "c.jsonl", corpus),
+            write_jsonl(tmp_path / "p.jsonl", preds),
+            {ex["id"]: ex["fixed"] for ex in corpus})
+
+
+def test_report_is_a_recount_of_its_records(tmp_path):
+    # Oracle: every row of checkpoints.csv and behavior.csv, and both rows
+    # of table1.csv, recomputed from records.jsonl (plus the corpus, for
+    # the length NED divides by) with the standard library.
+    corpus, preds, fixed = _oracle_inputs(tmp_path)
+    losses = {0: 2.5, 1000: 0.125}
+    loss = write_jsonl(tmp_path / "loss.jsonl",
+                       [{"step": k, "eval_loss": v} for k, v in losses.items()])
+    out = tmp_path / "out"
+    assert main(["track", "--corpus", str(corpus), "--preds", str(preds),
+                 "--out", str(out), "--sample", "4", "--seed", "3",
+                 "--loss-log", str(loss), "--em-normalize", "whitespace",
+                 "--workers", "1"]) == 0
+    by_step = {}
+    for r in load_jsonl(out / "records.jsonl"):
+        by_step.setdefault(r["step"], []).append(r)
+    assert sorted(by_step) == [0, 500, 1000]
+    assert any(r["exact"] and r["behavior"] != "exact_match"
+               for rows in by_step.values() for r in rows)
+
+    def f(x):
+        return f"{x:.6f}"
+
+    def stats(values):
+        return [f(statistics.fmean(values)), f(statistics.median(values)),
+                f(statistics.pstdev(values))]
+
+    def neds(rows):
+        values = []
+        for r in rows:
+            value = r["edit_distance"] / max(r["pred_len"], len(fixed[r["id"]]))
+            assert round(value, 6) == r["ned"]
+            values.append(value)
+        return values
+
+    def pct(rows, hit):
+        return f(100.0 * sum(1 for r in rows if hit(r)) / len(rows))
+
+    lines = (out / "checkpoints.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(by_step)
+    for line, (step, rows) in zip(lines, sorted(by_step.items())):
+        assert line.split(",") == [
+            str(step), str(len(rows)),
+            pct(rows, lambda r: r["syntax_valid"]),
+            pct(rows, lambda r: r["behavior"] == "exact_match"),
+            pct(rows, lambda r: r["behavior"] == "copy"),
+            pct(rows, lambda r: r["behavior"] == "modification"),
+            *stats(neds(rows)), f(losses[step]) if step in losses else "",
+        ]
+    final = by_step[1000]
+    behavior = (out / "behavior.csv").read_text().splitlines()[1:]
+    assert behavior == [
+        f"{cls},{sum(r['behavior'] == cls for r in final)},"
+        f"{pct(final, lambda r: r['behavior'] == cls)}"
+        for cls in ("exact_match", "copy", "modification")
+    ]
+    table1 = (out / "table1.csv").read_text().splitlines()[1:]
+    assert table1 == [
+        ",".join(["Exact Match", *stats([1.0 if r["exact"] else 0.0 for r in final])]),
+        ",".join(["Normalized Edit Distance", *stats(neds(final))]),
+    ]
 
 
 def test_track_interval_help_names_the_cadence_check(capsys):

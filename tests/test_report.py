@@ -12,9 +12,7 @@ from repairdx.metrics import BehaviorClass
 from repairdx.report import (
     CaseBundle,
     Provenance,
-    behavior_distribution,
     build_report,
-    build_table1,
     emit_cases,
     emit_report,
     extract_cases,
@@ -24,7 +22,7 @@ from repairdx.report import (
     render_report_json,
     render_table1_csv,
 )
-from repairdx.tracking import run_tracking
+from repairdx.tracking import build_series, run_tracking, summarize_records
 
 from conftest import SMALL_CORPUS, SMALL_PREDICTIONS
 
@@ -55,33 +53,41 @@ def full_report(loss=None):
 
 
 def test_distribution_always_lists_all_classes():
-    series, records_by_step = tracked()
-    dist = behavior_distribution(records_by_step[1000])
-    assert set(dist) == set(BehaviorClass)
-    assert dist[BehaviorClass.EXACT_MATCH] == (4, 100.0)
-    assert dist[BehaviorClass.COPY] == (0, 0.0)
+    _series, records_by_step = tracked()
+    final = summarize_records(records_by_step[1000])
+    assert list(final.behavior_counts) == list(BehaviorClass)
+    assert final.behavior_counts[BehaviorClass.EXACT_MATCH] == 4
+    assert final.exact_match_pct == 100.0
+    assert final.behavior_counts[BehaviorClass.COPY] == 0
+    assert final.copy_pct == 0.0
 
 
 def test_distribution_percentages_sum_to_100():
-    series, records_by_step = tracked()
+    _series, records_by_step = tracked()
     for records in records_by_step.values():
-        dist = behavior_distribution(records)
-        assert sum(pct for _n, pct in dist.values()) == pytest.approx(100.0)
+        record = summarize_records(records)
+        assert sum(record.behavior_counts.values()) == record.n
+        total = record.exact_match_pct + record.copy_pct + record.modification_pct
+        assert total == pytest.approx(100.0)
 
 
 def test_distribution_of_nothing_is_an_input_error():
     with pytest.raises(InputError):
-        behavior_distribution([])
+        summarize_records([])
 
 
 def test_table1_rows_and_labels():
-    _series, records_by_step = tracked()
-    table = build_table1(records_by_step[500])
+    series, records_by_step = tracked()
+    first = build_series(series.records[:1])  # step 500 as the final checkpoint
+    table = build_report(
+        corpus_stats(examples()), first, records_by_step, Provenance(seed=42),
+    ).table1
     assert [label for label, _ in table] == ["Exact Match", "Normalized Edit Distance"]
     em = table[0][1]
     assert em.mean == 0.0  # nothing exactly fixed at step 500
     ned = table[1][1]
     assert 0.0 < ned.mean < 1.0
+    assert ned == series.records[0].ned_stats
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +117,7 @@ def test_checkpoints_csv_missing_loss_renders_empty():
 
 def test_behavior_csv_layout():
     report = full_report()
-    lines = render_behavior_csv(report.behavior_counts).strip().splitlines()
+    lines = render_behavior_csv(report.series.final).strip().splitlines()
     assert lines[0] == "class,count,percentage"
     assert lines[1] == "exact_match,4,100.000000"
     assert lines[2] == "copy,0,0.000000"

@@ -36,10 +36,10 @@ def predictions():
     return [Prediction(**row) for row in SMALL_PREDICTIONS]
 
 
-def checkpoint(step=500, em=25.0, copy=50.0, mod=25.0, sv=75.0, n=4, loss=None):
+def checkpoint(step=500, em=1, copy=2, mod=1, valid=3, n=4, loss=None):
     return CheckpointRecord(
-        step=step, n=n, syntax_validity_pct=sv, exact_match_pct=em,
-        copy_pct=copy, modification_pct=mod,
+        step=step, n=n, valid_count=valid, exact_match_count=em,
+        copy_count=copy, modification_count=mod,
         ned_stats=aggregate([0.1, 0.2]), eval_loss=loss,
     )
 
@@ -49,15 +49,25 @@ def checkpoint(step=500, em=25.0, copy=50.0, mod=25.0, sv=75.0, n=4, loss=None):
 
 
 def test_behavior_percentages_must_sum_to_100():
-    with pytest.raises(InputError, match="sum to 100"):
-        checkpoint(em=10.0, copy=10.0, mod=10.0)
+    # The classes partition the sample: their counts must add up to n.
+    with pytest.raises(InputError, match="sum to n=4"):
+        checkpoint(em=1, copy=1, mod=1)
+    with pytest.raises(InputError, match="sum to n=4"):
+        checkpoint(em=2, copy=2, mod=1)
 
 
 def test_percentages_must_stay_in_range():
     with pytest.raises(InputError, match="out of range"):
-        checkpoint(sv=101.0)
+        checkpoint(valid=5)
     with pytest.raises(InputError, match="out of range"):
-        checkpoint(em=-1.0, copy=76.0, mod=25.0)
+        checkpoint(valid=-1)
+    with pytest.raises(InputError, match="out of range"):
+        checkpoint(em=-1, copy=4, mod=1)
+    with pytest.raises(InputError, match="out of range"):
+        CheckpointRecord(
+            step=0, n=1, valid_count=1, exact_match_count=1, copy_count=0,
+            modification_count=0, ned_stats=aggregate([0.0]), near_copy_count=2,
+        )
 
 
 def test_empty_checkpoint_is_rejected():
@@ -66,13 +76,26 @@ def test_empty_checkpoint_is_rejected():
 
 
 def test_non_copy_complements_the_copy_share():
-    record = checkpoint(em=25.0, copy=50.0, mod=25.0)
+    record = checkpoint(em=1, copy=2, mod=1)
     assert record.non_copy_pct == pytest.approx(50.0)
     assert record.non_copy_pct == pytest.approx(100.0 - record.copy_pct)
 
 
 def test_tiny_float_noise_is_tolerated():
-    checkpoint(em=100 / 3, copy=100 / 3, mod=100 / 3)  # must not raise
+    # Percentages are read from integer counts, so a partition whose
+    # percentages do not add up to exactly 100.0 in floats is accepted.
+    record = checkpoint(em=1, copy=1, mod=1, valid=1, n=3)  # must not raise
+    assert record.exact_match_pct == record.copy_pct == record.modification_pct == 100 / 3
+
+
+def test_percentages_are_read_from_the_counts():
+    record = checkpoint(em=1, copy=2, mod=1, valid=3, n=4)
+    assert record.syntax_validity_pct == 75.0
+    assert (record.exact_match_pct, record.copy_pct, record.modification_pct) == (
+        25.0, 50.0, 25.0)
+    assert record.behavior_counts == {
+        BehaviorClass.EXACT_MATCH: 1, BehaviorClass.COPY: 2, BehaviorClass.MODIFICATION: 1,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +153,10 @@ def test_token_ned_under_ned_tokens():
 
 
 def test_measure_of_two_empty_texts_is_zero():
-    record = _measure(("e", "x", "", "", 0, "none", False), valid=False)
+    record = _measure(
+        RepairExample(id="e", buggy="x", fixed=""), Prediction(id="e", step=0, prediction=""),
+        valid=False, em_normalize="none", ned_tokens=False,
+    )
     assert record.edit_distance == 0 and record.ned == 0.0
     assert record.syntax_valid is False
 
@@ -401,3 +427,41 @@ def test_loss_log_rejects_bad_rows(tmp_path):
     path2 = write_jsonl(tmp_path / "loss2.jsonl", [{"step": 5, "eval_loss": "high"}])
     with pytest.raises(InputError, match="number"):
         load_loss_log(path2)
+
+
+def test_loss_log_rejects_a_repeated_step_naming_both_lines(tmp_path):
+    path = write_jsonl(tmp_path / "loss.jsonl", [
+        {"step": 500, "eval_loss": 0.9},
+        {"step": 1000, "eval_loss": 0.4},
+        {"step": 500, "eval_loss": 0.5},
+    ])
+    with pytest.raises(
+        InputError,
+        match=r"loss\.jsonl:3: duplicate eval_loss for step=500 \(first seen on line 1\)",
+    ):
+        load_loss_log(path)
+
+
+def test_loss_log_step_may_split_train_and_eval_lines(tmp_path):
+    # Only eval_loss is read, so a train-only line at the same step is no repeat.
+    path = write_jsonl(tmp_path / "loss.jsonl", [
+        {"step": 500, "train_loss": 1.0},
+        {"step": 500, "eval_loss": 0.9},
+    ])
+    assert load_loss_log(path) == {500: 0.9}
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400"])
+def test_loss_log_rejects_a_non_finite_eval_loss(tmp_path, raw):
+    path = tmp_path / "loss.jsonl"
+    path.write_text(f'{{"step": 0, "eval_loss": 1.0}}\n{{"step": 500, "eval_loss": {raw}}}\n')
+    with pytest.raises(InputError, match=r"loss\.jsonl:2: 'eval_loss' must be finite"):
+        load_loss_log(path)
+
+
+def test_loss_log_nan_then_a_number_at_the_same_step_is_rejected(tmp_path):
+    path = tmp_path / "loss.jsonl"
+    path.write_text('{"step": 500, "eval_loss": NaN}\n{"step": 500, "eval_loss": 0.5}\n')
+    with pytest.raises(InputError, match=r"loss\.jsonl:1: 'eval_loss' must be finite, got nan"):
+        load_loss_log(path)
