@@ -54,7 +54,6 @@ from .report import (
 from .syntax import (
     SyntaxVerdict,
     check_syntax,
-    syntax_validity,
     wrap_method,
 )
 from .tracking import (
@@ -125,6 +124,5 @@ __all__ = [
     "run_tracking",
     "sample_validation",
     "summarize_records",
-    "syntax_validity",
     "wrap_method",
 ]

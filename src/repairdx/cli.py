@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -82,10 +81,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_workers(sub: argparse.ArgumentParser, workers_default: int) -> None:
-    sub.add_argument("--workers", type=int, default=workers_default,
-                     help="worker processes for per-example evaluation "
-                          f"(default: {workers_default})")
+def _add_workers(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--workers", type=int, default=1,
+                     help="accepted and ignored (must be at least 1): a run "
+                          "judges its texts in a process pool when they are "
+                          "long enough in total to repay it")
 
 
 def _add_inputs(sub: argparse.ArgumentParser, out_help: str) -> None:
@@ -98,7 +98,6 @@ def _add_inputs(sub: argparse.ArgumentParser, out_help: str) -> None:
 
 
 def build_arg_parser() -> _Parser:
-    workers_default = os.cpu_count() or 1
     top = _Parser(
         prog="repairdx",
         description="Diagnostics for program-repair model outputs: syntax "
@@ -107,13 +106,14 @@ def build_arg_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", metavar="command")
     sub.required = True
     # Options a subcommand does not declare, for the helpers that read them.
-    top.set_defaults(split=None, seed=42, workers=1, em_normalize="none",
+    top.set_defaults(split=None, seed=42, em_normalize="none",
                      ned_tokens=False, step=None, loss_log=None, cases=0)
 
     p = sub.add_parser("stats", help="summarize a corpus",
                        description=f"Summarize corpus shape. {_EXAMPLES_SCHEMA}")
     p.add_argument("--corpus", required=True, type=Path, help="examples JSONL file")
     p.add_argument("--split", default=None, help="restrict to one split label")
+    _add_workers(p)
 
     p = sub.add_parser(
         "check", help="syntax-check a file of snippets",
@@ -124,7 +124,7 @@ def build_arg_parser() -> _Parser:
                    help="snippets JSONL file")
     p.add_argument("--field", dest="field_name", default="code",
                    help="name of the text field to check (default: code)")
-    _add_workers(p, workers_default)
+    _add_workers(p)
 
     p = sub.add_parser(
         "abstract", help="abstract identifiers in a corpus",
@@ -140,7 +140,7 @@ def build_arg_parser() -> _Parser:
                    help="check conformance instead of abstracting")
     p.add_argument("--strict-gaps", action="store_true",
                    help="flag placeholder index gaps (verify mode)")
-    _add_workers(p, workers_default)
+    _add_workers(p)
 
     p = sub.add_parser(
         "eval", help="evaluate one prediction set",
@@ -153,7 +153,7 @@ def build_arg_parser() -> _Parser:
                    help=_EM_NORMALIZE_HELP)
     p.add_argument("--ned-tokens", action="store_true",
                    help="compute NED over whitespace tokens instead of characters")
-    _add_workers(p, workers_default)
+    _add_workers(p)
 
     p = sub.add_parser(
         "track", help="evaluate a multi-checkpoint dump",
@@ -179,7 +179,7 @@ def build_arg_parser() -> _Parser:
                    help=_EM_NORMALIZE_HELP)
     p.add_argument("--ned-tokens", action="store_true",
                    help="compute NED over whitespace tokens instead of characters")
-    _add_workers(p, workers_default)
+    _add_workers(p)
 
     p = sub.add_parser(
         "inspect", help="emit a qualitative case bundle",
@@ -190,7 +190,7 @@ def build_arg_parser() -> _Parser:
                    help="number of cases to sample (default: 10)")
     p.add_argument("--step", type=int, default=None,
                    help="checkpoint step to inspect (default: last step present)")
-    _add_workers(p, workers_default)
+    _add_workers(p)
     return top
 
 
@@ -347,7 +347,6 @@ def _evaluate_one_step(cfg: argparse.Namespace):
     records = evaluate_examples(
         covered, step_preds, step=step,
         em_normalize=cfg.em_normalize, ned_tokens=cfg.ned_tokens,
-        workers=cfg.workers,
     )
     return examples, step, step_preds, records
 
@@ -403,7 +402,6 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
     series, records_by_step = run_tracking(
         examples, predictions, config, loss_by_step=loss_by_step,
         em_normalize=cfg.em_normalize, ned_tokens=cfg.ned_tokens,
-        workers=cfg.workers,
     )
     orphans = sorted(set(loss_by_step or ()) - set(series.steps))
     if orphans:

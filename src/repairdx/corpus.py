@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import statistics
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,6 +116,11 @@ def _iter_jsonl(path: Path):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+        except ValueError:  # int() refuses a literal past the digit limit
+            raise InputError(f"{path}:{lineno}: invalid JSON: an integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
+        except RecursionError:
+            raise InputError(f"{path}:{lineno}: invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict):
             raise InputError(
                 f"{path}:{lineno}: expected a JSON object, got "

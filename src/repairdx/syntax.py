@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bindings
-from .errors import InputError
 from .javaparse import Node
 
 WRAP_PREFIX = "class __W { "
@@ -79,21 +78,3 @@ def _verdict(code: str, root: Node) -> SyntaxVerdict:
         for s, e in raw_spans
     )
     return SyntaxVerdict(valid=False, error_count=len(raw_spans), error_spans=spans)
-
-
-def syntax_validity(verdicts) -> float:
-    """Share of valid fragments, as a percentage of all fragments.
-
-    Accepts any iterable of SyntaxVerdict (or bool-testable) values.
-    An empty iterable is an input error: a rate over nothing would
-    silently read as "all invalid".
-    """
-    total = 0
-    valid = 0
-    for v in verdicts:
-        total += 1
-        if v:
-            valid += 1
-    if total == 0:
-        raise InputError("cannot compute syntax validity over zero verdicts")
-    return 100.0 * valid / total

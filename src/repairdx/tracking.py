@@ -3,16 +3,18 @@
 The harness is strictly post-hoc: it consumes predictions a training run
 dumped at each checkpoint, never the model itself. The (step, example)
 tasks of a run are measured in one pass. Each distinct prediction text
-is judged once per run, which can fan out to one pool of worker
-processes for the whole run; records are built in the calling process
-and always reduced in example-id order, so runs are deterministic
-regardless of worker count.
+is judged once per run. The input decides how: distinct texts long
+enough in total to repay starting worker processes go to one pool, one
+process per CPU, for the whole run; shorter ones are judged in a serial
+loop. Records are built in the calling process and always reduced in
+example-id order, so results are identical at any CPU count.
 Loss values are ingested from an auxiliary log when available — never
 computed.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,6 +135,15 @@ def _measure(ex: RepairExample, pred: Prediction, valid: bool,
     )
 
 
+# Total characters of distinct prediction text from which a run judges
+# its texts in a pool. Alternating `track` child runs on 2 CPUs (Python
+# 3.11.7, two batches of 10 pairs per size) put the break-even between
+# 141k characters, where two processes did not beat one (medians within
+# 3%, for 25% more CPU), and 174k, where they won 19 of 20 pairs (medians
+# 12-17% lower). See CHANGES.md.
+_POOL_MIN_CHARS = 160_000
+
+
 def _judge_in_worker(text: str) -> bool:
     return check_syntax(text).valid
 
@@ -155,23 +166,24 @@ def _tasks(
     return tasks
 
 
-def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]], workers: int,
+def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]],
               em_normalize: str, ned_tokens: bool) -> list[list[EvalRecord]]:
     """Measure every (example, prediction) pair of a run.
 
-    Each distinct prediction text is judged once, in one worker pool (or
-    one serial loop); the records are then built here from those
-    verdicts. Records come back per group of pairs, each group sorted by
-    example id.
+    Each distinct prediction text is judged once: in one pool of at most
+    one process per CPU and per text when the texts hold at least
+    ``_POOL_MIN_CHARS`` characters, else in one serial loop. The records
+    are then built here from those verdicts. Records come back per group
+    of pairs, each group sorted by example id.
     """
     texts = list(dict.fromkeys(pred.prediction for group in groups for _ex, pred in group))
-    workers = min(workers, len(texts))
-    if workers > 1:
+    processes = min(os.cpu_count() or 1, len(texts))
+    if processes > 1 and sum(map(len, texts)) >= _POOL_MIN_CHARS:
         import multiprocessing  # only a pooled run pays for the import
 
         ctx = multiprocessing.get_context()
-        chunk = max(1, len(texts) // (workers * 4))
-        with ctx.Pool(workers) as pool:
+        chunk = max(1, len(texts) // (processes * 4))
+        with ctx.Pool(processes) as pool:
             verdicts = pool.map(_judge_in_worker, texts, chunksize=chunk)
     else:
         verdicts = [check_syntax(text).valid for text in texts]
@@ -186,7 +198,6 @@ def evaluate_examples(
     step: int | None = None,
     em_normalize: str = "none",
     ned_tokens: bool = False,
-    workers: int = 1,
 ) -> list[EvalRecord]:
     """Measure every example against its prediction.
 
@@ -195,7 +206,7 @@ def evaluate_examples(
     error naming the example. Records come back sorted by example id.
     """
     tasks = _tasks(step, examples, predictions)
-    return _evaluate([tasks], workers, em_normalize, ned_tokens)[0]
+    return _evaluate([tasks], em_normalize, ned_tokens)[0]
 
 
 def summarize_records(
@@ -249,7 +260,6 @@ def run_tracking(
     loss_by_step: dict[int, float] | None = None,
     em_normalize: str = "none",
     ned_tokens: bool = False,
-    workers: int = 1,
 ) -> tuple[CheckpointSeries, dict[int, list[EvalRecord]]]:
     """Evaluate every step present in a prediction dump.
 
@@ -266,7 +276,7 @@ def run_tracking(
         _tasks(step, sample_validation(examples, config, step), by_step[step])
         for step in steps
     ]
-    records_by_step = dict(zip(steps, _evaluate(groups, workers, em_normalize, ned_tokens)))
+    records_by_step = dict(zip(steps, _evaluate(groups, em_normalize, ned_tokens)))
     checkpoint_records = [
         summarize_records(records, step=step, eval_loss=loss_by_step.get(step))
         for step, records in records_by_step.items()

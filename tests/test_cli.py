@@ -6,8 +6,10 @@ subcommand writes.
 """
 
 import json
+import multiprocessing
 import os
 import statistics
+import sys
 
 import pytest
 
@@ -16,7 +18,7 @@ from repairdx import report as report_module
 from repairdx.cli import main, parse_args
 from repairdx.errors import UsageError
 
-from conftest import SMALL_PREDICTIONS, load_jsonl, write_jsonl
+from conftest import SMALL_PREDICTIONS, force_pool, load_jsonl, write_jsonl
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +368,47 @@ def test_unreadable_input_is_an_error_naming_the_path(flag, bad, corpus_file,
     assert "Traceback" not in err
 
 
+# An integer literal past int()'s digit limit, and nesting past the
+# recursion limit: json.loads raises ValueError and RecursionError here,
+# not JSONDecodeError.
+_HOSTILE_JSON = {
+    "long-integer": ('{"step": 1' + "0" * 5000 + "}",
+                     f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+    "deep-nesting": ("[" * 100_000, "nested too deeply"),
+}
+
+
+# A valid first row for each reader, so the error must name line 2.
+_FIRST_ROW = {
+    "--corpus": {"id": "a", "buggy": "int x ;", "fixed": "int y ;"},
+    "--preds": {"id": "bug-001", "step": 500, "prediction": "int x ;"},
+    "--loss-log": {"step": 500, "eval_loss": 0.5},
+    "--in": {"id": "s1", "code": "int x ;"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HOSTILE_JSON))
+@pytest.mark.parametrize("argv", [
+    ["stats", "--corpus", "{bad}"],
+    ["eval", "--corpus", "{corpus}", "--preds", "{bad}", "--out", "{out}"],
+    ["track", "--corpus", "{corpus}", "--preds", "{preds}", "--out", "{out}",
+     "--loss-log", "{bad}"],
+    ["check", "--in", "{bad}"],
+], ids=["stats --corpus", "eval --preds", "track --loss-log", "check --in"])
+def test_hostile_json_line_is_an_input_error(argv, kind, corpus_file, predictions_file,
+                                             tmp_path, capsys):
+    line, why = _HOSTILE_JSON[kind]
+    bad = tmp_path / "hostile.jsonl"
+    flag = argv[argv.index("{bad}") - 1]
+    bad.write_text(json.dumps(_FIRST_ROW[flag]) + "\n" + line + "\n", encoding="utf-8")
+    files = {"bad": bad, "corpus": corpus_file, "preds": predictions_file,
+             "out": tmp_path / "r"}
+    assert main([arg.format(**files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}:2: invalid JSON: {why}\n"
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
 def test_raw_line_separator_inside_a_string_is_one_row(sep, tmp_path, capsys):
     # JSON strings may hold these raw and str.splitlines() would break the
@@ -668,8 +711,9 @@ def test_track_emits_case_bundle_from_final_step(corpus_file, predictions_file,
     assert all(c["behavior"] == "exact_match" for c in bundle["cases"])
 
 
-def test_track_output_is_byte_identical_at_one_and_two_workers(tmp_path,
-                                                               capsys):
+def _four_step_dump(tmp_path):
+    """12 examples over 4 steps, each prediction a copy, a fix, a cut fix
+    or an edited fix; returns the file paths and the distinct texts."""
     corpus = [
         {"id": f"ex-{i:02d}", "buggy": f"int f ( int a ) {{ return a - {i} ; }}",
          "fixed": f"int f ( int a ) {{ return a + {i} ; }}"}
@@ -682,24 +726,34 @@ def test_track_output_is_byte_identical_at_one_and_two_workers(tmp_path,
             text = [row["buggy"], row["fixed"], row["fixed"][:-2],
                     row["fixed"].replace("a +", "b +")][choice]
             preds.append({"id": row["id"], "step": step, "prediction": text})
-    corpus_path = write_jsonl(tmp_path / "corpus.jsonl", corpus)
-    preds_path = write_jsonl(tmp_path / "preds.jsonl", preds)
+    texts = set(p["prediction"] for p in preds)
+    return (write_jsonl(tmp_path / "corpus.jsonl", corpus),
+            write_jsonl(tmp_path / "preds.jsonl", preds), texts)
+
+
+def test_track_output_is_byte_identical_at_one_and_two_workers(tmp_path, capsys,
+                                                               monkeypatch):
+    corpus_path, preds_path, _texts = _four_step_dump(tmp_path)
     names = ("records.jsonl", "report.json", "checkpoints.csv", "cases.json")
     outputs = []
-    for workers in ("1", "2"):
+    sizes = []
+    for workers in ("1", "2"):  # a serial run, then a pooled one
+        if workers == "2":
+            sizes = force_pool(monkeypatch)
         out = tmp_path / f"w{workers}"
         assert main(["track", "--corpus", str(corpus_path),
                      "--preds", str(preds_path), "--out", str(out),
                      "--sample", "8", "--cases", "3",
                      "--workers", workers]) == 0
         outputs.append({name: (out / name).read_bytes() for name in names})
+    assert sizes == [2]
     assert outputs[0] == outputs[1]
     report = json.loads(outputs[0]["report.json"])
     assert [c["step"] for c in report["series"]] == [0, 500, 1000, 1500]
     assert len(outputs[0]["records.jsonl"].splitlines()) == 4 * 8
 
 
-def test_shared_text_is_measured_per_example_at_any_worker_count(tmp_path):
+def test_shared_text_is_measured_per_example_at_any_worker_count(tmp_path, monkeypatch):
     corpus = [
         {"id": "a", "buggy": "int f ( ) { return 1 ; }", "fixed": "int f ( ) { return 2 ; }"},
         {"id": "b", "buggy": "int f ( ) { return 3 ; }", "fixed": "int f ( ) { return 4 ; }"},
@@ -714,18 +768,53 @@ def test_shared_text_is_measured_per_example_at_any_worker_count(tmp_path):
     corpus_path = write_jsonl(tmp_path / "corpus.jsonl", corpus)
     preds_path = write_jsonl(tmp_path / "preds.jsonl", preds)
     outputs = []
-    for workers in ("1", "2"):
+    sizes = []
+    for workers in ("1", "2"):  # a serial run, then a pooled one
+        if workers == "2":
+            sizes = force_pool(monkeypatch)
         out = tmp_path / f"w{workers}"
         assert main(["track", "--corpus", str(corpus_path),
                      "--preds", str(preds_path), "--out", str(out),
                      "--workers", workers]) == 0
         outputs.append({name: (out / name).read_bytes()
                         for name in ("records.jsonl", "report.json")})
+    assert sizes == [2]
     assert outputs[0] == outputs[1]
     records = [json.loads(l) for l in outputs[0]["records.jsonl"].splitlines()]
     assert [(r["id"], r["behavior"], r["edit_distance"]) for r in records] == [
         ("a", "copy", 1), ("b", "modification", 1), ("c", "exact_match", 0),
     ] * 2
+
+
+def test_run_below_the_pool_threshold_is_serial(tmp_path, capsys, monkeypatch):
+    # All 12 examples are sampled at every step, so the run's distinct
+    # texts are all the dump's texts: one character short of the threshold.
+    corpus_path, preds_path, texts = _four_step_dump(tmp_path)
+    monkeypatch.setattr(tracking, "_POOL_MIN_CHARS", sum(map(len, texts)) + 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    asked = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: asked.append(a))
+    assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
+                 "--out", str(tmp_path / "out"), "--sample", "12",
+                 "--workers", "8"]) == 0
+    assert asked == []
+
+
+def test_run_at_the_pool_threshold_pools_one_process_per_cpu(tmp_path, capsys,
+                                                             monkeypatch):
+    corpus_path, preds_path, texts = _four_step_dump(tmp_path)
+    sizes = force_pool(monkeypatch, cpus=8, min_chars=sum(map(len, texts)))
+    outputs = []
+    for workers in ("1", "8"):
+        out = tmp_path / f"w{workers}"
+        assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
+                     "--out", str(out), "--sample", "12", "--cases", "3",
+                     "--workers", workers]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(texts) > 8
+    assert sizes == [8, 8]  # min(CPUs, distinct texts), whatever --workers says
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 6
 
 
 _BAD_CASE_COUNTS = {

@@ -36,23 +36,23 @@ VERIFY_CORPUS = [
 
 COMMANDS = {
     "stats": ["stats", "--corpus", "{corpus}"],
-    "check": ["check", "--in", "{snippets}", "--workers", "1"],
-    "abstract": ["abstract", "--corpus", "{corpus}", "--out", "{out}",
-                 "--workers", "1"],
+    "check": ["check", "--in", "{snippets}"],
+    "abstract": ["abstract", "--corpus", "{corpus}", "--out", "{out}"],
     "verify": ["abstract", "--corpus", "{verify}", "--out", "{out}",
-               "--verify-only", "--strict-gaps", "--workers", "1"],
+               "--verify-only", "--strict-gaps"],
     "eval": ["eval", "--corpus", "{corpus}", "--preds", "{final}",
-             "--out", "{out}", "--cases", "2", "--workers", "1"],
+             "--out", "{out}", "--cases", "2"],
     "track": ["track", "--corpus", "{corpus}", "--preds", "{preds}",
-              "--out", "{out}", "--cases", "2", "--loss-log", "{loss}",
-              "--workers", "1"],
+              "--out", "{out}", "--cases", "2", "--loss-log", "{loss}"],
     "inspect": ["inspect", "--corpus", "{corpus}", "--preds", "{preds}",
-                "--out", "{out}", "--cases", "2", "--workers", "1"],
+                "--out", "{out}", "--cases", "2"],
 }
 
 
-def golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys):
-    """Run one command; return (exit code, stdout, stderr, {file: sha256})."""
+def golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys,
+               extra=()):
+    """Run one command, with ``extra`` arguments appended; return
+    (exit code, stdout, stderr, {file: sha256})."""
     files = {
         "corpus": corpus_file,
         "preds": predictions_file,
@@ -64,7 +64,7 @@ def golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys)
         "out": tmp_path / "out",
     }
     argv = [arg.format(**{k: str(v) for k, v in files.items()})
-            for arg in COMMANDS[name]]
+            for arg in COMMANDS[name]] + list(extra)
     capsys.readouterr()
     code = main(argv)
     captured = capsys.readouterr()
@@ -192,4 +192,14 @@ EXPECTED = {
 def test_command_output_is_pinned(name, tmp_path, corpus_file, predictions_file,
                                   loss_file, capsys):
     got = golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys)
+    assert got == EXPECTED[name]
+
+
+@pytest.mark.parametrize("workers", ["1", "8"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_workers_moves_no_output_byte(name, workers, tmp_path, corpus_file,
+                                      predictions_file, loss_file, capsys):
+    # Every subcommand accepts --workers and ignores it.
+    got = golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys,
+                     extra=["--workers", workers])
     assert got == EXPECTED[name]

@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from repairdx.errors import InputError
+from repairdx.metrics import BehaviorClass, EvalRecord
 from repairdx.syntax import (
     WRAP_PREFIX,
     WRAP_SUFFIX,
     SyntaxVerdict,
     check_syntax,
-    syntax_validity,
     wrap_method,
 )
+from repairdx.tracking import summarize_records
 
 
 # ----------------------------------------------------------------------
@@ -146,39 +146,41 @@ def test_annotation_element_value_arrays(code, valid):
 
 
 # ----------------------------------------------------------------------
-# syntax_validity
+# validity arithmetic: a checkpoint's share of valid predictions, which
+# summarize_records alone computes
+
+
+def _validity(flags) -> float:
+    """Syntax validity of a checkpoint whose records carry these verdicts."""
+    records = [
+        EvalRecord(example_id=f"e{i}", step=0, behavior=BehaviorClass.MODIFICATION,
+                   exact=False, edit_distance=1, ned=0.5, syntax_valid=valid,
+                   near_copy=False)
+        for i, valid in enumerate(flags)
+    ]
+    return summarize_records(records).syntax_validity_pct
 
 
 def test_validity_arithmetic():
     verdicts = [True] * 94 + [False] * 6
-    assert syntax_validity(verdicts) == 94.0
+    assert _validity(verdicts) == 94.0
 
 
 def test_validity_all_invalid():
-    assert syntax_validity([False] * 7) == 0.0
+    assert _validity([False] * 7) == 0.0
 
 
 def test_validity_all_valid():
-    assert syntax_validity([True] * 3) == 100.0
-
-
-def test_validity_accepts_verdict_objects():
-    verdicts = [check_syntax("int x ;"), check_syntax("int ;")]
-    assert syntax_validity(verdicts) == 50.0
-
-
-def test_validity_of_empty_list_is_an_input_error():
-    with pytest.raises(InputError):
-        syntax_validity([])
+    assert _validity([True] * 3) == 100.0
 
 
 def test_validity_combines_by_count_weighting():
     rng = random.Random(13)
     part_a = [rng.random() < 0.7 for _ in range(40)]
     part_b = [rng.random() < 0.3 for _ in range(25)]
-    combined = syntax_validity(part_a + part_b)
+    combined = _validity(part_a + part_b)
     weighted = (
-        syntax_validity(part_a) * len(part_a) + syntax_validity(part_b) * len(part_b)
+        _validity(part_a) * len(part_a) + _validity(part_b) * len(part_b)
     ) / (len(part_a) + len(part_b))
     assert combined == pytest.approx(weighted, abs=1e-12)
 

@@ -1,4 +1,4 @@
-"""Checkpoint evaluation: invariants, determinism, worker parity."""
+"""Checkpoint evaluation: invariants, determinism, pool parity."""
 
 import multiprocessing
 
@@ -25,7 +25,7 @@ from repairdx.tracking import (
     _measure,
 )
 
-from conftest import SMALL_CORPUS, SMALL_PREDICTIONS, write_jsonl
+from conftest import SMALL_CORPUS, SMALL_PREDICTIONS, force_pool, write_jsonl
 
 
 def examples():
@@ -168,10 +168,12 @@ def test_missing_prediction_is_named():
         evaluate_examples(examples(), by_id)
 
 
-def test_worker_pool_matches_serial_evaluation():
+def test_worker_pool_matches_serial_evaluation(monkeypatch):
     by_id = {p.id: p for p in predictions() if p.step == 500}
-    serial = evaluate_examples(examples(), by_id, workers=1)
-    parallel = evaluate_examples(examples(), by_id, workers=2)
+    serial = evaluate_examples(examples(), by_id)
+    sizes = force_pool(monkeypatch)
+    parallel = evaluate_examples(examples(), by_id)
+    assert sizes == [2]
     assert serial == parallel
 
 
@@ -323,7 +325,7 @@ def test_run_tracking_ignores_secondary_beams():
     assert with_noise == without
 
 
-def test_run_tracking_names_the_step_missing_a_prediction():
+def test_run_tracking_names_the_step_missing_a_prediction(monkeypatch):
     config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
     later = [
         Prediction(id=ex.id, step=1500, prediction=ex.fixed)
@@ -331,8 +333,9 @@ def test_run_tracking_names_the_step_missing_a_prediction():
     ]
     with pytest.raises(InputError, match=r"'bug-002' at step 1500"):
         run_tracking(examples(), predictions() + later, config)
+    force_pool(monkeypatch)
     with pytest.raises(InputError, match=r"'bug-002' at step 1500"):
-        run_tracking(examples(), predictions() + later, config, workers=2)
+        run_tracking(examples(), predictions() + later, config)
 
 
 def test_run_tracking_judges_each_distinct_text_once(monkeypatch):
@@ -366,34 +369,31 @@ def test_pool_results_do_not_depend_on_the_start_method(monkeypatch):
     config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
     serial = run_tracking(examples(), predictions(), config)
     spawn = multiprocessing.get_context("spawn")
+    force_pool(monkeypatch)
+    asked = []
 
     def default_context(method=None):
         assert method is None, "the pool must use the platform's default start method"
+        asked.append(method)
         return spawn
 
     monkeypatch.setattr(multiprocessing, "get_context", default_context)
-    assert run_tracking(examples(), predictions(), config, workers=2) == serial
+    assert run_tracking(examples(), predictions(), config) == serial
+    assert asked == [None]
 
 
-@pytest.mark.parametrize("workers,expected", [(64, 3), (2, 2)])
-def test_pool_has_no_more_workers_than_distinct_texts(monkeypatch, workers, expected):
+@pytest.mark.parametrize("cpus,expected", [(64, 3), (2, 2)])
+def test_pool_has_no_more_workers_than_distinct_texts(monkeypatch, cpus, expected):
     # One step, three distinct prediction texts over four examples.
     texts = ["int a ;", "int b ;", "int a ;", "int c ( ) { }"]
     preds = [Prediction(id=f"bug-00{i}", step=500, prediction=text)
              for i, text in enumerate(texts, 1)]
-    sizes = []
-    real = multiprocessing.get_context()
-
-    class RecordingContext:
-        def Pool(self, processes):
-            sizes.append(processes)
-            return real.Pool(processes)
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda: RecordingContext())
     config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
-    pooled = run_tracking(examples(), preds, config, workers=workers)
+    serial = run_tracking(examples(), preds, config)
+    sizes = force_pool(monkeypatch, cpus=cpus)
+    pooled = run_tracking(examples(), preds, config)
     assert sizes == [expected]
-    assert pooled == run_tracking(examples(), preds, config)
+    assert pooled == serial
 
 
 def test_run_tracking_requires_rank_zero_predictions():
