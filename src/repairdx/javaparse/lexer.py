@@ -44,9 +44,6 @@ _OPERATORS = [
     "+", "-", "*", "/", "%", "&", "|", "^", "!", "~", "=", "<", ">",
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}", "@",
 ]
-_OP_BY_FIRST: dict[str, list[str]] = {}
-for _op in _OPERATORS:
-    _OP_BY_FIRST.setdefault(_op[0], []).append(_op)
 
 IDENT = "ident"
 KEYWORD = "keyword"
@@ -186,9 +183,13 @@ def _dispatch(src: str, i: int) -> Token:
     if ch.isdigit():
         j = _scan_number(src, i)
         return Token(NUMBER, src[i:j], i, j)
-    if ch == "." and i + 1 < n and src[i + 1].isdigit():
-        j = _scan_number(src, i + 1)
-        return Token(NUMBER, src[i:j], i, j)
+    if ch == ".":
+        # The master pattern takes every other operator, and '.' wherever
+        # no digit or non-ASCII word character follows.
+        if i + 1 < n and src[i + 1].isdigit():
+            j = _scan_number(src, i + 1)
+            return Token(NUMBER, src[i:j], i, j)
+        return Token(PUNCT, ".", i, i + 1)
     if ch == '"':
         if src.startswith('"""', i):  # text block
             j = src.find('"""', i + 3)
@@ -200,9 +201,6 @@ def _dispatch(src: str, i: int) -> Token:
     if ch == "'":
         j, ok = _scan_quoted(src, i, "'")
         return Token(CHAR if ok else BAD, src[i:j], i, j)
-    for op in _OP_BY_FIRST.get(ch, ()):
-        if src.startswith(op, i):
-            return Token(PUNCT, op, i, i + len(op))
     return Token(BAD, ch, i, i + 1)
 
 

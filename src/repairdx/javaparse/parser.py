@@ -12,8 +12,10 @@ clean: as a method whose return type is named `record`.
 
 The parser is deterministic: equal inputs yield equal trees. Instances are
 single-use; `parse_java` constructs a fresh one per call. Parse time is
-linear in nesting depth: lambda lookahead reads a paren-match table built
-once per parse, and binary operators are parsed by precedence climbing.
+linear in nesting depth: lookahead builds no nodes, the lambda and
+declaration-head scans skip a parenthesized list through a paren-match
+table built once per parse, and binary operators are parsed by precedence
+climbing.
 
 Recursion is bounded by a depth guard, not by the interpreter. Every
 recursive cycle of the grammar passes through a guarded method
@@ -407,9 +409,7 @@ class JavaParser:
             if self.at("("):
                 kids.append(name)
                 kids.append(self._parse_formal_parameters())
-                while self.at("[") and self.peek(1).text == "]":
-                    kids.append(self.take())
-                    kids.append(self.take())
+                self._parse_dims(kids)
                 if self.at("throws"):
                     kids.append(self.take())
                     kids.append(self._parse_type_list())
@@ -432,10 +432,7 @@ class JavaParser:
             self.depth -= 1
 
     def _parse_declarator_rest(self, name: Node) -> Node:
-        kids = [name]
-        while self.at("[") and self.peek(1).text == "]":
-            kids.append(self.take())
-            kids.append(self.take())
+        kids = self._parse_dims([name])
         if self.at("="):
             kids.append(self.take())
             kids.append(
@@ -496,9 +493,7 @@ class JavaParser:
         if self.at("..."):
             kids.append(self.take())
         kids.append(self.expect_ident())
-        while self.at("[") and self.peek(1).text == "]":
-            kids.append(self.take())
-            kids.append(self.take())
+        self._parse_dims(kids)
         return self._node("formal_parameter", kids)
 
     # ------------------------------------------------------------------
@@ -548,24 +543,32 @@ class JavaParser:
             if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
                 base = self._node("primitive_type", [self.take()])
             else:
-                kids = [self.expect_ident()]
-                if self.at("<"):
-                    kids.append(self._parse_type_arguments())
-                while self.at(".") and self.peek(1).kind == IDENT:
-                    kids.append(self.take())
-                    kids.append(self.take())
-                    if self.at("<"):
-                        kids.append(self._parse_type_arguments())
-                base = self._node("named_type", kids)
-            dims: list[Node] = []
-            while self.at("[") and self.peek(1).text == "]":
-                dims.append(self.take())
-                dims.append(self.take())
-            if dims:
-                return self._node("array_type", [base, *dims])
+                base = self._parse_named_type()
+            kids = self._parse_dims([base])
+            if len(kids) > 1:
+                return self._node("array_type", kids)
             return base
         finally:
             self.depth -= 1
+
+    def _parse_named_type(self) -> Node:
+        """A class type, `A<B>.C<D>`, without array dims."""
+        kids = [self.expect_ident()]
+        if self.at("<"):
+            kids.append(self._parse_type_arguments())
+        while self.at(".") and self.peek(1).kind == IDENT:
+            kids.append(self.take())
+            kids.append(self.take())
+            if self.at("<"):
+                kids.append(self._parse_type_arguments())
+        return self._node("named_type", kids)
+
+    def _parse_dims(self, kids: list[Node]) -> list[Node]:
+        """Append each `[ ]` pair ahead to ``kids``, and return it."""
+        while self.at("[") and self.peek(1).text == "]":
+            kids.append(self.take())
+            kids.append(self.take())
+        return kids
 
     def _parse_type_arguments(self) -> Node:
         kids = [self.take()]  # <
@@ -644,37 +647,59 @@ class JavaParser:
             self.advance()
         return False
 
-    def _local_declaration_ahead(self) -> bool:
-        t = self.peek()
-        if t.kind == PUNCT and t.text == "@":
-            return True
-        if t.kind == KEYWORD and t.text == "final":
-            return True
-        if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
-            return not (self.peek(1).text == "." and self.peek(1).kind == PUNCT)
-        if t.kind != IDENT:
-            return False
-        mark = self.i
-        ok = self._scan_type() and self.at_ident()
-        self.i = mark
-        return ok
+    def _close_paren(self, i: int) -> int | None:
+        """Index of the ')' that matches the '(' at token ``i``, if any.
 
-    def _match_parens(self) -> dict[int, int]:
-        """Index of each '(' token -> index of its matching ')'.
-
-        Built once per parse; an unmatched '(' has no entry. Splitting a
-        composite '>' token in _expect_gt never touches parens, so the
-        table stays valid for the whole parse.
+        The table is built once per parse; an unmatched '(' has no entry.
+        Splitting a composite '>' token in _expect_gt never touches parens,
+        so the table stays valid for the whole parse.
         """
-        match: dict[int, int] = {}
-        open_at: list[int] = []
-        for j, tok in enumerate(self.toks):
-            if tok.kind == PUNCT:
-                if tok.text == "(":
-                    open_at.append(j)
-                elif tok.text == ")" and open_at:
-                    match[open_at.pop()] = j
-        return match
+        if self._paren_match is None:
+            match: dict[int, int] = {}
+            open_at: list[int] = []
+            for j, tok in enumerate(self.toks):
+                if tok.kind == PUNCT:
+                    if tok.text == "(":
+                        open_at.append(j)
+                    elif tok.text == ")" and open_at:
+                        match[open_at.pop()] = j
+            self._paren_match = match
+        return self._paren_match.get(i)
+
+    def _declaration_ahead(self) -> int:
+        """Does `{final | annotation} Type name` start here? The index just
+        past the name if so, else 0.
+
+        This is the head of a local variable declaration (JLS 14.4), of an
+        enhanced for (14.14.2) and of a resource (14.20.3). An annotation is
+        skipped whole, its argument list by the paren-match table.
+        """
+        mark = self.i
+        try:
+            while True:
+                t = self.peek()
+                if t.kind == KEYWORD and t.text == "final":
+                    self.advance()
+                elif t.kind == PUNCT and t.text == "@":
+                    self.advance()
+                    if not self.at_ident():
+                        return 0
+                    self.advance()
+                    while self.at(".") and self.peek(1).kind == IDENT:
+                        self.advance()
+                        self.advance()
+                    if self.at("("):
+                        close = self._close_paren(self.i)
+                        if close is None:
+                            return 0
+                        self.i = close + 1
+                else:
+                    break
+            if self._scan_type() and self.at_ident():
+                return self.i + 1
+            return 0
+        finally:
+            self.i = mark
 
     def _lambda_ahead(self) -> bool:
         t = self.peek()
@@ -682,9 +707,7 @@ class JavaParser:
         if t.kind == IDENT and nxt.kind == PUNCT and nxt.text == "->":
             return True
         if t.kind == PUNCT and t.text == "(":
-            if self._paren_match is None:
-                self._paren_match = self._match_parens()
-            close = self._paren_match.get(self.i)
+            close = self._close_paren(self.i)
             if close is None:
                 return False
             k = self.toks[close + 1]  # EOF follows every ')'
@@ -769,9 +792,10 @@ class JavaParser:
                 if t.text == "class":
                     return self._parse_type_declaration([])
                 if t.text in PRIMITIVE_TYPES:
-                    if self._local_declaration_ahead():
-                        return self._parse_local_declaration()
-                    return self._parse_expression_statement()
+                    nxt = self.peek(1)
+                    if nxt.kind == PUNCT and nxt.text == ".":  # int.class
+                        return self._parse_expression_statement()
+                    return self._parse_local_declaration()
                 if t.text in _LITERAL_KEYWORDS or t.text in ("new", "this", "super"):
                     return self._parse_expression_statement()
                 return self._error_until(frozenset(["}"]), self._stmt_start)
@@ -783,7 +807,7 @@ class JavaParser:
                 if t.text == "yield" and self._yield_statement_ahead():
                     kids = [self.take(), self.parse_expression(), self.expect(";")]
                     return self._node("yield_statement", kids)
-                if self._local_declaration_ahead():
+                if self._declaration_ahead():
                     return self._parse_local_declaration()
                 return self._parse_expression_statement()
             if t.kind in _LITERAL_KINDS:
@@ -846,7 +870,8 @@ class JavaParser:
 
     def _parse_for(self) -> Node:
         kids = [self.take(), self.expect("(")]
-        if self._enhanced_for_ahead():
+        end = self._declaration_ahead()
+        if end and self.toks[end].kind == PUNCT and self.toks[end].text == ":":
             kids.extend(self._parse_modifiers())
             kids.append(self.parse_type())
             kids.append(self.expect_ident())
@@ -855,22 +880,18 @@ class JavaParser:
             kids.append(self.expect(")"))
             kids.append(self.parse_statement())
             return self._node("enhanced_for_statement", kids)
-        if not self.at(";"):
-            if not self._local_declaration_ahead():
-                kids.append(self._parse_expression_list())
-            else:
-                # A local declaration without its ';', parsed in this frame
-                # so that an initializer sits no deeper than in a statement.
-                init = self._parse_modifiers()
-                if self.at("class"):
-                    kids.append(self._parse_type_declaration(init))
-                else:
-                    init.append(self.parse_type())
-                    init.append(self._parse_declarator_rest(self.expect_ident()))
-                    while self.at(","):
-                        init.append(self.take())
-                        init.append(self._parse_declarator_rest(self.expect_ident()))
-                    kids.append(self._node("local_variable_declaration", init))
+        if end:
+            # A local declaration without its ';', parsed in this frame so
+            # that an initializer sits no deeper than in a statement.
+            init = self._parse_modifiers()
+            init.append(self.parse_type())
+            init.append(self._parse_declarator_rest(self.expect_ident()))
+            while self.at(","):
+                init.append(self.take())
+                init.append(self._parse_declarator_rest(self.expect_ident()))
+            kids.append(self._node("local_variable_declaration", init))
+        elif not self.at(";"):
+            kids.append(self._parse_expression_list())
         kids.append(self.expect(";"))
         if not self.at(";"):
             kids.append(self.parse_expression())
@@ -880,28 +901,6 @@ class JavaParser:
         kids.append(self.expect(")"))
         kids.append(self.parse_statement())
         return self._node("for_statement", kids)
-
-    def _enhanced_for_ahead(self) -> bool:
-        mark = self.i
-        try:
-            while True:
-                t = self.peek()
-                if t.kind == KEYWORD and t.text == "final":
-                    self.advance()
-                elif t.kind == PUNCT and t.text == "@":
-                    self.advance()
-                    if self.at_ident():
-                        self.advance()
-                else:
-                    break
-            if not self._scan_type():
-                return False
-            if not self.at_ident():
-                return False
-            self.advance()
-            return self.at(":")
-        finally:
-            self.i = mark
 
     def _parse_expression_list(self) -> Node:
         kids = [self.parse_expression()]
@@ -956,19 +955,14 @@ class JavaParser:
         kids = [self.take(), self.parse_expression(), self.expect(";")]
         return self._node("throw_statement", kids)
 
-    def _parse_break(self) -> Node:
+    def _parse_jump(self) -> Node:
+        """`break` or `continue`, with an optional label; the node is
+        named after the keyword."""
         kids = [self.take()]
         if self.at_ident():
             kids.append(self.take())
         kids.append(self.expect(";"))
-        return self._node("break_statement", kids)
-
-    def _parse_continue(self) -> Node:
-        kids = [self.take()]
-        if self.at_ident():
-            kids.append(self.take())
-        kids.append(self.expect(";"))
-        return self._node("continue_statement", kids)
+        return self._node(f"{kids[0].kind}_statement", kids)
 
     def _parse_assert(self) -> Node:
         kids = [self.take(), self.parse_expression()]
@@ -1015,15 +1009,13 @@ class JavaParser:
         kids = [self.take()]  # (
         while not self.at(")") and not self.at_eof():
             before = self.i
-            res = self._parse_modifiers()
-            if self._scan_type() and self.at_ident():
-                self.i = before
+            if self._declaration_ahead():
                 res = self._parse_modifiers()
                 res.append(self.parse_type())
                 res.append(self.expect_ident())
                 res.append(self.expect("="))
             else:
-                self.i = before
+                res = []
             res.append(self.parse_expression())
             kids.append(self._node("resource", res))
             if self.at(";"):
@@ -1154,15 +1146,16 @@ class JavaParser:
             elif t.text == "[" and self.peek(1).text == "]":
                 # Type-position dims reached through an expression: only
                 # legal as part of `X[].class`.
-                kids = [node]
-                while self.at("[") and self.peek(1).text == "]":
-                    kids.append(self.take())
-                    kids.append(self.take())
-                kids.append(self.expect("."))
-                kids.append(self.expect("class"))
-                return self._node("class_literal", kids)
+                return self._parse_class_literal(node)
             else:
                 return node
+
+    def _parse_class_literal(self, base: Node) -> Node:
+        """The `[ ] ... . class` after a type name or primitive type."""
+        kids = self._parse_dims([base])
+        kids.append(self.expect("."))
+        kids.append(self.expect("class"))
+        return self._node("class_literal", kids)
 
     def _parse_arguments(self) -> Node:
         kids = [self.expect("(")]
@@ -1233,7 +1226,7 @@ class JavaParser:
             base = self._node("primitive_type", [self.take()])
             kids.append(base)
             return self._parse_array_creation_rest(kids)
-        kids.append(self._parse_creation_type())
+        kids.append(self._parse_named_type())
         if self.at("["):
             return self._parse_array_creation_rest(kids)
         if self.at("("):
@@ -1243,17 +1236,6 @@ class JavaParser:
             return self._node("object_creation", kids)
         kids.append(self.missing("("))
         return self._node("object_creation", kids)
-
-    def _parse_creation_type(self) -> Node:
-        kids = [self.expect_ident()]
-        if self.at("<"):
-            kids.append(self._parse_type_arguments())
-        while self.at(".") and self.peek(1).kind == IDENT:
-            kids.append(self.take())
-            kids.append(self.take())
-            if self.at("<"):
-                kids.append(self._parse_type_arguments())
-        return self._node("named_type", kids)
 
     def _parse_array_creation_rest(self, kids: list[Node]) -> Node:
         while self.at("["):
@@ -1287,13 +1269,7 @@ class JavaParser:
                     return self._parse_switch()
                 if t.text in PRIMITIVE_TYPES:
                     # Only as `int.class` / `int[].class`.
-                    kids = [self._node("primitive_type", [self.take()])]
-                    while self.at("[") and self.peek(1).text == "]":
-                        kids.append(self.take())
-                        kids.append(self.take())
-                    kids.append(self.expect("."))
-                    kids.append(self.expect("class"))
-                    return self._node("class_literal", kids)
+                    return self._parse_class_literal(self._node("primitive_type", [self.take()]))
                 return self.missing("expression")
             if t.kind == PUNCT and t.text == "(":
                 kids = [self.take(), self.parse_expression(), self.expect(")")]
@@ -1313,8 +1289,8 @@ _STATEMENT_DISPATCH = {
     "switch": JavaParser._parse_switch,
     "return": JavaParser._parse_return,
     "throw": JavaParser._parse_throw,
-    "break": JavaParser._parse_break,
-    "continue": JavaParser._parse_continue,
+    "break": JavaParser._parse_jump,
+    "continue": JavaParser._parse_jump,
     "assert": JavaParser._parse_assert,
     "synchronized": JavaParser._parse_synchronized,
     "try": JavaParser._parse_try,

@@ -339,3 +339,55 @@ def test_missing_nodes_are_zero_width():
     assert missing
     for node in missing:
         assert node.start == node.end
+
+
+# ----------------------------------------------------------------------
+# declaration heads: `{final | annotation} Type name` (JLS 14.4, 14.14,
+# 14.20.3) is one rule, shared by statements, for heads and resources
+
+HEAD_MODIFIERS = ["", "final ", "@ A ", "@ A ( 1 ) ", "@ a . B ( { 1 , 2 } ) ",
+                  "final @ A ( x = 1 ) "]
+HEAD_TYPES = ["int ", "int [ ] ", "Map . Entry < K , V > ", "var ", "List < ? extends T > [ ] "]
+MEMBER_ONLY_MODIFIERS = ["static ", "public ", "final static ", "@ A static ", "abstract "]
+HEAD_CONTEXTS = {
+    "statement": "void f ( ) {{ {head}x = y ; }}",
+    "for_init": "void f ( ) {{ for ( {head}x = y ; ; ) ; }}",
+    "enhanced_for": "void f ( ) {{ for ( {head}x : xs ) ; }}",
+    "resource": "void f ( ) {{ try ( {head}x = y ) {{ }} }}",
+}
+
+
+@pytest.mark.parametrize("context", sorted(HEAD_CONTEXTS))
+@pytest.mark.parametrize("modifiers", HEAD_MODIFIERS)
+def test_declaration_head_is_valid_in_every_context(context, modifiers):
+    for type_ in HEAD_TYPES:
+        code = HEAD_CONTEXTS[context].format(head=modifiers + type_)
+        assert check_syntax(code).valid, code
+
+
+@pytest.mark.parametrize("context", ["for_init", "enhanced_for", "resource"])
+@pytest.mark.parametrize("modifiers", MEMBER_ONLY_MODIFIERS)
+def test_member_modifier_is_no_for_or_resource_head(context, modifiers):
+    for type_ in HEAD_TYPES:
+        code = HEAD_CONTEXTS[context].format(head=modifiers + type_)
+        assert not check_syntax(code).valid, code
+
+
+def test_local_class_is_no_for_initializer():
+    assert not check_syntax("void f ( ) { for ( final class A { } ; ; ) ; }").valid
+
+
+def test_resource_that_is_no_declaration_holds_its_modifier_once():
+    src = wrap_method("void f ( ) { try ( final r ) { } }")
+    start = src.index("final")
+    spans = [n for n in parse_java(src).walk() if (n.start, n.end) == (start, start + 5)]
+    assert [n.kind for n in spans] == ["final"]
+
+
+def test_nested_annotated_resources_parse_in_linear_time():
+    # The head is probed by tokens only. Parsing its annotation to probe it,
+    # then again, would double the work at every level of this nest.
+    code = "void f ( ) { " + "try ( @ A ( ( ) -> { " * 40 + "} ) R r = g ( ) ) { } " * 40 + "}"
+    start = time.monotonic()
+    assert check_syntax(code).valid
+    assert time.monotonic() - start < 2.0
