@@ -196,9 +196,10 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
     """Replace user-defined identifiers with indexed placeholders.
 
     The input must be a grammatically valid method fragment; abstraction
-    of broken code is undefined and raises an input error that carries
-    the syntax verdict. Already-abstracted code is renumbered into
-    canonical first-occurrence order and otherwise left intact.
+    of broken code, or of code nested past the parser's depth guard, is
+    undefined and raises an input error that carries the syntax verdict.
+    Already-abstracted code is renumbered into canonical first-occurrence
+    order and otherwise left intact.
 
     The fragment is parsed once: the same tree gives the verdict (the one
     :func:`check_syntax` gives) and the identifier categories.
@@ -208,6 +209,12 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
         verdict = _verdict(code, wrapped_root)
     else:
         verdict = check_syntax(code)
+    if verdict.limit_exceeded:
+        raise UnparseableCodeError(
+            f"cannot abstract code nested past the parser's nesting limit "
+            f"(parse stopped at offset {verdict.error_spans[0][0]})",
+            verdict,
+        )
     if not verdict.valid:
         raise UnparseableCodeError(
             f"cannot abstract code that does not parse "

@@ -234,6 +234,12 @@ def _provenance(cfg: argparse.Namespace, **extra_config) -> Provenance:
     return Provenance(seed=cfg.seed, inputs=inputs, config=config)
 
 
+def _past_limit(count: int) -> str:
+    """The stderr summary's note of predictions nested past the parser's
+    depth guard; empty when there are none."""
+    return f", {count} past the nesting limit" if count else ""
+
+
 def _cmd_stats(cfg: argparse.Namespace) -> int:
     print(json.dumps(_corpus_stats_obj(corpus_stats(_load_corpus(cfg))), indent=2))
     return 0
@@ -244,6 +250,7 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
     verdicts: dict[str, SyntaxVerdict] = {}  # each distinct text is judged once
     total = 0
     valid = 0
+    cut = 0
     for lineno, obj in _iter_jsonl(path):
         snippet_id = _require(obj, "id", str, str(path), lineno)
         if cfg.field_name not in obj:
@@ -259,16 +266,19 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
             verdict = verdicts[code] = check_syntax(code)
         total += 1
         valid += 1 if verdict.valid else 0
+        cut += 1 if verdict.limit_exceeded else 0
         print(json.dumps({
             "id": snippet_id,
             "valid": verdict.valid,
+            "limit_exceeded": verdict.limit_exceeded,
             "error_count": verdict.error_count,
             "error_spans": [list(s) for s in verdict.error_spans],
         }))
     if total == 0:
         raise InputError(f"{path}: no snippets found")
     pct = 100.0 * valid / total
-    print(f"checked {total} snippet(s): {valid} valid ({pct:.1f}%)", file=sys.stderr)
+    print(f"checked {total} snippet(s): {valid} valid ({pct:.1f}%){_past_limit(cut)}",
+          file=sys.stderr)
     return 0
 
 
@@ -380,7 +390,7 @@ def _cmd_eval(cfg: argparse.Namespace) -> int:
         f"evaluated {final.n} example(s) at step {step}: "
         f"syntax validity {final.syntax_validity_pct:.1f}%, "
         f"exact match {final.exact_match_pct:.1f}%, "
-        f"copy {final.copy_pct:.1f}%",
+        f"copy {final.copy_pct:.1f}%{_past_limit(final.limit_exceeded_count)}",
     )
 
 
@@ -414,7 +424,8 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
         f"tracked {len(series.records)} checkpoint(s) "
         f"(steps {series.steps[0]}..{series.steps[-1]}): "
         f"final syntax validity {final.syntax_validity_pct:.1f}%, "
-        f"final copy rate {final.copy_pct:.1f}%",
+        f"final copy rate {final.copy_pct:.1f}%"
+        f"{_past_limit(sum(r.limit_exceeded_count for r in series.records))}",
         sample_size=cfg.sample_size, interval_steps=cfg.interval_steps,
         fixed_sample=cfg.fixed_sample,
     )

@@ -1,12 +1,13 @@
 """In-tree error-recovering Java parser (lexer, tree nodes, parser)."""
 
 from .lexer import Token, tokenize
-from .nodes import ERROR, IDENTIFIER, LITERAL, MISSING, Node
+from .nodes import ERROR, IDENTIFIER, LIMIT, LITERAL, MISSING, Node
 from .parser import JavaParser, parse_java
 
 __all__ = [
     "ERROR",
     "IDENTIFIER",
+    "LIMIT",
     "LITERAL",
     "MISSING",
     "JavaParser",

@@ -2,9 +2,11 @@
 
 Two node kinds carry the grammaticality signal: ERROR (a region of input
 the grammar could not place) and MISSING (a zero-width placeholder for a
-required token the input lacks). A tree with neither is syntactically
-clean. All other kinds are ordinary grammar productions; punctuation and
-keyword leaves use their lexeme as the kind.
+required token the input lacks). A third, LIMIT, is zero-width where the
+parser's depth guard stopped the parse: the input is nested too deep to
+judge. A tree with none of them is syntactically clean. All other kinds
+are ordinary grammar productions; punctuation and keyword leaves use
+their lexeme as the kind.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from typing import Iterator
 
 ERROR = "ERROR"
 MISSING = "MISSING"
+LIMIT = "LIMIT"
 IDENTIFIER = "identifier"
 LITERAL = "literal"
+_ERROR_KINDS = frozenset([ERROR, MISSING, LIMIT])
 
 
 @dataclass(repr=False, slots=True)
@@ -28,7 +32,7 @@ class Node:
 
     @property
     def is_error(self) -> bool:
-        return self.kind == ERROR or self.kind == MISSING
+        return self.kind in _ERROR_KINDS
 
     @property
     def is_leaf(self) -> bool:
@@ -42,13 +46,13 @@ class Node:
             stack.extend(reversed(node.children))
 
     def error_nodes(self) -> list["Node"]:
-        """ERROR and MISSING nodes, in the pre-order of `walk`."""
+        """ERROR, MISSING and LIMIT nodes, in the pre-order of `walk`."""
         found = []
         stack = [self]
         while stack:
             node = stack.pop()
             kind = node.kind
-            if kind == ERROR or kind == MISSING:
+            if kind in _ERROR_KINDS:
                 found.append(node)
             if node.children:
                 stack.extend(reversed(node.children))

@@ -24,6 +24,14 @@ annotation), each of which counts one level against `_MAX_DEPTH`. A cycle
 costs at most 10 frames per 3 levels, so the deepest parse stays under
 750 frames and runs at the default recursion limit of 1,000. Nothing here
 touches interpreter-global state, so parsing is safe from any thread.
+
+The guard stops the whole parse: no recovery runs past it, so a nest of
+any depth costs its tokens plus one descent to the guard. The tree of a
+stopped parse says only what is known. When the `( [ {` brackets of the
+input balance, it may be valid Java, and the compilation unit's one child
+is a zero-width LIMIT node at the token where the guard fired. When they
+do not, the input is plainly invalid, and that child is an ERROR node
+over the first unmatched bracket.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .lexer import (
     Token,
     tokenize,
 )
-from .nodes import ERROR, IDENTIFIER, LITERAL, MISSING, Node
+from .nodes import ERROR, IDENTIFIER, LIMIT, LITERAL, MISSING, Node
 
 _MODIFIERS = frozenset(
     [
@@ -92,6 +100,50 @@ _GT_TOKENS = frozenset([">", ">>", ">>>", ">=", ">>=", ">>>="])
 # Guarded levels per parse. Frames per level are kept low (see the module
 # docstring) so that the guard, not the recursion limit, stops a nest.
 _MAX_DEPTH = 220
+
+_OPENERS = frozenset(["(", "[", "{"])
+_CLOSERS = {")": "(", "]": "[", "}": "{"}  # closer -> its opener
+
+
+class _NestingLimit(Exception):
+    """Raised where the depth guard fires; `JavaParser.parse` catches it."""
+
+
+def _first_unmatched_bracket(toks: list[Token]) -> Token | None:
+    """The earliest bracket with no partner, or None when `( [ {` balance.
+
+    A closer closes the innermost open bracket of its kind, and the
+    brackets opened inside that one are unmatched; a closer with no open
+    bracket of its kind is unmatched. So are brackets still open at the end.
+    """
+    open_at: list[Token] = []
+    open_count = dict.fromkeys(_OPENERS, 0)
+    first: Token | None = None
+    for tok in toks:
+        if tok.kind != PUNCT:
+            continue
+        text = tok.text
+        if text in _OPENERS:
+            open_at.append(tok)
+            open_count[text] += 1
+            continue
+        opener = _CLOSERS.get(text)
+        if opener is None:
+            continue
+        if not open_count[opener]:
+            bad = tok
+        else:
+            bad = None
+            while open_at[-1].text != opener:
+                bad = open_at.pop()  # the outermost of those left open
+                open_count[bad.text] -= 1
+            open_at.pop()
+            open_count[opener] -= 1
+        if bad is not None and (first is None or bad.start < first.start):
+            first = bad
+    if open_at and (first is None or open_at[0].start < first.start):
+        return open_at[0]
+    return first
 
 
 class JavaParser:
@@ -189,23 +241,35 @@ class JavaParser:
 
     def parse(self) -> Node:
         children: list[Node] = []
-        if self.at("package"):
-            children.append(self._parse_package())
-        while self.at("import"):
-            children.append(self._parse_import())
-        while not self.at_eof():
-            before = self.i
-            if self.at(";"):
-                children.append(self.take())
-                continue
-            children.append(self._parse_type_declaration())
-            if self.i == before:
-                children.append(
-                    self._error_until(frozenset(["class", "interface", "enum", "@"]))
-                )
+        try:
+            if self.at("package"):
+                children.append(self._parse_package())
+            while self.at("import"):
+                children.append(self._parse_import())
+            while not self.at_eof():
+                before = self.i
+                if self.at(";"):
+                    children.append(self.take())
+                    continue
+                children.append(self._parse_type_declaration())
+                if self.i == before:
+                    children.append(
+                        self._error_until(frozenset(["class", "interface", "enum", "@"]))
+                    )
+        except _NestingLimit:
+            return self._node("compilation_unit", [self._cut()])
         return self._node("compilation_unit", children) if children else Node(
             "compilation_unit", 0, len(self.src)
         )
+
+    def _cut(self) -> Node:
+        """The one node of a parse the depth guard stopped: LIMIT where it
+        fired, or ERROR over the first unmatched bracket."""
+        bad = _first_unmatched_bracket(self.toks)
+        if bad is not None:
+            return Node(ERROR, bad.start, bad.end)
+        p = self.toks[self.i].start
+        return Node(LIMIT, p, p)
 
     def _parse_package(self) -> Node:
         kids = [self.take(), self._parse_qualified_name()]
@@ -248,7 +312,7 @@ class JavaParser:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
-                return self._error_until(frozenset([")"]))
+                raise _NestingLimit
             kids = [self.take(), self.expect_ident()]
             while self.at(".") and self.peek(1).kind == IDENT:
                 kids.append(self.take())
@@ -369,7 +433,7 @@ class JavaParser:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
-                return self._error_until(frozenset(["}"]))
+                raise _NestingLimit
             if self.at(";"):
                 return self.take()
             mods = self._parse_modifiers()
@@ -449,7 +513,7 @@ class JavaParser:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
-                return self._error_until(frozenset(["}", ","]))
+                raise _NestingLimit
             kids = [self.take()]  # {
             while not self.at("}") and not self.at_eof():
                 before = self.i
@@ -538,7 +602,7 @@ class JavaParser:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
-                return self.missing("type")
+                raise _NestingLimit
             t = self.peek()
             if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
                 base = self._node("primitive_type", [self.take()])
@@ -771,7 +835,7 @@ class JavaParser:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
-                return self._error_until(frozenset(["}", ";"]))
+                raise _NestingLimit
             t = self.peek()
             if t.kind == PUNCT:
                 if t.text == "{":
@@ -1033,7 +1097,7 @@ class JavaParser:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
-                return self.missing("expression")
+                raise _NestingLimit
             if self._lambda_ahead():
                 return self._parse_lambda()
             left = self._parse_binary(0)
@@ -1091,7 +1155,7 @@ class JavaParser:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
-                return self.missing("expression")
+                raise _NestingLimit
             t = self.peek()
             if t.kind == PUNCT and t.text in ("+", "-", "++", "--", "!", "~"):
                 kids = [self.take(), self._parse_unary()]
@@ -1251,7 +1315,7 @@ class JavaParser:
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
-                return self.missing("expression")
+                raise _NestingLimit
             t = self.peek()
             if t.kind in _LITERAL_KINDS:
                 return self.take()
@@ -1300,8 +1364,11 @@ _STATEMENT_DISPATCH = {
 def parse_java(src: str) -> Node:
     """Parse a compilation unit; never raises on malformed input.
 
-    Input nested past the depth guard gets ERROR or MISSING nodes where the
-    guard cuts. The parse needs under 750 frames at any depth, so it runs
-    at the interpreter's default recursion limit, which it leaves alone.
+    Input nested past the depth guard stops the parse there: its tree is a
+    compilation unit with one LIMIT node where the guard fired, or with one
+    ERROR node over the first unmatched bracket when the input's `( [ {`
+    do not balance. The parse needs under 750 frames at any depth, so it
+    runs at the interpreter's default recursion limit, which it leaves
+    alone.
     """
     return JavaParser(src).parse()

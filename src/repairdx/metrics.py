@@ -177,3 +177,4 @@ class EvalRecord:
     syntax_valid: bool
     near_copy: bool
     pred_len: int = 0  # characters in the prediction text
+    limit_exceeded: bool = False  # not valid: nested past the parser's depth guard

@@ -216,6 +216,7 @@ def _checkpoint_obj(r: CheckpointRecord) -> dict:
         "step": r.step,
         "n": r.n,
         "syntax_validity_pct": _r(r.syntax_validity_pct),
+        "limit_exceeded_count": r.limit_exceeded_count,
         "exact_match_pct": _r(r.exact_match_pct),
         "copy_pct": _r(r.copy_pct),
         "modification_pct": _r(r.modification_pct),
@@ -235,6 +236,7 @@ def _record_obj(r: EvalRecord) -> dict:
         "edit_distance": r.edit_distance,
         "ned": _r(r.ned),
         "syntax_valid": r.syntax_valid,
+        "limit_exceeded": r.limit_exceeded,
         "near_copy": r.near_copy,
         "pred_len": r.pred_len,
     }
@@ -360,6 +362,7 @@ def _case_obj(case: Case) -> dict:
         "id": case.example_id,
         "behavior": case.behavior.value,
         "syntax_valid": case.verdict.valid,
+        "limit_exceeded": case.verdict.limit_exceeded,
         "error_count": case.verdict.error_count,
         "buggy": case.buggy,
         "fixed": case.fixed,

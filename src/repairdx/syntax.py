@@ -13,6 +13,11 @@ The parser is the in-tree error-recovering one. Spans reported in a
 verdict are translated back into the coordinate system of the original
 fragment and clamped to its bounds, so callers can highlight offending
 regions without knowing about the wrapper.
+
+A fragment nested past the parser's depth guard, with balanced brackets,
+cannot be judged: its verdict is not valid, has one error span where the
+guard fired, and says ``limit_exceeded``. It still counts as not valid
+wherever validity is counted; the flag tells it apart from invalid Java.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bindings
-from .javaparse import Node
+from .javaparse import LIMIT, Node
 
 WRAP_PREFIX = "class __W { "
 # The closing brace goes on a line of its own, so a fragment that ends in
@@ -35,6 +40,8 @@ class SyntaxVerdict:
     valid: bool
     error_count: int
     error_spans: tuple[tuple[int, int], ...] = ()
+    # The parse stopped at the depth guard: not judged, so not valid.
+    limit_exceeded: bool = False
 
     def __bool__(self) -> bool:
         return self.valid
@@ -64,7 +71,8 @@ def _verdict(code: str, root: Node) -> SyntaxVerdict:
     error spans moved back to the fragment and clamped to it.
 
     A clean tree whose wrapper class ends early has one error: the
-    fragment's ``}`` that closed the wrapper.
+    fragment's ``}`` that closed the wrapper. A tree of one LIMIT node has
+    one error, the place where the depth guard stopped the parse.
     """
     lo = len(WRAP_PREFIX)
     raw_spans = sorted((n.start, n.end) for n in root.error_nodes())
@@ -77,4 +85,5 @@ def _verdict(code: str, root: Node) -> SyntaxVerdict:
         (max(0, min(s - lo, len(code))), max(0, min(e - lo, len(code))))
         for s, e in raw_spans
     )
-    return SyntaxVerdict(valid=False, error_count=len(raw_spans), error_spans=spans)
+    return SyntaxVerdict(valid=False, error_count=len(raw_spans), error_spans=spans,
+                         limit_exceeded=root.children[0].kind == LIMIT)

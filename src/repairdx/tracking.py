@@ -8,6 +8,8 @@ enough in total to repay starting worker processes go to one pool, one
 process per CPU, for the whole run; shorter ones are judged in a serial
 loop. Records are built in the calling process and always reduced in
 example-id order, so results are identical at any CPU count.
+A prediction nested past the parser's depth guard is not valid, and
+its record says ``limit_exceeded``; each checkpoint counts those.
 Loss values are ingested from an auxiliary log when available — never
 computed.
 """
@@ -50,6 +52,9 @@ class CheckpointRecord:
     The three behavior-class counts partition the sample, so their
     percentages sum to 100; ``non_copy_pct`` is the complementary view
     (how often the model changed its input at all, exact fixes included).
+    ``limit_exceeded_count`` counts the predictions that are not valid
+    because the parser's depth guard stopped their parse; they stay in
+    ``n``, the denominator of ``syntax_validity_pct``.
     """
 
     step: int
@@ -61,6 +66,7 @@ class CheckpointRecord:
     ned_stats: SummaryStats
     eval_loss: float | None = None
     near_copy_count: int = 0
+    limit_exceeded_count: int = 0
 
     def __post_init__(self):
         if self.n <= 0:
@@ -70,6 +76,11 @@ class CheckpointRecord:
             value = getattr(self, name)
             if not 0 <= value <= self.n:
                 raise InputError(f"{name} out of range [0, {self.n}]: {value!r}")
+        if not 0 <= self.limit_exceeded_count <= self.n - self.valid_count:
+            raise InputError(
+                f"limit_exceeded_count out of range [0, {self.n - self.valid_count}] "
+                f"(n - valid_count): {self.limit_exceeded_count!r}"
+            )
         total = self.exact_match_count + self.copy_count + self.modification_count
         if total != self.n:
             raise InputError(
@@ -113,7 +124,8 @@ class CheckpointSeries:
 # per-example evaluation
 
 def _measure(ex: RepairExample, pred: Prediction, valid: bool,
-             em_normalize: str, ned_tokens: bool) -> EvalRecord:
+             em_normalize: str, ned_tokens: bool,
+             limit_exceeded: bool = False) -> EvalRecord:
     """The record of one prediction, given the syntax verdict on its text."""
     text, fixed = pred.prediction, ex.fixed
     distance = levenshtein(text, fixed)
@@ -132,6 +144,7 @@ def _measure(ex: RepairExample, pred: Prediction, valid: bool,
         syntax_valid=valid,
         near_copy=is_near_copy(text, ex.buggy),
         pred_len=len(text),
+        limit_exceeded=limit_exceeded,
     )
 
 
@@ -144,8 +157,10 @@ def _measure(ex: RepairExample, pred: Prediction, valid: bool,
 _POOL_MIN_CHARS = 160_000
 
 
-def _judge_in_worker(text: str) -> bool:
-    return check_syntax(text).valid
+def _judge_in_worker(text: str) -> tuple[bool, bool]:
+    """``(valid, limit_exceeded)`` of one text's verdict."""
+    verdict = check_syntax(text)
+    return verdict.valid, verdict.limit_exceeded
 
 
 def _tasks(
@@ -186,10 +201,15 @@ def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]],
         with ctx.Pool(processes) as pool:
             verdicts = pool.map(_judge_in_worker, texts, chunksize=chunk)
     else:
-        verdicts = [check_syntax(text).valid for text in texts]
-    valid = dict(zip(texts, verdicts))
-    return [sorted((_measure(ex, pred, valid[pred.prediction], em_normalize, ned_tokens)
-                    for ex, pred in group), key=lambda r: r.example_id) for group in groups]
+        verdicts = list(map(_judge_in_worker, texts))
+    judged = dict(zip(texts, verdicts))
+
+    def measure(ex: RepairExample, pred: Prediction) -> EvalRecord:
+        valid, limit_exceeded = judged[pred.prediction]
+        return _measure(ex, pred, valid, em_normalize, ned_tokens, limit_exceeded)
+
+    return [sorted((measure(ex, pred) for ex, pred in group), key=lambda r: r.example_id)
+            for group in groups]
 
 
 def evaluate_examples(
@@ -222,12 +242,15 @@ def summarize_records(
     counts = {cls: 0 for cls in BehaviorClass}
     valid = 0
     near = 0
+    cut = 0
     for r in records:
         counts[r.behavior] += 1
         if r.syntax_valid:
             valid += 1
         if r.near_copy:
             near += 1
+        if r.limit_exceeded:
+            cut += 1
     return CheckpointRecord(
         step=step,
         n=len(records),
@@ -238,6 +261,7 @@ def summarize_records(
         ned_stats=aggregate([r.ned for r in records]),
         eval_loss=eval_loss,
         near_copy_count=near,
+        limit_exceeded_count=cut,
     )
 
 

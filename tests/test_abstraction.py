@@ -72,6 +72,20 @@ def test_unparseable_input_error_carries_the_verdict():
     assert isinstance(exc_info.value, InputError)
 
 
+def test_code_past_the_nesting_limit_names_the_limit_and_where():
+    code = "Object f ( ) { return " + "( " * 2000 + "a" + " )" * 2000 + " ; }"
+    with pytest.raises(UnparseableCodeError) as exc_info:
+        abstract_identifiers(code)
+    verdict = exc_info.value.verdict
+    assert verdict == check_syntax(code) and verdict.limit_exceeded
+    where = verdict.error_spans[0][0]
+    assert code[where] == "("  # the guard fired inside the nest
+    assert str(exc_info.value) == (
+        "cannot abstract code nested past the parser's nesting limit "
+        f"(parse stopped at offset {where})"
+    )
+
+
 def test_fragment_that_closes_the_wrapper_is_not_abstracted():
     code = "} class X { int y ; "
     with pytest.raises(UnparseableCodeError) as exc_info:

@@ -192,14 +192,68 @@ def test_check_judges_each_distinct_text_once(tmp_path, capsys, monkeypatch):
     assert "checked 6 snippet(s): 4 valid (66.7%)" in captured.err
 
 
+DEEP_NEST = "Object f ( ) { return " + "( " * 90 + "a" + " )" * 90 + " ; }"
+
+
+def test_check_flags_a_cut_verdict_and_counts_it_on_stderr(tmp_path, capsys):
+    snippets = write_jsonl(tmp_path / "snippets.jsonl", [
+        {"id": "deep", "code": DEEP_NEST},
+        {"id": "bad", "code": "int f ( { return 1 ; }"},
+        {"id": "ok", "code": "int f ( ) { return 1 ; }"},
+    ])
+    assert main(["check", "--in", str(snippets)]) == 0
+    captured = capsys.readouterr()
+    lines = [json.loads(l) for l in captured.out.splitlines()]
+    assert [(l["valid"], l["limit_exceeded"]) for l in lines] == [
+        (False, True), (False, False), (True, False),
+    ]
+    assert lines[0]["error_count"] == 1
+    assert captured.err == "checked 3 snippet(s): 1 valid (33.3%), 1 past the nesting limit\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "track"])
+def test_eval_and_track_count_cut_predictions_on_stderr(command, tmp_path, capsys):
+    corpus = [{"id": "a", "buggy": "int f ( ) { return 1 ; }",
+               "fixed": "int f ( ) { return 2 ; }"},
+              {"id": "b", "buggy": "int g ( ) { return 1 ; }",
+               "fixed": "int g ( ) { return 2 ; }"}]
+    preds = [{"id": "a", "step": 500, "prediction": DEEP_NEST},
+             {"id": "b", "step": 500, "prediction": "int g ( ) { return 2 ; }"}]
+    out = tmp_path / "out"
+    assert main([command, "--corpus", str(write_jsonl(tmp_path / "c.jsonl", corpus)),
+                 "--preds", str(write_jsonl(tmp_path / "p.jsonl", preds)),
+                 "--out", str(out), "--cases", "2"]) == 0
+    err = capsys.readouterr().err
+    assert err.endswith(", 1 past the nesting limit\n")
+    assert "syntax validity 50.0%" in err
+    cases = json.loads((out / "cases.json").read_text())["cases"]
+    assert [(c["id"], c["syntax_valid"], c["limit_exceeded"]) for c in cases] == [
+        ("a", False, True), ("b", True, False),
+    ]
+    row = json.loads((out / "report.json").read_text())["final"]
+    assert row["limit_exceeded_count"] == 1
+    header = (out / "checkpoints.csv").read_text().splitlines()[0]
+    assert header == report_module.CHECKPOINTS_HEADER  # no new column
+
+
+def test_abstract_of_a_cut_fragment_names_the_limit(tmp_path, capsys):
+    corpus = write_jsonl(tmp_path / "c.jsonl", [
+        {"id": "deep", "buggy": DEEP_NEST, "fixed": DEEP_NEST},
+    ])
+    assert main(["abstract", "--corpus", str(corpus), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: example 'deep': cannot abstract code nested past "
+                          "the parser's nesting limit (parse stopped at offset ")
+
+
 def test_check_honors_field_flag(tmp_path, capsys):
     snippets = write_jsonl(tmp_path / "snippets.jsonl", [
         {"id": "s1", "snippet": "void g ( ) { }"},
     ])
     assert main(["check", "--in", str(snippets), "--field", "snippet"]) == 0
     verdict = json.loads(capsys.readouterr().out.splitlines()[0])
-    assert verdict == {"id": "s1", "valid": True, "error_count": 0,
-                       "error_spans": []}
+    assert verdict == {"id": "s1", "valid": True, "limit_exceeded": False,
+                       "error_count": 0, "error_spans": []}
 
 
 def test_check_missing_field_names_available_ones(tmp_path, capsys):

@@ -93,11 +93,16 @@ EXPECTED = {
     ),
     "check": (
         0,
-        ('{"id": "s1", "valid": true, "error_count": 0, "error_spans": []}\n'
-         '{"id": "s2", "valid": false, "error_count": 2, "error_spans": [[8, 8], [8, 8]]}\n'
-         '{"id": "s3", "valid": true, "error_count": 0, "error_spans": []}\n'
-         '{"id": "s4", "valid": false, "error_count": 1, "error_spans": [[33, 33]]}\n'
-         '{"id": "s5", "valid": false, "error_count": 1, "error_spans": [[0, 0]]}\n'),
+        ('{"id": "s1", "valid": true, "limit_exceeded": false, "error_count": 0, '
+         '"error_spans": []}\n'
+         '{"id": "s2", "valid": false, "limit_exceeded": false, "error_count": 2, '
+         '"error_spans": [[8, 8], [8, 8]]}\n'
+         '{"id": "s3", "valid": true, "limit_exceeded": false, "error_count": 0, '
+         '"error_spans": []}\n'
+         '{"id": "s4", "valid": false, "limit_exceeded": false, "error_count": 1, '
+         '"error_spans": [[33, 33]]}\n'
+         '{"id": "s5", "valid": false, "limit_exceeded": false, "error_count": 1, '
+         '"error_spans": [[0, 0]]}\n'),
         "checked 5 snippet(s): 2 valid (40.0%)\n",
         {},
     ),
@@ -115,13 +120,13 @@ EXPECTED = {
             "behavior.csv":
                 "0a92878008f6ef0372a99cee53c0a63ef37241e97a957da4ff85fb3e4bde6497",
             "cases.json":
-                "2ccbf306667260ec31cdc5d57c093e48e87df6767bd5d776b0f30771f76eaabe",
+                "39b44fb88a28bbae8e0b70a93bf84d396aeeb8a99b92910fb3eaa6ed15699655",
             "checkpoints.csv":
                 "f958c7ba5e85b82996e42b820e035ef859295f94a93607d424d881b3601f8580",
             "records.jsonl":
-                "22eaac62df965c8ab262733741aa3f73693cbf1262a8a0d783c13f3762ed3654",
+                "21857ecb854f0c52bbfd819e7cb8f6b0eba3df909002aa3f782b6ff7af603192",
             "report.json":
-                "cda72afb38ed7c09b95b01d634848e1bdd432c4d81b0b24dcb6dd5d37eabc7df",
+                "3e84cead0a515dab27079f0c8e66b52b8cee2b2c0796fc5b0a7264a19bd9578f",
             "table1.csv":
                 "adc86b16f445387c2ed6acf66748b1932980766c4b5d3fb4a7c3ec65b01a1d1a",
         },
@@ -132,7 +137,7 @@ EXPECTED = {
         "sampled 2 case(s) at step 1000\n",
         {
             "cases.json":
-                "2ccbf306667260ec31cdc5d57c093e48e87df6767bd5d776b0f30771f76eaabe",
+                "39b44fb88a28bbae8e0b70a93bf84d396aeeb8a99b92910fb3eaa6ed15699655",
         },
     ),
     "stats": (
@@ -165,13 +170,13 @@ EXPECTED = {
             "behavior.csv":
                 "0a92878008f6ef0372a99cee53c0a63ef37241e97a957da4ff85fb3e4bde6497",
             "cases.json":
-                "2ccbf306667260ec31cdc5d57c093e48e87df6767bd5d776b0f30771f76eaabe",
+                "39b44fb88a28bbae8e0b70a93bf84d396aeeb8a99b92910fb3eaa6ed15699655",
             "checkpoints.csv":
                 "33b5fdaafc376101fad9d062f1635b4b77ad48b25e8e8fa36d5ae552e4bd11da",
             "records.jsonl":
-                "3716720f6b19055f3826f57ee56a3e03ba41f3f203dd7da304c8520e0e337624",
+                "f221bfc14c9a571b381528cba6d17b87cbea253d831139aca31b415e3dc08daf",
             "report.json":
-                "9092ee1545a9ba7c0c449571da8eb8373affa03dbac61140c77aec6f2238af6c",
+                "f041a2afe353137b154ee68649804578e8bfedf86ecb5017eb31ea1c5d5bdc7d",
             "table1.csv":
                 "adc86b16f445387c2ed6acf66748b1932980766c4b5d3fb4a7c3ec65b01a1d1a",
         },

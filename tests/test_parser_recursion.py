@@ -6,7 +6,9 @@ reached long before the default limit of 1,000 frames. These tests count
 the frames below ``JavaParser.parse`` with ``sys.setprofile`` on one
 nesting family per recursive cycle, parse each family at its guard
 boundary in a fresh thread, and check that parsing leaves the recursion
-limit alone.
+limit alone. Where the guard fires the parse stops: a verdict past it
+says ``limit_exceeded`` when the brackets balance, and is plainly
+invalid when they do not.
 """
 
 import json
@@ -20,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repairdx.cli import main
-from repairdx.javaparse import JavaParser, parse_java
+from repairdx.javaparse import LIMIT, JavaParser, parse_java
 from repairdx.syntax import check_syntax, wrap_method
 
-from conftest import write_jsonl
+from conftest import force_pool, write_jsonl
 
 FRAME_BUDGET = 750
 DEFAULT_RECURSION_LIMIT = 1000
@@ -154,9 +156,12 @@ def test_family_parses_at_its_boundary_in_a_fresh_thread(family):
     assert sys.getrecursionlimit() == DEFAULT_RECURSION_LIMIT
     build, boundary = FAMILIES[family]
     verdicts = in_fresh_thread(
-        lambda: [check_syntax(build(d)).valid for d in (boundary - 1, boundary, boundary + 1)]
+        lambda: [check_syntax(build(d)) for d in (boundary - 1, boundary, boundary + 1)]
     )
-    assert verdicts == [True, False, False]
+    assert [v.valid for v in verdicts] == [True, False, False]
+    # Every family balances its brackets, so past the guard it is cut.
+    assert [v.limit_exceeded for v in verdicts] == [False, True, True]
+    assert [v.error_count for v in verdicts] == [0, 1, 1]
 
 
 def test_parsing_never_sets_the_recursion_limit(monkeypatch):
@@ -198,6 +203,53 @@ def test_check_judges_a_10000_deep_annotation_invalid(tmp_path, capsys):
     assert main(["check", "--in", str(snippets)]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["id"] == "deep" and verdict["valid"] is False
+
+
+def test_unbalanced_deep_nest_is_plainly_invalid():
+    code = _ret("( " * 300 + "a" + " )" * 299)
+    verdict = check_syntax(code)
+    assert not verdict.valid and not verdict.limit_exceeded
+    start = code.index("(", code.index("return"))  # the outermost, unclosed one
+    assert verdict.error_count == 1
+    assert verdict.error_spans == ((start, start + 1),)
+
+
+def test_balanced_5000_deep_nest_stops_at_the_guard():
+    code = FAMILIES["parentheses"][0](5000)
+    root = parse_java(wrap_method(code))
+    # One LIMIT node and nothing else: no recovery ran after the cut.
+    assert [n.kind for n in root.error_nodes()] == [LIMIT]
+    assert [n.kind for n in root.children] == [LIMIT]
+    verdict = check_syntax(code)
+    assert verdict.error_count == 1 and verdict.limit_exceeded
+
+
+def test_pooled_and_serial_track_agree_on_cut_predictions(tmp_path, capsys, monkeypatch):
+    deep = FAMILIES["parentheses"][0]
+    corpus = [{"id": f"e{i}", "buggy": _ret("a"), "fixed": _ret("b")} for i in range(4)]
+    texts = [deep(100), deep(2000), _ret("( " * 300 + "a" + " )" * 299), _ret("b")]
+    preds = [{"id": row["id"], "step": step, "prediction": text}
+             for step in (500, 1000) for row, text in zip(corpus, texts)]
+    corpus_path = write_jsonl(tmp_path / "corpus.jsonl", corpus)
+    preds_path = write_jsonl(tmp_path / "preds.jsonl", preds)
+    outputs = []
+    sizes = []
+    for run in ("serial", "pooled"):
+        if run == "pooled":
+            sizes = force_pool(monkeypatch)
+        out = tmp_path / run
+        assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
+                     "--out", str(out), "--cases", "4"]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert sizes == [2]
+    assert outputs[0] == outputs[1]
+    records = [json.loads(line) for line in outputs[0]["records.jsonl"].splitlines()]
+    assert [(r["syntax_valid"], r["limit_exceeded"]) for r in records] == [
+        (False, True), (False, True), (False, False), (True, False),
+    ] * 2
+    report = json.loads(outputs[0]["report.json"])
+    assert [row["limit_exceeded_count"] for row in report["series"]] == [2, 2]
+    assert [row["syntax_validity_pct"] for row in report["series"]] == [25.0, 25.0]
 
 
 # Random token soup around deep nests of every opener the grammar recurses on.

@@ -196,7 +196,7 @@ def test_records_jsonl_carries_per_example_rows(tmp_path):
     sample = rows[0]
     assert set(sample) == {
         "id", "step", "behavior", "exact", "edit_distance", "ned",
-        "syntax_valid", "near_copy", "pred_len",
+        "syntax_valid", "limit_exceeded", "near_copy", "pred_len",
     }
 
 

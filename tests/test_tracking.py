@@ -70,6 +70,32 @@ def test_percentages_must_stay_in_range():
         )
 
 
+def test_limit_exceeded_count_is_at_most_the_invalid_count():
+    def record(valid, cut):
+        return CheckpointRecord(
+            step=0, n=4, valid_count=valid, exact_match_count=0, copy_count=0,
+            modification_count=4, ned_stats=aggregate([0.5]), limit_exceeded_count=cut,
+        )
+
+    assert record(valid=1, cut=3).limit_exceeded_count == 3
+    with pytest.raises(InputError, match="limit_exceeded_count out of range"):
+        record(valid=2, cut=3)
+    with pytest.raises(InputError, match="limit_exceeded_count out of range"):
+        record(valid=0, cut=-1)
+
+
+def test_summarize_counts_cut_predictions_as_invalid():
+    records = [
+        EvalRecord(example_id=f"e{i}", step=0, behavior=BehaviorClass.MODIFICATION,
+                   exact=False, edit_distance=1, ned=0.5, syntax_valid=valid,
+                   near_copy=False, limit_exceeded=cut)
+        for i, (valid, cut) in enumerate([(True, False), (False, True), (False, False)])
+    ]
+    record = summarize_records(records)
+    assert record.limit_exceeded_count == 1
+    assert record.valid_count == 1 and record.n == 3
+
+
 def test_empty_checkpoint_is_rejected():
     with pytest.raises(InputError, match="no examples"):
         checkpoint(n=0)
