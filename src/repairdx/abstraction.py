@@ -72,8 +72,15 @@ _PSEUDO_KEYWORDS = frozenset(["var"])
 
 _NEVER_ABSTRACT = JAVA_LANG_NAMES | _PSEUDO_KEYWORDS
 
-_TYPE_DECL_KINDS = frozenset(
+_SKIP_SUBTREES = frozenset(["package_declaration", "import_declaration"])
+
+# Kinds whose direct identifier children all name a type. A type
+# declaration has one such child: the name it declares.
+_TYPE_NAME_KINDS = frozenset(
     [
+        "named_type",
+        "annotation",
+        "type_parameter",
         "class_declaration",
         "interface_declaration",
         "enum_declaration",
@@ -81,7 +88,13 @@ _TYPE_DECL_KINDS = frozenset(
     ]
 )
 
-_SKIP_SUBTREES = frozenset(["package_declaration", "import_declaration"])
+# Kinds whose direct identifier child is a name when the sibling right
+# after it is of the given kind: that kind, and the name's category.
+_NAMED_BEFORE = {
+    "method_declaration": ("formal_parameters", _METHOD),
+    "constructor_declaration": ("formal_parameters", _TYPE),
+    "method_invocation": ("argument_list", _METHOD),
+}
 
 
 class UnparseableCodeError(InputError):
@@ -133,62 +146,45 @@ class AbstractionMapping:
         }
 
 
-def _local_roles(node: Node) -> dict[int, str]:
-    """Category overrides for *direct* identifier children of one node."""
-    kind = node.kind
-    roles: dict[int, str] = {}
-    cs = node.children
-    if kind == "named_type" or kind == "annotation" or kind == "type_parameter":
-        for c in cs:
-            if c.kind == IDENTIFIER:
-                roles[id(c)] = _TYPE
-    elif kind in _TYPE_DECL_KINDS:
-        for c in cs:
-            if c.kind == IDENTIFIER:
-                roles[id(c)] = _TYPE
-                break  # only the declared name is a direct identifier child
-    elif kind == "method_declaration":
-        for i, c in enumerate(cs[:-1]):
-            if c.kind == IDENTIFIER and cs[i + 1].kind == "formal_parameters":
-                roles[id(c)] = _METHOD
-    elif kind == "constructor_declaration":
-        for i, c in enumerate(cs[:-1]):
-            if c.kind == IDENTIFIER and cs[i + 1].kind == "formal_parameters":
-                roles[id(c)] = _TYPE
-    elif kind == "method_invocation":
-        for i, c in enumerate(cs[:-1]):
-            if c.kind == IDENTIFIER and cs[i + 1].kind == "argument_list":
-                roles[id(c)] = _METHOD
-    elif kind == "method_reference":
-        after_colons = False
-        for c in cs:
-            if c.kind == "::":
-                after_colons = True
-            elif after_colons and c.kind == IDENTIFIER:
-                roles[id(c)] = _METHOD
-    return roles
-
-
 def _identifier_occurrences(root: Node) -> list[tuple[int, int, str, str]]:
-    """All identifier leaves as (start, end, text, category), source order."""
+    """All identifier leaves under ``root`` as (start, end, text, category),
+    in no set order.
+
+    A leaf's category is worked out while its parent's children are
+    scanned: from the parent's kind and the leaf's siblings, or else from
+    the nearest enclosing class literal. Only inner nodes go on the stack.
+    """
     out: list[tuple[int, int, str, str]] = []
-    stack: list[tuple[Node, str | None]] = [(root, None)]
+    stack: list[tuple[Node, str]] = [(root, _VARIABLE)]
     while stack:
         node, deep = stack.pop()
-        if node.kind == IDENTIFIER:
-            out.append((node.start, node.end, node.text, deep or _VARIABLE))
+        kind = node.kind
+        if kind in _SKIP_SUBTREES:
             continue
-        if node.kind in _SKIP_SUBTREES:
-            continue
-        if node.kind == "class_literal":
+        if kind == "class_literal":
             # The receiver of `Foo.Bar.class` names a type, however deep
             # the dotted chain nests.
-            for child in reversed(node.children):
-                stack.append((child, _TYPE))
-            continue
-        local = _local_roles(node)
-        for child in reversed(node.children):
-            stack.append((child, local.get(id(child), deep)))
+            deep = _TYPE
+        children = node.children
+        named_by = _NAMED_BEFORE.get(kind)
+        for i, child in enumerate(children):
+            if child.children:
+                stack.append((child, deep))
+                continue
+            if child.kind != IDENTIFIER:
+                continue
+            category = deep
+            if kind in _TYPE_NAME_KINDS:
+                category = _TYPE
+            elif named_by is not None:
+                follower, role = named_by
+                if i + 1 < len(children) and children[i + 1].kind == follower:
+                    category = role
+            elif kind == "method_reference" and i:
+                # The receiver is the first child; any identifier after it
+                # follows `::` and names the method.
+                category = _METHOD
+            out.append((child.start, child.end, child.text, category))
     return out
 
 

@@ -4,7 +4,7 @@
 ``perfbench/traced.py`` times verdict parses by wrapping ``parse_java``
 here, which is why :func:`repairdx.syntax.check_syntax` looks the parser
 up on this module at call time. Both stay only until the benchmark stops
-naming them (ROADMAP item 6); this module then goes.
+naming them (ROADMAP item 1, benchmark v2); this module then goes.
 """
 
 from __future__ import annotations

@@ -47,15 +47,19 @@ class Node:
 
     def error_nodes(self) -> list["Node"]:
         """ERROR, MISSING and LIMIT nodes, in the pre-order of `walk`."""
-        found = []
-        stack = [self]
+        found = [self] if self.kind in _ERROR_KINDS else []
+        # One iterator per open inner node: a leaf is looked at where its
+        # parent's children are scanned, and never pushed.
+        stack = [iter(self.children)]
         while stack:
-            node = stack.pop()
-            kind = node.kind
-            if kind in _ERROR_KINDS:
-                found.append(node)
-            if node.children:
-                stack.extend(reversed(node.children))
+            for node in stack[-1]:
+                if node.kind in _ERROR_KINDS:
+                    found.append(node)
+                if node.children:
+                    stack.append(iter(node.children))
+                    break
+            else:
+                stack.pop()
         return found
 
     def sexp(self) -> str:

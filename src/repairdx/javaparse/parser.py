@@ -151,9 +151,9 @@ class JavaParser:
 
     def __init__(self, src: str):
         self.src = src
-        # A copy padded with a second EOF, so that peek(1) needs no bounds
-        # check (`i` never moves past the first EOF) and the list that
-        # tokenize returned keeps its one EOF.
+        # A copy padded with a second EOF, so that the token after the
+        # current one needs no bounds check (`i` never moves past the first
+        # EOF) and the list that tokenize returned keeps its one EOF.
         toks = tokenize(src)
         self.toks = toks + toks[-1:]
         self.i = 0
@@ -164,7 +164,9 @@ class JavaParser:
     # token plumbing
 
     def peek(self, k: int = 0) -> Token:
-        """The token ``k`` ahead; lookahead never goes past ``k`` = 1."""
+        """The token ``k`` ahead; lookahead never goes past ``k`` = 1. The
+        rules below index ``self.toks`` instead, which saves a call on
+        every token test."""
         return self.toks[self.i + k]
 
     def at_eof(self) -> bool:
@@ -190,18 +192,23 @@ class JavaParser:
     def take(self) -> Node:
         """The current token as a leaf node; its kind is its lexeme unless
         the token kind names one."""
-        kind, text, start, end = self.advance()
+        kind, text, start, end = self.toks[self.i]
+        if kind != EOF:
+            self.i += 1
         return Node(_LEAF_KIND.get(kind, text), start, end, [], text)
 
     def expect(self, text: str) -> Node:
-        t = self.toks[self.i]
-        if t.text == text and (t.kind == PUNCT or t.kind == KEYWORD):
-            return self.take()
+        kind, t_text, start, end = self.toks[self.i]
+        if t_text == text and (kind == PUNCT or kind == KEYWORD):
+            self.i += 1
+            return Node(text, start, end, [], text)
         return self.missing(text)
 
     def expect_ident(self) -> Node:
-        if self.at_ident():
-            return self.take()
+        kind, text, start, end = self.toks[self.i]
+        if kind == IDENT:
+            self.i += 1
+            return Node(IDENTIFIER, start, end, [], text)
         return self.missing("identifier")
 
     def missing(self, what: str) -> Node:
@@ -209,21 +216,20 @@ class JavaParser:
         return Node(MISSING, p, p, [], what)
 
     def _node(self, kind: str, children: list[Node]) -> Node:
-        """A node over ``children``, a list it takes ownership of."""
+        """A node over ``children``, a list it takes ownership of. Children
+        come in source order, so the last one ends the node."""
         if children:
-            start = children[0].start
-            end = max([c.end for c in children])
-        else:
-            start = end = self.toks[self.i].start
-        return Node(kind, start, end, children)
+            return Node(kind, children[0].start, children[-1].end, children)
+        start = self.toks[self.i].start
+        return Node(kind, start, start, children)
 
     def _error_until(self, stop_texts: frozenset[str], stop_pred=None) -> Node:
         """Consume at least one token, then up to a synchronization point."""
-        start = self.peek().start
+        start = self.toks[self.i].start
         end = start
         first = True
         while not self.at_eof():
-            t = self.peek()
+            t = self.toks[self.i]
             if not first:
                 if t.text in stop_texts and t.kind in (PUNCT, KEYWORD):
                     break
@@ -289,7 +295,7 @@ class JavaParser:
 
     def _parse_qualified_name(self) -> Node:
         kids = [self.expect_ident()]
-        while self.at(".") and self.peek(1).kind == IDENT:
+        while self.at(".") and self.toks[self.i + 1].kind == IDENT:
             kids.append(self.take())
             kids.append(self.take())
         return self._node("qualified_name", kids)
@@ -300,10 +306,10 @@ class JavaParser:
     def _parse_modifiers(self) -> list[Node]:
         mods: list[Node] = []
         while True:
-            t = self.peek()
+            t = self.toks[self.i]
             if t.kind == KEYWORD and t.text in _MODIFIERS:
                 mods.append(self.take())
-            elif t.kind == PUNCT and t.text == "@" and self.peek(1).text != "interface":
+            elif t.kind == PUNCT and t.text == "@" and self.toks[self.i + 1].text != "interface":
                 mods.append(self._parse_annotation())
             else:
                 return mods
@@ -314,7 +320,7 @@ class JavaParser:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
             kids = [self.take(), self.expect_ident()]
-            while self.at(".") and self.peek(1).kind == IDENT:
+            while self.at(".") and self.toks[self.i + 1].kind == IDENT:
                 kids.append(self.take())
                 kids.append(self.take())
             if self.at("("):
@@ -322,7 +328,7 @@ class JavaParser:
                 if not self.at(")") and not self.at_eof():
                     while True:
                         before = self.i
-                        nxt = self.peek(1)
+                        nxt = self.toks[self.i + 1]
                         if self.at_ident() and nxt.kind == PUNCT and nxt.text == "=":
                             # An element-value pair, as an assignment node.
                             pair = [self.take(), self.take(), self._parse_annotation_value()]
@@ -359,9 +365,9 @@ class JavaParser:
         if mods is None:
             mods = self._parse_modifiers()
         kids = list(mods)
-        t = self.peek()
+        t = self.toks[self.i]
         word = t.text if t.kind in (PUNCT, KEYWORD) else ""
-        if word == "@" and self.peek(1).text == "interface":
+        if word == "@" and self.toks[self.i + 1].text == "interface":
             kids.append(self.take())  # @
             kids.append(self.take())  # interface
             kids.append(self.expect_ident())
@@ -442,14 +448,14 @@ class JavaParser:
                 kids.append(self.parse_block())
                 return self._node("initializer", kids)
             if self.at_any(("class", "interface", "enum")) or (
-                self.at("@") and self.peek(1).text == "interface"
+                self.at("@") and self.toks[self.i + 1].text == "interface"
             ):
                 return self._parse_type_declaration(mods)
             kids = list(mods)
             if self.at("<"):
                 kids.append(self._parse_type_parameters())
             # Constructor: bare name directly followed by its parameter list.
-            if self.at_ident() and self.peek(1).text == "(" and self.peek(1).kind == PUNCT:
+            if self.at_ident() and self.toks[self.i + 1].text == "(" and self.toks[self.i + 1].kind == PUNCT:
                 kids.append(self.take())
                 kids.append(self._parse_formal_parameters())
                 if self.at("throws"):
@@ -457,7 +463,7 @@ class JavaParser:
                     kids.append(self._parse_type_list())
                 kids.append(self.parse_block() if self.at("{") else self.missing("{"))
                 return self._node("constructor_declaration", kids)
-            t = self.peek()
+            t = self.toks[self.i]
             can_start_type = self.at_ident() or (
                 t.kind == KEYWORD and t.text in PRIMITIVE_TYPES
             )
@@ -549,7 +555,7 @@ class JavaParser:
 
     def _parse_formal_parameter(self) -> Node:
         kids = self._parse_modifiers()
-        t = self.peek()
+        t = self.toks[self.i]
         if not (self.at_ident() or (t.kind == KEYWORD and t.text in PRIMITIVE_TYPES)):
             kids.append(self.missing("parameter"))
             return self._node("formal_parameter", kids)
@@ -585,11 +591,11 @@ class JavaParser:
         return self._node("type_parameters", kids)
 
     def _at_gt(self) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == PUNCT and t.text in _GT_TOKENS
 
     def _expect_gt(self) -> Node:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind == PUNCT and t.text == ">":
             return self.take()
         if t.kind == PUNCT and t.text in _GT_TOKENS:
@@ -603,7 +609,7 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
-            t = self.peek()
+            t = self.toks[self.i]
             if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
                 base = self._node("primitive_type", [self.take()])
             else:
@@ -620,7 +626,7 @@ class JavaParser:
         kids = [self.expect_ident()]
         if self.at("<"):
             kids.append(self._parse_type_arguments())
-        while self.at(".") and self.peek(1).kind == IDENT:
+        while self.at(".") and self.toks[self.i + 1].kind == IDENT:
             kids.append(self.take())
             kids.append(self.take())
             if self.at("<"):
@@ -629,7 +635,7 @@ class JavaParser:
 
     def _parse_dims(self, kids: list[Node]) -> list[Node]:
         """Append each `[ ]` pair ahead to ``kids``, and return it."""
-        while self.at("[") and self.peek(1).text == "]":
+        while self.at("[") and self.toks[self.i + 1].text == "]":
             kids.append(self.take())
             kids.append(self.take())
         return kids
@@ -662,7 +668,7 @@ class JavaParser:
     # speculative scanning (index-only, no node construction)
 
     def _scan_type(self) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
             self.advance()
             self._scan_dims()
@@ -672,7 +678,7 @@ class JavaParser:
         self.advance()
         if self.at("<") and not self._scan_type_args():
             return False
-        while self.at(".") and self.peek(1).kind == IDENT:
+        while self.at(".") and self.toks[self.i + 1].kind == IDENT:
             self.advance()
             self.advance()
             if self.at("<") and not self._scan_type_args():
@@ -681,14 +687,14 @@ class JavaParser:
         return True
 
     def _scan_dims(self) -> None:
-        while self.at("[") and self.peek(1).text == "]":
+        while self.at("[") and self.toks[self.i + 1].text == "]":
             self.advance()
             self.advance()
 
     def _scan_type_args(self) -> bool:
         depth = 0
         while not self.at_eof():
-            t = self.peek()
+            t = self.toks[self.i]
             if t.kind == PUNCT:
                 if t.text == "<":
                     depth += 1
@@ -741,7 +747,7 @@ class JavaParser:
         mark = self.i
         try:
             while True:
-                t = self.peek()
+                t = self.toks[self.i]
                 if t.kind == KEYWORD and t.text == "final":
                     self.advance()
                 elif t.kind == PUNCT and t.text == "@":
@@ -749,7 +755,7 @@ class JavaParser:
                     if not self.at_ident():
                         return 0
                     self.advance()
-                    while self.at(".") and self.peek(1).kind == IDENT:
+                    while self.at(".") and self.toks[self.i + 1].kind == IDENT:
                         self.advance()
                         self.advance()
                     if self.at("("):
@@ -766,8 +772,8 @@ class JavaParser:
             self.i = mark
 
     def _lambda_ahead(self) -> bool:
-        t = self.peek()
-        nxt = self.peek(1)
+        t = self.toks[self.i]
+        nxt = self.toks[self.i + 1]
         if t.kind == IDENT and nxt.kind == PUNCT and nxt.text == "->":
             return True
         if t.kind == PUNCT and t.text == "(":
@@ -783,14 +789,14 @@ class JavaParser:
         mark = self.i
         try:
             self.advance()  # (
-            t = self.peek()
+            t = self.toks[self.i]
             primitive = t.kind == KEYWORD and t.text in PRIMITIVE_TYPES
             if not self._scan_type():
                 return False
             if not self.at(")"):
                 return False
             self.advance()
-            nxt = self.peek()
+            nxt = self.toks[self.i]
             if nxt.kind in (IDENT, NUMBER, STRING, CHAR):
                 return True
             if nxt.kind == KEYWORD:
@@ -818,7 +824,7 @@ class JavaParser:
         return self._node("block", kids)
 
     def _stmt_start(self) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind in (IDENT, NUMBER, STRING, CHAR):
             return True
         if t.kind == KEYWORD:
@@ -836,7 +842,7 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
-            t = self.peek()
+            t = self.toks[self.i]
             if t.kind == PUNCT:
                 if t.text == "{":
                     return self.parse_block()
@@ -856,7 +862,7 @@ class JavaParser:
                 if t.text == "class":
                     return self._parse_type_declaration([])
                 if t.text in PRIMITIVE_TYPES:
-                    nxt = self.peek(1)
+                    nxt = self.toks[self.i + 1]
                     if nxt.kind == PUNCT and nxt.text == ".":  # int.class
                         return self._parse_expression_statement()
                     return self._parse_local_declaration()
@@ -864,7 +870,7 @@ class JavaParser:
                     return self._parse_expression_statement()
                 return self._error_until(frozenset(["}"]), self._stmt_start)
             if t.kind == IDENT:
-                nxt = self.peek(1)
+                nxt = self.toks[self.i + 1]
                 if nxt.kind == PUNCT and nxt.text == ":":
                     kids = [self.take(), self.take(), self.parse_statement()]
                     return self._node("labeled_statement", kids)
@@ -882,7 +888,7 @@ class JavaParser:
 
     def _yield_statement_ahead(self) -> bool:
         """`yield <expr>` vs. `yield` the identifier (restricted since 14)."""
-        nxt = self.peek(1)
+        nxt = self.toks[self.i + 1]
         if nxt.kind in (IDENT, NUMBER, STRING, CHAR):
             return True
         if nxt.kind == KEYWORD:
@@ -1106,7 +1112,7 @@ class JavaParser:
                 kids.append(self.expect(":"))
                 kids.append(self.parse_expression())
                 left = self._node("ternary", kids)
-            t = self.peek()
+            t = self.toks[self.i]
             if t.kind == PUNCT and t.text in _ASSIGN_OPS:
                 kids = [left, self.take(), self.parse_expression()]
                 return self._node("assignment", kids)
@@ -1129,7 +1135,7 @@ class JavaParser:
         left = self._parse_unary()
         cap = top
         while True:
-            t = self.peek()
+            t = self.toks[self.i]
             level = _BINARY_LEVEL.get(t.text)
             if (
                 level is None
@@ -1156,7 +1162,7 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
-            t = self.peek()
+            t = self.toks[self.i]
             if t.kind == PUNCT and t.text in ("+", "-", "++", "--", "!", "~"):
                 kids = [self.take(), self._parse_unary()]
                 return self._node("unary_expression", kids)
@@ -1171,7 +1177,7 @@ class JavaParser:
     def _parse_postfix(self) -> Node:
         node = self._parse_primary()
         while True:
-            t = self.peek()
+            t = self.toks[self.i]
             if t.kind != PUNCT:
                 return node
             if t.text == ".":
@@ -1193,7 +1199,7 @@ class JavaParser:
                         node = self._node("field_access", kids)
             elif t.text == "(" and node.kind in (IDENTIFIER, "this", "super"):
                 node = self._node("method_invocation", [node, self._parse_arguments()])
-            elif t.text == "[" and self.peek(1).text != "]":
+            elif t.text == "[" and self.toks[self.i + 1].text != "]":
                 kids = [node, self.take(), self.parse_expression(), self.expect("]")]
                 node = self._node("array_access", kids)
             elif t.text in ("++", "--"):
@@ -1207,7 +1213,7 @@ class JavaParser:
                 else:
                     kids.append(self.expect_ident())
                 node = self._node("method_reference", kids)
-            elif t.text == "[" and self.peek(1).text == "]":
+            elif t.text == "[" and self.toks[self.i + 1].text == "]":
                 # Type-position dims reached through an expression: only
                 # legal as part of `X[].class`.
                 return self._parse_class_literal(node)
@@ -1251,11 +1257,11 @@ class JavaParser:
                 while True:
                     before = self.i
                     params.extend(self._parse_modifiers())
-                    nxt = self.peek(1)
+                    nxt = self.toks[self.i + 1]
                     if self.at_ident() and nxt.kind == PUNCT and nxt.text in (",", ")"):
                         params.append(self.take())
                     else:
-                        t = self.peek()
+                        t = self.toks[self.i]
                         if self.at_ident() or (
                             t.kind == KEYWORD and t.text in PRIMITIVE_TYPES
                         ):
@@ -1285,7 +1291,7 @@ class JavaParser:
         kids.append(self.take())  # new
         if self.at("<"):
             kids.append(self._parse_type_arguments())
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
             base = self._node("primitive_type", [self.take()])
             kids.append(base)
@@ -1316,7 +1322,7 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
-            t = self.peek()
+            t = self.toks[self.i]
             if t.kind in _LITERAL_KINDS:
                 return self.take()
             if t.kind == IDENT:

@@ -1,8 +1,11 @@
-"""Identifier abstraction: placeholders, mapping invariants, conformance."""
+"""Identifier abstraction: placeholders, mapping invariants, conformance,
+and the occurrence walk against the one kept in ``reference_occurrences``."""
 
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repairdx.abstraction import (
     JAVA_LANG_NAMES,
@@ -11,10 +14,14 @@ from repairdx.abstraction import (
     AbstractionReport,
     UnparseableCodeError,
     abstract_identifiers,
+    _identifier_occurrences,
     check_conformance,
 )
 from repairdx.errors import InputError
-from repairdx.syntax import check_syntax
+from repairdx.javaparse import parse_java
+from repairdx.syntax import check_syntax, wrap_method
+
+from reference_occurrences import identifier_occurrences as reference_occurrences
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +145,34 @@ def test_builtin_parser_runs_once_per_fragment(monkeypatch, valid_methods,
         calls.clear()
         _verdict_acted_on(code)
         assert len(calls) == (1 if code.strip() else 0), code
+
+
+def test_tokenize_runs_once_per_abstraction_and_per_conformance_check(
+        monkeypatch, valid_methods, broken_methods, abstraction_methods):
+    # Counted through the two names the benchmark's tracer wraps, so that a
+    # change that stops calling either cannot leave a traced layer at zero.
+    import repairdx.abstraction
+    import repairdx.javaparse.parser
+
+    calls = []
+
+    def counting(module):
+        original = module.tokenize
+
+        def tokenize(text):
+            calls.append(module.__name__)
+            return original(text)
+        return tokenize
+
+    for module in (repairdx.abstraction, repairdx.javaparse.parser):
+        monkeypatch.setattr(module, "tokenize", counting(module))
+    for code in _fragments(valid_methods, broken_methods, abstraction_methods):
+        calls.clear()
+        _verdict_acted_on(code)
+        assert calls == (["repairdx.javaparse.parser"] if code.strip() else []), code
+        calls.clear()
+        check_conformance(code)
+        assert calls == ["repairdx.abstraction"], code
 
 
 def test_types_get_type_placeholders():
@@ -290,3 +325,130 @@ def test_fragment_ending_in_a_line_comment_abstracts():
     assert abstracted == "int METHOD_1 ( int VAR_1 ) { return VAR_1 ; } // returns x"
     assert mapping.to_obj()["variables"] == [["x", "VAR_1"]]
     assert check_conformance(abstracted).conformant
+
+
+# ----------------------------------------------------------------------
+# identifier roles, one test per rule
+
+
+def _abstract(code):
+    out, mapping = abstract_identifiers(code)
+    return out, mapping.to_obj()
+
+
+def test_annotation_name_is_a_type():
+    out, mapping = _abstract("@ Marker void f ( ) { }")
+    assert out == "@ TYPE_1 void METHOD_1 ( ) { }"
+    assert mapping["types"] == [["Marker", "TYPE_1"]]
+
+
+def test_type_parameter_is_a_type():
+    out, _ = _abstract("< T > T id ( T x ) { return x ; }")
+    assert out == "< TYPE_1 > TYPE_1 METHOD_1 ( TYPE_1 VAR_1 ) { return VAR_1 ; }"
+
+
+def test_declared_type_name_is_a_type():
+    out, _ = _abstract("void f ( ) { class Local { int n ; } }")
+    assert out == "void METHOD_1 ( ) { class TYPE_1 { int VAR_1 ; } }"
+
+
+def test_constructor_name_is_a_type():
+    out, _ = _abstract("Widget ( int size ) { this . size = size ; }")
+    assert out == "TYPE_1 ( int VAR_1 ) { this . VAR_1 = VAR_1 ; }"
+
+
+def test_method_declaration_name_is_a_method():
+    out, _ = _abstract("int compute ( int n ) { return n ; }")
+    assert out == "int METHOD_1 ( int VAR_1 ) { return VAR_1 ; }"
+
+
+def test_invocation_name_is_a_method_and_a_field_stays_a_variable():
+    out, _ = _abstract("void f ( ) { run ( ) ; obj . go ( ) ; obj . field = 0 ; }")
+    assert out == "void METHOD_1 ( ) { METHOD_2 ( ) ; VAR_1 . METHOD_3 ( ) ; VAR_1 . VAR_2 = 0 ; }"
+
+
+def test_method_reference_name_after_the_colons_is_a_method():
+    out, _ = _abstract("void f ( ) { items . forEach ( out :: println ) ; }")
+    assert out == "void METHOD_1 ( ) { VAR_1 . METHOD_2 ( VAR_2 :: METHOD_3 ) ; }"
+    # Type arguments may sit between `::` and the name.
+    out, _ = _abstract("void f ( ) { Runnable r = maker :: < T > make ; }")
+    assert out == "void METHOD_1 ( ) { Runnable VAR_1 = VAR_2 :: < TYPE_1 > METHOD_2 ; }"
+
+
+def test_class_literal_receiver_chain_is_all_types():
+    out, _ = _abstract("Object f ( ) { return a . b . C . class ; }")
+    assert out == "Object METHOD_1 ( ) { return TYPE_1 . TYPE_2 . TYPE_3 . class ; }"
+
+
+def test_strongest_role_wins_across_positions():
+    # method over variable, whichever comes first
+    out, _ = _abstract("void f ( ) { int g = 0 ; g ( ) ; }")
+    assert out == "void METHOD_1 ( ) { int METHOD_2 = 0 ; METHOD_2 ( ) ; }"
+    # type over method
+    out, _ = _abstract("void f ( ) { Node ( ) ; Node n = null ; }")
+    assert out == "void METHOD_1 ( ) { TYPE_1 ( ) ; TYPE_1 VAR_1 = null ; }"
+
+
+# ----------------------------------------------------------------------
+# the occurrence walk against its frozen reference
+
+
+def _occurrences_both_ways(tree):
+    def by_start(occurrence):
+        return occurrence[0]
+    return (sorted(_identifier_occurrences(tree), key=by_start),
+            sorted(reference_occurrences(tree), key=by_start))
+
+
+def test_occurrences_match_the_frozen_walk_on_fixtures(
+        valid_methods, broken_methods, flagged_constructs, abstraction_methods):
+    rows = [*valid_methods, *broken_methods, *flagged_constructs, *abstraction_methods]
+    for row in rows:
+        for src in (row["code"], wrap_method(row["code"])):
+            ours, reference = _occurrences_both_ways(parse_java(src))
+            assert ours == reference, (row["id"], src)
+
+
+# Statement and head templates of valid Java; each %v, %m and %t takes a
+# name from NAMES (the letter says which role the slot reads as).
+STATEMENTS = [
+    "%t %v = %v . %m ( %v , %v ) ;",
+    "return new %t < %t > ( %v ) ;",
+    "%v = %t . class ;",
+    "%v = %v . %v . %t . class ;",
+    "for ( %t %v : %v ) { %m ( %v ) ; }",
+    "%t %v = %v :: %m ;",
+    "%t %v = %t :: < %t > new ;",
+    "if ( %v instanceof %t ) { throw new %t ( %v ) ; }",
+    "%v . %m ( ( %t ) %v ) ;",
+    "@ %t %t %v = %v ;",
+    "class %t extends %t { %t %v ; %t ( ) { } void %m ( ) { } }",
+    "%v . %m ( %v -> %m ( %v ) ) ;",
+    "try { %m ( ) ; } catch ( %t %v ) { %v = %v [ 0 ] ; }",
+    "%t [ ] %v = new %t [ %v ] ;",
+    "%v = %v ? %v . %v : %m ( ) . %v ;",
+    "%t . %m ( %t . class ) ;",
+]
+HEADS = [
+    "%t %m ( %t %v , %t %v ) { BODY }",
+    "< %t > %t %m ( %t %v ) { BODY }",
+    "%t ( %t %v ) { BODY }",
+    "@ %t public %t %m ( ) throws %t { BODY }",
+]
+NAMES = ["a", "b", "item", "Foo", "Bar", "T", "String", "List", "var",
+         "VAR_1", "METHOD_2", "TYPE_3"]
+
+
+@st.composite
+def generated_fragments(draw):
+    body = " ".join(draw(st.lists(st.sampled_from(STATEMENTS), max_size=5)))
+    code = draw(st.sampled_from(HEADS)).replace("BODY", body)
+    return re.sub(r"%[vmt]", lambda _slot: draw(st.sampled_from(NAMES)), code)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_fragments())
+def test_occurrences_match_the_frozen_walk_on_generated_fragments(code):
+    assert check_syntax(code).valid, code
+    ours, reference = _occurrences_both_ways(parse_java(wrap_method(code)))
+    assert ours == reference, code

@@ -59,15 +59,56 @@ def test_random_unicode_is_total(seed):
         parse_java(src)  # must not raise
 
 
-def test_node_spans_nest_within_parents():
-    src = wrap_method("int f ( int a ) { if ( a > 0 ) { return a ; } return 0 ; }")
-    tree = parse_java(src)
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        for child in node.children:
-            assert node.start <= child.start <= child.end <= node.end
-            stack.append(child)
+def assert_tree_shape(tree):
+    """Every node of ``tree`` spans its children, which come in source
+    order without overlap; an inner node runs from the start of its first
+    child to the end of its last, so the last child ends it."""
+    for node in tree.walk():
+        assert node.start <= node.end, node
+        children = node.children
+        if not children:
+            continue
+        assert (node.start, node.end) == (children[0].start, children[-1].end), node
+        for before, after in zip(children, children[1:]):
+            assert before.end <= after.start, (node, before, after)
+
+
+def fixture_codes(*row_sets):
+    return [row["code"] for rows in row_sets for row in rows]
+
+
+# Inputs the depth guard cuts: one balanced nest (a LIMIT node) and one
+# unbalanced (an ERROR node over the first unmatched bracket).
+CUT_INPUTS = [
+    "Object f ( ) { return " + "( " * 300 + "a" + " )" * 300 + " ; }",
+    "Object f ( ) { return " + "( " * 300 + "a ; }",
+]
+
+
+def test_node_spans_nest_within_parents(valid_methods, broken_methods,
+                                        flagged_constructs, abstraction_methods):
+    codes = ["int f ( int a ) { if ( a > 0 ) { return a ; } return 0 ; }", *CUT_INPUTS]
+    codes += fixture_codes(valid_methods, broken_methods, flagged_constructs,
+                           abstraction_methods)
+    for code in codes:
+        for src in (code, wrap_method(code)):
+            assert_tree_shape(parse_java(src))
+
+
+SOUP_ATOMS = ["{", "}", "(", ")", ";", ",", "int", "if", "else", "x", "y", "0", "+",
+              "=", "return", "\"s\"", "'c'", ".", "->", "::", "<", ">", ">>", "[", "]",
+              "class", "new", "#", "@", "?", ":", "A", "switch", "case", "default",
+              "try", "catch", "for", "enum", "extends", "\"open", "/* open"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_ATOMS), max_size=40), st.integers(0, 300))
+def test_token_soup_trees_keep_their_shape(atoms, depth):
+    soup = " ".join(atoms)
+    # Past about 70 open parentheses in a method body the depth guard cuts.
+    nest = wrap_method("void f ( ) { " + "( " * depth + soup)
+    for src in (soup, wrap_method(soup), nest):
+        assert_tree_shape(parse_java(src))
 
 
 def test_deep_nesting_is_bounded_in_time_and_never_crashes():
@@ -330,6 +371,22 @@ def test_error_nodes_cover_the_broken_region():
     lo = src.index("###")
     covered = {i for s, e in spans for i in range(s, e)}
     assert set(range(lo, lo + 3)) <= covered, (spans, lo)
+
+
+def test_error_nodes_are_the_error_kinds_of_walk_in_order(valid_methods, broken_methods,
+                                                          flagged_constructs):
+    # `_verdict` sorts the spans, so no verdict depends on this order; the
+    # docstring of `error_nodes` promises the pre-order of `walk`.
+    codes = [*CUT_INPUTS, *fixture_codes(valid_methods, broken_methods, flagged_constructs)]
+    rng = random.Random(7)
+    codes += [" ".join(rng.choice(SOUP_ATOMS) for _ in range(rng.randint(0, 40)))
+              for _ in range(300)]
+    for code in codes:
+        for src in (code, wrap_method(code)):
+            tree = parse_java(src)
+            assert tree.error_nodes() == [n for n in tree.walk() if n.is_error], src
+    leaf = next(n for n in parse_java("#").walk() if n.is_error)
+    assert leaf.error_nodes() == [leaf]
 
 
 def test_missing_nodes_are_zero_width():
