@@ -14,6 +14,12 @@ pattern cannot finish exactly) falls back to a per-character dispatch over
 `str.isspace()` and `\\w` is `str.isalnum()` or `_`; `\\d` is not
 `str.isdigit()` (`²`, `٣`) and no `re` class is `str.isalpha()`, so
 those decisions stay in the dispatch.
+
+A token's text decides whether it is punctuation or a keyword: a keyword
+text is only ever on a KEYWORD token, since a word is an identifier
+exactly when it is not in `KEYWORDS`, and an operator text only on a
+PUNCT token. No identifier, literal, BAD or EOF text equals either, so
+the parser tests the text alone.
 """
 
 from __future__ import annotations

@@ -32,6 +32,12 @@ input balance, it may be valid Java, and the compilation unit's one child
 is a zero-width LIMIT node at the token where the guard fired. When they
 do not, the input is plainly invalid, and that child is an ERROR node
 over the first unmatched bracket.
+
+A token's text decides what it is. The lexer gives an operator text only
+to a PUNCT token and a keyword text only to a KEYWORD token, and no
+identifier, literal, BAD or EOF token has such a text. So the rules test
+a token's text alone, and test its kind only where the kind is the
+question: an identifier, a literal, a BAD token or EOF.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .lexer import (
     CHAR,
     EOF,
     IDENT,
-    KEYWORD,
     NUMBER,
     PRIMITIVE_TYPES,
     PUNCT,
@@ -80,19 +85,30 @@ _BINARY_LEVELS: list[frozenset[str]] = [
 _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 _LITERAL_KINDS = frozenset([NUMBER, STRING, CHAR])
+_OPERAND_KINDS = _LITERAL_KINDS | {IDENT}
 # Node kind of a leaf by token kind; other leaves take their lexeme.
 _LEAF_KIND = {IDENT: IDENTIFIER, NUMBER: LITERAL, STRING: LITERAL, CHAR: LITERAL, BAD: ERROR}
 _LITERAL_KEYWORDS = frozenset(["true", "false", "null"])
 
-_STATEMENT_KEYWORDS = frozenset(
-    [
-        "if", "while", "do", "for", "switch", "return", "throw", "try",
-        "break", "continue", "synchronized", "assert", "class", "final",
-        "new", "this", "super",
-    ]
-)
+# Besides identifiers and literals, the texts where error recovery in a
+# block stops: each may start a statement.
+_STATEMENT_START = PRIMITIVE_TYPES | _LITERAL_KEYWORDS | {
+    "if", "while", "do", "for", "switch", "return", "throw", "try",
+    "break", "continue", "synchronized", "assert", "class", "final",
+    "new", "this", "super",
+    "(", "!", "~", "+", "-", "++", "--", "{", ";", "@",
+}
 
-_UNARY_START_PUNCT = frozenset(["(", "!", "~", "+", "-", "++", "--", "{", ";", "@"])
+# Besides identifiers and literals, the texts that may follow `yield` in
+# a yield statement, and `(Type)` in a cast.
+_YIELD_OPERAND_START = PRIMITIVE_TYPES | _LITERAL_KEYWORDS | {
+    "this", "super", "new", "switch", "(", "!", "~", "+", "-",
+}
+_CAST_OPERAND_START = _LITERAL_KEYWORDS | {"this", "super", "new", "(", "!", "~"}
+
+# Besides identifiers, `<` and the `>` tokens, the texts a type-argument
+# list may hold.
+_TYPE_ARGUMENT_TEXTS = PRIMITIVE_TYPES | {",", ".", "?", "[", "]", "@", "extends", "super"}
 
 # Tokens that may close one or more type-argument lists.
 _GT_TOKENS = frozenset([">", ">>", ">>>", ">=", ">>=", ">>>="])
@@ -120,8 +136,6 @@ def _first_unmatched_bracket(toks: list[Token]) -> Token | None:
     open_count = dict.fromkeys(_OPENERS, 0)
     first: Token | None = None
     for tok in toks:
-        if tok.kind != PUNCT:
-            continue
         text = tok.text
         if text in _OPENERS:
             open_at.append(tok)
@@ -173,21 +187,13 @@ class JavaParser:
         return self.toks[self.i].kind == EOF
 
     def at(self, text: str) -> bool:
-        t = self.toks[self.i]
-        return t.text == text and (t.kind == PUNCT or t.kind == KEYWORD)
+        return self.toks[self.i].text == text
 
     def at_any(self, texts) -> bool:
-        t = self.toks[self.i]
-        return t.text in texts and (t.kind == PUNCT or t.kind == KEYWORD)
+        return self.toks[self.i].text in texts
 
     def at_ident(self) -> bool:
         return self.toks[self.i].kind == IDENT
-
-    def advance(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != EOF:
-            self.i += 1
-        return t
 
     def take(self) -> Node:
         """The current token as a leaf node; its kind is its lexeme unless
@@ -198,10 +204,10 @@ class JavaParser:
         return Node(_LEAF_KIND.get(kind, text), start, end, [], text)
 
     def expect(self, text: str) -> Node:
-        kind, t_text, start, end = self.toks[self.i]
-        if t_text == text and (kind == PUNCT or kind == KEYWORD):
+        t = self.toks[self.i]
+        if t.text == text:
             self.i += 1
-            return Node(text, start, end, [], text)
+            return Node(text, t.start, t.end, [], text)
         return self.missing(text)
 
     def expect_ident(self) -> Node:
@@ -231,14 +237,14 @@ class JavaParser:
         while not self.at_eof():
             t = self.toks[self.i]
             if not first:
-                if t.text in stop_texts and t.kind in (PUNCT, KEYWORD):
+                if t.text in stop_texts:
                     break
                 if stop_pred is not None and stop_pred():
                     break
-            tok = self.advance()
-            end = tok.end
+            self.i += 1
+            end = t.end
             first = False
-            if tok.kind == PUNCT and tok.text == ";":
+            if t.text == ";":
                 break
         return Node(ERROR, start, end)
 
@@ -306,10 +312,10 @@ class JavaParser:
     def _parse_modifiers(self) -> list[Node]:
         mods: list[Node] = []
         while True:
-            t = self.toks[self.i]
-            if t.kind == KEYWORD and t.text in _MODIFIERS:
+            text = self.toks[self.i].text
+            if text in _MODIFIERS:
                 mods.append(self.take())
-            elif t.kind == PUNCT and t.text == "@" and self.toks[self.i + 1].text != "interface":
+            elif text == "@" and self.toks[self.i + 1].text != "interface":
                 mods.append(self._parse_annotation())
             else:
                 return mods
@@ -328,8 +334,7 @@ class JavaParser:
                 if not self.at(")") and not self.at_eof():
                     while True:
                         before = self.i
-                        nxt = self.toks[self.i + 1]
-                        if self.at_ident() and nxt.kind == PUNCT and nxt.text == "=":
+                        if self.at_ident() and self.toks[self.i + 1].text == "=":
                             # An element-value pair, as an assignment node.
                             pair = [self.take(), self.take(), self._parse_annotation_value()]
                             args.append(self._node("assignment", pair))
@@ -365,8 +370,7 @@ class JavaParser:
         if mods is None:
             mods = self._parse_modifiers()
         kids = list(mods)
-        t = self.toks[self.i]
-        word = t.text if t.kind in (PUNCT, KEYWORD) else ""
+        word = self.toks[self.i].text
         if word == "@" and self.toks[self.i + 1].text == "interface":
             kids.append(self.take())  # @
             kids.append(self.take())  # interface
@@ -455,7 +459,7 @@ class JavaParser:
             if self.at("<"):
                 kids.append(self._parse_type_parameters())
             # Constructor: bare name directly followed by its parameter list.
-            if self.at_ident() and self.toks[self.i + 1].text == "(" and self.toks[self.i + 1].kind == PUNCT:
+            if self.at_ident() and self.toks[self.i + 1].text == "(":
                 kids.append(self.take())
                 kids.append(self._parse_formal_parameters())
                 if self.at("throws"):
@@ -463,11 +467,7 @@ class JavaParser:
                     kids.append(self._parse_type_list())
                 kids.append(self.parse_block() if self.at("{") else self.missing("{"))
                 return self._node("constructor_declaration", kids)
-            t = self.toks[self.i]
-            can_start_type = self.at_ident() or (
-                t.kind == KEYWORD and t.text in PRIMITIVE_TYPES
-            )
-            if not can_start_type:
+            if not (self.at_ident() or self.at_any(PRIMITIVE_TYPES)):
                 if kids:
                     kids.append(self.missing("member declaration"))
                     return self._node("member_declaration", kids)
@@ -555,8 +555,7 @@ class JavaParser:
 
     def _parse_formal_parameter(self) -> Node:
         kids = self._parse_modifiers()
-        t = self.toks[self.i]
-        if not (self.at_ident() or (t.kind == KEYWORD and t.text in PRIMITIVE_TYPES)):
+        if not (self.at_ident() or self.at_any(PRIMITIVE_TYPES)):
             kids.append(self.missing("parameter"))
             return self._node("formal_parameter", kids)
         kids.append(self.parse_type())
@@ -591,14 +590,13 @@ class JavaParser:
         return self._node("type_parameters", kids)
 
     def _at_gt(self) -> bool:
-        t = self.toks[self.i]
-        return t.kind == PUNCT and t.text in _GT_TOKENS
+        return self.toks[self.i].text in _GT_TOKENS
 
     def _expect_gt(self) -> Node:
         t = self.toks[self.i]
-        if t.kind == PUNCT and t.text == ">":
+        if t.text == ">":
             return self.take()
-        if t.kind == PUNCT and t.text in _GT_TOKENS:
+        if t.text in _GT_TOKENS:
             # Split one '>' off a composite token (closes nested generics).
             self.toks[self.i] = Token(PUNCT, t.text[1:], t.start + 1, t.end)
             return Node(">", t.start, t.start + 1, text=">")
@@ -609,8 +607,7 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
-            t = self.toks[self.i]
-            if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
+            if self.at_any(PRIMITIVE_TYPES):
                 base = self._node("primitive_type", [self.take()])
             else:
                 base = self._parse_named_type()
@@ -669,18 +666,17 @@ class JavaParser:
 
     def _scan_type(self) -> bool:
         t = self.toks[self.i]
-        if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
-            self.advance()
+        if t.text in PRIMITIVE_TYPES:
+            self.i += 1
             self._scan_dims()
             return True
         if t.kind != IDENT:
             return False
-        self.advance()
+        self.i += 1
         if self.at("<") and not self._scan_type_args():
             return False
         while self.at(".") and self.toks[self.i + 1].kind == IDENT:
-            self.advance()
-            self.advance()
+            self.i += 2
             if self.at("<") and not self._scan_type_args():
                 return False
         self._scan_dims()
@@ -688,33 +684,26 @@ class JavaParser:
 
     def _scan_dims(self) -> None:
         while self.at("[") and self.toks[self.i + 1].text == "]":
-            self.advance()
-            self.advance()
+            self.i += 2
 
     def _scan_type_args(self) -> bool:
         depth = 0
         while not self.at_eof():
             t = self.toks[self.i]
-            if t.kind == PUNCT:
-                if t.text == "<":
-                    depth += 1
-                elif t.text in _GT_TOKENS:
-                    closes = len(t.text) if t.text in (">", ">>", ">>>") else None
-                    if closes is None or closes > depth:
-                        return False
-                    depth -= closes
-                    self.advance()
-                    if depth == 0:
-                        return True
-                    continue
-                elif t.text not in (",", ".", "?", "[", "]", "@"):
+            if t.text == "<":
+                depth += 1
+            elif t.text in _GT_TOKENS:
+                closes = len(t.text) if t.text in (">", ">>", ">>>") else None
+                if closes is None or closes > depth:
                     return False
-            elif t.kind == KEYWORD:
-                if t.text not in ("extends", "super") and t.text not in PRIMITIVE_TYPES:
-                    return False
-            elif t.kind != IDENT:
+                depth -= closes
+                self.i += 1
+                if depth == 0:
+                    return True
+                continue
+            elif t.kind != IDENT and t.text not in _TYPE_ARGUMENT_TEXTS:
                 return False
-            self.advance()
+            self.i += 1
         return False
 
     def _close_paren(self, i: int) -> int | None:
@@ -728,11 +717,10 @@ class JavaParser:
             match: dict[int, int] = {}
             open_at: list[int] = []
             for j, tok in enumerate(self.toks):
-                if tok.kind == PUNCT:
-                    if tok.text == "(":
-                        open_at.append(j)
-                    elif tok.text == ")" and open_at:
-                        match[open_at.pop()] = j
+                if tok.text == "(":
+                    open_at.append(j)
+                elif tok.text == ")" and open_at:
+                    match[open_at.pop()] = j
             self._paren_match = match
         return self._paren_match.get(i)
 
@@ -747,17 +735,16 @@ class JavaParser:
         mark = self.i
         try:
             while True:
-                t = self.toks[self.i]
-                if t.kind == KEYWORD and t.text == "final":
-                    self.advance()
-                elif t.kind == PUNCT and t.text == "@":
-                    self.advance()
+                text = self.toks[self.i].text
+                if text == "final":
+                    self.i += 1
+                elif text == "@":
+                    self.i += 1
                     if not self.at_ident():
                         return 0
-                    self.advance()
+                    self.i += 1
                     while self.at(".") and self.toks[self.i + 1].kind == IDENT:
-                        self.advance()
-                        self.advance()
+                        self.i += 2
                     if self.at("("):
                         close = self._close_paren(self.i)
                         if close is None:
@@ -773,40 +760,25 @@ class JavaParser:
 
     def _lambda_ahead(self) -> bool:
         t = self.toks[self.i]
-        nxt = self.toks[self.i + 1]
-        if t.kind == IDENT and nxt.kind == PUNCT and nxt.text == "->":
-            return True
-        if t.kind == PUNCT and t.text == "(":
-            close = self._close_paren(self.i)
-            if close is None:
-                return False
-            k = self.toks[close + 1]  # EOF follows every ')'
-            return k.kind == PUNCT and k.text == "->"
+        if t.kind == IDENT:
+            return self.toks[self.i + 1].text == "->"
+        if t.text == "(":
+            close = self._close_paren(self.i)  # EOF follows every ')'
+            return close is not None and self.toks[close + 1].text == "->"
         return False
 
     def _cast_ahead(self) -> bool:
         """At '(': does a cast `(Type) operand` start here?"""
         mark = self.i
         try:
-            self.advance()  # (
-            t = self.toks[self.i]
-            primitive = t.kind == KEYWORD and t.text in PRIMITIVE_TYPES
-            if not self._scan_type():
+            self.i += 1  # (
+            primitive = self.at_any(PRIMITIVE_TYPES)
+            if not self._scan_type() or not self.at(")"):
                 return False
-            if not self.at(")"):
-                return False
-            self.advance()
-            nxt = self.toks[self.i]
-            if nxt.kind in (IDENT, NUMBER, STRING, CHAR):
+            nxt = self.toks[self.i + 1]
+            if nxt.kind in _OPERAND_KINDS or nxt.text in _CAST_OPERAND_START:
                 return True
-            if nxt.kind == KEYWORD:
-                return nxt.text in ("this", "super", "new") or nxt.text in _LITERAL_KEYWORDS
-            if nxt.kind == PUNCT:
-                if nxt.text in ("(", "!", "~"):
-                    return True
-                if primitive and nxt.text in ("+", "-", "++", "--"):
-                    return True
-            return False
+            return primitive and nxt.text in ("+", "-", "++", "--")
         finally:
             self.i = mark
 
@@ -825,17 +797,7 @@ class JavaParser:
 
     def _stmt_start(self) -> bool:
         t = self.toks[self.i]
-        if t.kind in (IDENT, NUMBER, STRING, CHAR):
-            return True
-        if t.kind == KEYWORD:
-            return (
-                t.text in _STATEMENT_KEYWORDS
-                or t.text in PRIMITIVE_TYPES
-                or t.text in _LITERAL_KEYWORDS
-            )
-        if t.kind == PUNCT:
-            return t.text in _UNARY_START_PUNCT
-        return False
+        return t.kind in _OPERAND_KINDS or t.text in _STATEMENT_START
 
     def parse_statement(self) -> Node:
         self.depth += 1
@@ -843,35 +805,15 @@ class JavaParser:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
             t = self.toks[self.i]
-            if t.kind == PUNCT:
-                if t.text == "{":
-                    return self.parse_block()
-                if t.text == ";":
-                    return self._node("empty_statement", [self.take()])
-                if t.text == "@":
-                    return self._parse_local_declaration()
-                if t.text in _UNARY_START_PUNCT:
+            rule = _STATEMENT_DISPATCH.get(t.text)
+            if rule is not None:
+                return rule(self)
+            if t.text in PRIMITIVE_TYPES:
+                if self.toks[self.i + 1].text == ".":  # int.class
                     return self._parse_expression_statement()
-                return self._error_until(frozenset(["}"]), self._stmt_start)
-            if t.kind == KEYWORD:
-                handler = _STATEMENT_DISPATCH.get(t.text)
-                if handler is not None:
-                    return handler(self)
-                if t.text == "final":
-                    return self._parse_local_declaration()
-                if t.text == "class":
-                    return self._parse_type_declaration([])
-                if t.text in PRIMITIVE_TYPES:
-                    nxt = self.toks[self.i + 1]
-                    if nxt.kind == PUNCT and nxt.text == ".":  # int.class
-                        return self._parse_expression_statement()
-                    return self._parse_local_declaration()
-                if t.text in _LITERAL_KEYWORDS or t.text in ("new", "this", "super"):
-                    return self._parse_expression_statement()
-                return self._error_until(frozenset(["}"]), self._stmt_start)
+                return self._parse_local_declaration()
             if t.kind == IDENT:
-                nxt = self.toks[self.i + 1]
-                if nxt.kind == PUNCT and nxt.text == ":":
+                if self.toks[self.i + 1].text == ":":
                     kids = [self.take(), self.take(), self.parse_statement()]
                     return self._node("labeled_statement", kids)
                 if t.text == "yield" and self._yield_statement_ahead():
@@ -889,17 +831,14 @@ class JavaParser:
     def _yield_statement_ahead(self) -> bool:
         """`yield <expr>` vs. `yield` the identifier (restricted since 14)."""
         nxt = self.toks[self.i + 1]
-        if nxt.kind in (IDENT, NUMBER, STRING, CHAR):
-            return True
-        if nxt.kind == KEYWORD:
-            return (
-                nxt.text in _LITERAL_KEYWORDS
-                or nxt.text in ("this", "super", "new", "switch")
-                or nxt.text in PRIMITIVE_TYPES
-            )
-        if nxt.kind == PUNCT:
-            return nxt.text in ("(", "!", "~", "+", "-")
-        return False
+        return nxt.kind in _OPERAND_KINDS or nxt.text in _YIELD_OPERAND_START
+
+    def _parse_empty_statement(self) -> Node:
+        # The leaf is built here, not by `take`, so that a statement nest
+        # (`l : l : ;`) peaks no deeper than its statement frames.
+        t = self.toks[self.i]
+        self.i += 1
+        return Node("empty_statement", t.start, t.end, [Node(";", t.start, t.end, [], ";")])
 
     def _parse_expression_statement(self) -> Node:
         kids = [self.parse_expression(), self.expect(";")]
@@ -941,7 +880,7 @@ class JavaParser:
     def _parse_for(self) -> Node:
         kids = [self.take(), self.expect("(")]
         end = self._declaration_ahead()
-        if end and self.toks[end].kind == PUNCT and self.toks[end].text == ":":
+        if end and self.toks[end].text == ":":
             kids.extend(self._parse_modifiers())
             kids.append(self.parse_type())
             kids.append(self.expect_ident())
@@ -1112,8 +1051,7 @@ class JavaParser:
                 kids.append(self.expect(":"))
                 kids.append(self.parse_expression())
                 left = self._node("ternary", kids)
-            t = self.toks[self.i]
-            if t.kind == PUNCT and t.text in _ASSIGN_OPS:
+            if self.at_any(_ASSIGN_OPS):
                 kids = [left, self.take(), self.parse_expression()]
                 return self._node("assignment", kids)
             return left
@@ -1137,11 +1075,7 @@ class JavaParser:
         while True:
             t = self.toks[self.i]
             level = _BINARY_LEVEL.get(t.text)
-            if (
-                level is None
-                or not min_level <= level <= cap
-                or t.kind not in (PUNCT, KEYWORD)
-            ):
+            if level is None or not min_level <= level <= cap:
                 if not pending:
                     return left
                 min_level, cap, lhs, op = pending.pop()
@@ -1163,10 +1097,10 @@ class JavaParser:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
             t = self.toks[self.i]
-            if t.kind == PUNCT and t.text in ("+", "-", "++", "--", "!", "~"):
+            if t.text in ("+", "-", "++", "--", "!", "~"):
                 kids = [self.take(), self._parse_unary()]
                 return self._node("unary_expression", kids)
-            if t.kind == PUNCT and t.text == "(" and self._cast_ahead():
+            if t.text == "(" and self._cast_ahead():
                 kids = [self.take(), self.parse_type(), self.expect(")")]
                 kids.append(self._parse_unary())
                 return self._node("cast_expression", kids)
@@ -1178,8 +1112,6 @@ class JavaParser:
         node = self._parse_primary()
         while True:
             t = self.toks[self.i]
-            if t.kind != PUNCT:
-                return node
             if t.text == ".":
                 dot = self.take()
                 if self.at_any(("class", "this", "super")):
@@ -1257,18 +1189,13 @@ class JavaParser:
                 while True:
                     before = self.i
                     params.extend(self._parse_modifiers())
-                    nxt = self.toks[self.i + 1]
-                    if self.at_ident() and nxt.kind == PUNCT and nxt.text in (",", ")"):
+                    if self.at_ident() and self.toks[self.i + 1].text in (",", ")"):
                         params.append(self.take())
+                    elif self.at_ident() or self.at_any(PRIMITIVE_TYPES):
+                        params.append(self.parse_type())
+                        params.append(self.expect_ident())
                     else:
-                        t = self.toks[self.i]
-                        if self.at_ident() or (
-                            t.kind == KEYWORD and t.text in PRIMITIVE_TYPES
-                        ):
-                            params.append(self.parse_type())
-                            params.append(self.expect_ident())
-                        else:
-                            params.append(self.missing("parameter"))
+                        params.append(self.missing("parameter"))
                     if self.at(","):
                         params.append(self.take())
                         continue  # a comma demands another parameter
@@ -1291,10 +1218,8 @@ class JavaParser:
         kids.append(self.take())  # new
         if self.at("<"):
             kids.append(self._parse_type_arguments())
-        t = self.toks[self.i]
-        if t.kind == KEYWORD and t.text in PRIMITIVE_TYPES:
-            base = self._node("primitive_type", [self.take()])
-            kids.append(base)
+        if self.at_any(PRIMITIVE_TYPES):
+            kids.append(self._node("primitive_type", [self.take()]))
             return self._parse_array_creation_rest(kids)
         kids.append(self._parse_named_type())
         if self.at("["):
@@ -1327,21 +1252,19 @@ class JavaParser:
                 return self.take()
             if t.kind == IDENT:
                 return self.take()
-            if t.kind == KEYWORD:
-                if t.text in _LITERAL_KEYWORDS:
-                    tok = self.advance()
-                    return Node(LITERAL, tok.start, tok.end, text=tok.text)
-                if t.text in ("this", "super"):
-                    return self.take()
-                if t.text == "new":
-                    return self._parse_creation()
-                if t.text == "switch":
-                    return self._parse_switch()
-                if t.text in PRIMITIVE_TYPES:
-                    # Only as `int.class` / `int[].class`.
-                    return self._parse_class_literal(self._node("primitive_type", [self.take()]))
-                return self.missing("expression")
-            if t.kind == PUNCT and t.text == "(":
+            if t.text in _LITERAL_KEYWORDS:
+                self.i += 1
+                return Node(LITERAL, t.start, t.end, text=t.text)
+            if t.text in ("this", "super"):
+                return self.take()
+            if t.text == "new":
+                return self._parse_creation()
+            if t.text == "switch":
+                return self._parse_switch()
+            if t.text in PRIMITIVE_TYPES:
+                # Only as `int.class` / `int[].class`.
+                return self._parse_class_literal(self._node("primitive_type", [self.take()]))
+            if t.text == "(":
                 kids = [self.take(), self.parse_expression(), self.expect(")")]
                 return self._node("parenthesized_expression", kids)
             if t.kind == BAD:
@@ -1351,7 +1274,19 @@ class JavaParser:
             self.depth -= 1
 
 
+# The rule for each text that starts a statement. Primitive types,
+# identifiers and literals are decided in `parse_statement` itself. Each
+# rule is called in place of a method call, so it costs no extra frame.
 _STATEMENT_DISPATCH = {
+    "{": JavaParser.parse_block,
+    ";": JavaParser._parse_empty_statement,
+    "@": JavaParser._parse_local_declaration,
+    "final": JavaParser._parse_local_declaration,
+    # A local class (JLS 14.3); with no modifiers passed in, the
+    # declaration parses its own.
+    "class": JavaParser._parse_type_declaration,
+    "abstract": JavaParser._parse_type_declaration,
+    "strictfp": JavaParser._parse_type_declaration,
     "if": JavaParser._parse_if,
     "while": JavaParser._parse_while,
     "do": JavaParser._parse_do,
@@ -1364,6 +1299,10 @@ _STATEMENT_DISPATCH = {
     "assert": JavaParser._parse_assert,
     "synchronized": JavaParser._parse_synchronized,
     "try": JavaParser._parse_try,
+    **dict.fromkeys(
+        ["(", "!", "~", "+", "-", "++", "--", "new", "this", "super", *_LITERAL_KEYWORDS],
+        JavaParser._parse_expression_statement,
+    ),
 }
 
 

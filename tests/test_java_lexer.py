@@ -17,6 +17,7 @@ from repairdx.javaparse.lexer import (
     STRING,
     KEYWORDS,
     PRIMITIVE_TYPES,
+    _OPERATORS,
     tokenize,
 )
 
@@ -150,6 +151,17 @@ def _stream(toks):
     return [(t.kind, t.text, t.start, t.end) for t in toks]
 
 
+OPERATORS = frozenset(_OPERATORS)
+
+
+def assert_text_decides_kind(toks):
+    """The parser tests a token's text alone: a keyword text is on a
+    KEYWORD token and nowhere else, an operator text on a PUNCT token."""
+    for tok in toks:
+        assert (tok.text in KEYWORDS) == (tok.kind == KEYWORD), tok
+        assert (tok.text in OPERATORS) == (tok.kind == PUNCT), tok
+
+
 # Where `re` classes and `str` predicates part: superscript and vulgar
 # fractions are digits or numerics but not decimals, U+0663 is a decimal
 # outside ASCII, and U+00A0, U+2028, U+3000 and U+001C are whitespace.
@@ -163,7 +175,9 @@ PIECES = list("abxXeEpPfFdDlL019_$.+-*/=<>!&|^%~?:;,()[]{}@\"'\\ \n\t") + [
 @given(st.lists(st.one_of(st.sampled_from(PIECES), st.text(max_size=3)), max_size=30))
 def test_tokens_match_the_reference_scanner(pieces):
     src = "".join(pieces)
-    assert _stream(tokenize(src)) == _stream(reference_tokenize(src))
+    toks = tokenize(src)
+    assert _stream(toks) == _stream(reference_tokenize(src))
+    assert_text_decides_kind(toks)
 
 
 @pytest.mark.parametrize("src", [
@@ -186,7 +200,9 @@ def test_fixture_tokens_match_the_reference_scanner(valid_methods, broken_method
                                                     abstraction_methods, flagged_constructs):
     rows = valid_methods + broken_methods + abstraction_methods + flagged_constructs
     for row in rows:
-        assert _stream(tokenize(row["code"])) == _stream(reference_tokenize(row["code"]))
+        toks = tokenize(row["code"])
+        assert _stream(toks) == _stream(reference_tokenize(row["code"]))
+        assert_text_decides_kind(toks)
 
 
 @pytest.mark.parametrize("src", ["", "a", "a ( ) ;", "/* open", '"open', "x // end"])

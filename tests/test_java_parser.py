@@ -434,6 +434,27 @@ def test_local_class_is_no_for_initializer():
     assert not check_syntax("void f ( ) { for ( final class A { } ; ; ) ; }").valid
 
 
+@pytest.mark.parametrize("code", [
+    "void f ( ) { abstract class A { } }",
+    "void f ( ) { strictfp class A { } }",
+    "void f ( ) { abstract strictfp class A < T > extends B { } }",
+    "void f ( ) { switch ( k ) { default : abstract class A { } } }",
+])
+def test_abstract_or_strictfp_starts_a_local_class(code):
+    # JLS 14.3: a local class takes the class modifiers abstract and strictfp.
+    assert check_syntax(code).valid
+
+
+@pytest.mark.parametrize("code", [
+    "void f ( ) { abstract int x ; }",
+    "void f ( ) { abstract ; }",
+    "void f ( ) { strictfp int x = 0 ; }",
+    "void f ( ) { abstract }",
+])
+def test_abstract_or_strictfp_starts_no_other_statement(code):
+    assert not check_syntax(code).valid
+
+
 def test_resource_that_is_no_declaration_holds_its_modifier_once():
     src = wrap_method("void f ( ) { try ( final r ) { } }")
     start = src.index("final")

@@ -84,6 +84,10 @@ FAMILIES = {
     "qualified_creation": (
         lambda n: _ret("a . new A ( ) { Object o = " * n + "x" + " ; }" * n), 72),
     "local_lambda_declarations": (lambda n: _body("R r = ( ) -> { " * n + "} ; " * n), 110),
+    # A primitive type starts a declaration in `parse_statement` itself,
+    # with no frame between the statement and the declaration.
+    "primitive_local_lambda_declarations": (
+        lambda n: _body("int r = ( ) -> { " * n + "} ; " * n), 110),
     "for_init_lambdas": (lambda n: _body("for ( R r = ( ) -> { " * n + "} ; ; ) ; " * n), 110),
     # The costliest cycle in the grammar. Still not Java: it relies on a
     # lambda as an annotation element value, which the parser accepts.
