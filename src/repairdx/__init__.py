@@ -6,65 +6,66 @@ is it to the reference fix (exact match, normalized edit distance), and
 what did the model actually do (copy its input, modify it, or fix it) —
 per training checkpoint, deterministically, with machine-readable
 reports.
+
+Importing the package loads none of its modules. Each public name is
+imported from its module on first access (PEP 562) and then kept here,
+so a command or a script pays only for the modules it uses.
 """
 
-from .abstraction import (
-    AbstractionMapping,
-    AbstractionReport,
-    UnparseableCodeError,
-    Violation,
-    abstract_identifiers,
-    check_conformance,
-)
-from .corpus import (
-    CorpusStats,
-    Prediction,
-    RepairExample,
-    TrackingConfig,
-    corpus_stats,
-    filter_split,
-    load_examples,
-    load_predictions,
-    predictions_by_step,
-    sample_validation,
-)
-from .errors import EnvironmentFailure, InputError, UsageError
-from .metrics import (
-    BehaviorClass,
-    EvalRecord,
-    SummaryStats,
-    aggregate,
-    classify_behavior,
-    exact_match,
-    is_near_copy,
-    levenshtein,
-    normalized_edit_distance,
-)
-from .report import (
-    Case,
-    CaseBundle,
-    EvalReport,
-    Provenance,
-    build_report,
-    emit_cases,
-    emit_report,
-    extract_cases,
-    file_digest,
-)
-from .syntax import (
-    SyntaxVerdict,
-    check_syntax,
-    wrap_method,
-)
-from .tracking import (
-    CheckpointRecord,
-    CheckpointSeries,
-    build_series,
-    evaluate_examples,
-    load_loss_log,
-    run_tracking,
-    summarize_records,
-)
+from importlib import import_module as _import_module
+
+# Each public name -> the module that defines it.
+_EXPORTS = {
+    "AbstractionMapping": "abstraction",
+    "AbstractionReport": "abstraction",
+    "BehaviorClass": "metrics",
+    "Case": "report",
+    "CaseBundle": "report",
+    "CheckpointRecord": "tracking",
+    "CheckpointSeries": "tracking",
+    "CorpusStats": "corpus",
+    "EnvironmentFailure": "errors",
+    "EvalRecord": "metrics",
+    "EvalReport": "report",
+    "InputError": "errors",
+    "Prediction": "corpus",
+    "Provenance": "report",
+    "RepairExample": "corpus",
+    "SummaryStats": "metrics",
+    "SyntaxVerdict": "syntax",
+    "TrackingConfig": "corpus",
+    "UnparseableCodeError": "abstraction",
+    "UsageError": "errors",
+    "Violation": "abstraction",
+    "abstract_identifiers": "abstraction",
+    "aggregate": "metrics",
+    "build_report": "report",
+    "build_series": "tracking",
+    "check_conformance": "abstraction",
+    "check_syntax": "syntax",
+    "classify_behavior": "metrics",
+    "corpus_stats": "corpus",
+    "emit_cases": "report",
+    "emit_report": "report",
+    "evaluate_examples": "tracking",
+    "exact_match": "metrics",
+    "extract_cases": "report",
+    "file_digest": "report",
+    "filter_split": "corpus",
+    "is_near_copy": "metrics",
+    "levenshtein": "metrics",
+    "load_examples": "corpus",
+    "load_loss_log": "tracking",
+    "load_predictions": "corpus",
+    "normalized_edit_distance": "metrics",
+    "predictions_by_step": "corpus",
+    "run_tracking": "tracking",
+    "sample_validation": "corpus",
+    "summarize_records": "tracking",
+    "wrap_method": "syntax",
+}
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
@@ -74,55 +75,12 @@ def __getattr__(name: str):
         from .report import _tool_version
 
         return _tool_version()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+    return value
 
 
-__all__ = [
-    "AbstractionMapping",
-    "AbstractionReport",
-    "BehaviorClass",
-    "Case",
-    "CaseBundle",
-    "CheckpointRecord",
-    "CheckpointSeries",
-    "CorpusStats",
-    "EnvironmentFailure",
-    "EvalRecord",
-    "EvalReport",
-    "InputError",
-    "Prediction",
-    "Provenance",
-    "RepairExample",
-    "SummaryStats",
-    "SyntaxVerdict",
-    "TrackingConfig",
-    "UnparseableCodeError",
-    "UsageError",
-    "Violation",
-    "abstract_identifiers",
-    "aggregate",
-    "build_report",
-    "build_series",
-    "check_conformance",
-    "check_syntax",
-    "classify_behavior",
-    "corpus_stats",
-    "emit_cases",
-    "emit_report",
-    "evaluate_examples",
-    "exact_match",
-    "extract_cases",
-    "file_digest",
-    "filter_split",
-    "is_near_copy",
-    "levenshtein",
-    "load_examples",
-    "load_loss_log",
-    "load_predictions",
-    "normalized_edit_distance",
-    "predictions_by_step",
-    "run_tracking",
-    "sample_validation",
-    "summarize_records",
-    "wrap_method",
-]
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, "__version__"})

@@ -19,39 +19,60 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .abstraction import abstract_identifiers, check_conformance
-from .corpus import (
-    _iter_jsonl,
-    _require,
-    corpus_stats,
-    filter_split,
-    load_examples,
-    load_predictions,
-    predictions_by_step,
-    TrackingConfig,
-)
 from .errors import EnvironmentFailure, InputError, UsageError
-from .report import (
-    Provenance,
-    _corpus_stats_obj,
-    _jsonl,
-    _write_files,
-    build_report,
-    emit_cases,
-    emit_report,
-    extract_cases,
-    file_digest,
-)
-from .syntax import SyntaxVerdict, check_syntax
-from .tracking import (
-    build_series,
-    evaluate_examples,
-    load_loss_log,
-    run_tracking,
-    summarize_records,
-)
+
+# The library names the command bodies call, each -> the module that
+# defines it. A command binds the names it calls into this module's
+# globals when it runs (`_bind`), so each command imports only the
+# modules it needs. A name bound here already, such as a wrapper set on
+# this module, is the one that runs. `__getattr__` serves the same names
+# to `getattr(repairdx.cli, name)`.
+_LIBRARY = {
+    "TrackingConfig": "corpus",
+    "_iter_jsonl": "corpus",
+    "_require": "corpus",
+    "corpus_stats": "corpus",
+    "filter_split": "corpus",
+    "load_examples": "corpus",
+    "load_predictions": "corpus",
+    "predictions_by_step": "corpus",
+    "check_syntax": "syntax",
+    "abstract_identifiers": "abstraction",
+    "check_conformance": "abstraction",
+    "jsonl": "fileset",
+    "write_files": "fileset",
+    "build_series": "tracking",
+    "evaluate_examples": "tracking",
+    "load_loss_log": "tracking",
+    "run_tracking": "tracking",
+    "summarize_records": "tracking",
+    "Provenance": "report",
+    "build_report": "report",
+    "emit_cases": "report",
+    "emit_report": "report",
+    "extract_cases": "report",
+    "file_digest": "report",
+}
+
+
+def _bind(*names: str) -> None:
+    """Bind each of ``names`` in this module's globals, imported from its
+    module, unless it is bound already."""
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            scope[name] = getattr(import_module(f".{_LIBRARY[name]}", __package__), name)
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
+
 
 _EXAMPLES_SCHEMA = (
     "examples file: JSON Lines, one object per line: "
@@ -211,6 +232,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 # command bodies
 
 def _load_corpus(cfg: argparse.Namespace):
+    _bind("load_examples", "filter_split")
     examples = load_examples(cfg.corpus)
     if cfg.split is not None:
         examples = filter_split(examples, cfg.split)
@@ -218,6 +240,7 @@ def _load_corpus(cfg: argparse.Namespace):
 
 
 def _provenance(cfg: argparse.Namespace, **extra_config) -> Provenance:
+    _bind("file_digest", "Provenance")
     inputs = {}
     if cfg.corpus is not None:
         inputs["corpus"] = file_digest(cfg.corpus)
@@ -241,13 +264,15 @@ def _past_limit(count: int) -> str:
 
 
 def _cmd_stats(cfg: argparse.Namespace) -> int:
-    print(json.dumps(_corpus_stats_obj(corpus_stats(_load_corpus(cfg))), indent=2))
+    _bind("corpus_stats")
+    print(json.dumps(corpus_stats(_load_corpus(cfg)).to_obj(), indent=2))
     return 0
 
 
 def _cmd_check(cfg: argparse.Namespace) -> int:
+    _bind("_iter_jsonl", "_require", "check_syntax")
     path = cfg.snippets
-    verdicts: dict[str, SyntaxVerdict] = {}  # each distinct text is judged once
+    verdicts = {}  # text -> verdict: each distinct text is judged once
     total = 0
     valid = 0
     cut = 0
@@ -283,6 +308,7 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_abstract(cfg: argparse.Namespace) -> int:
+    _bind("abstract_identifiers", "check_conformance", "write_files", "jsonl")
     examples = _load_corpus(cfg)
     if cfg.verify_only:
         entries = []
@@ -300,7 +326,7 @@ def _cmd_abstract(cfg: argparse.Namespace) -> int:
             entry["conformant"] = clean
             bad += 0 if clean else 1
             entries.append(entry)
-        [path] = _write_files(cfg.out_dir, {"conformance.jsonl": _jsonl(entries)})
+        [path] = write_files(cfg.out_dir, {"conformance.jsonl": jsonl(entries)})
         print(f"checked {len(examples)} example(s): "
               f"{len(examples) - bad} conformant, {bad} with violations",
               file=sys.stderr)
@@ -321,9 +347,9 @@ def _cmd_abstract(cfg: argparse.Namespace) -> int:
         mappings.append(
             {"id": ex.id, "buggy": map_buggy.to_obj(), "fixed": map_fixed.to_obj()}
         )
-    written = _write_files(cfg.out_dir, {
-        "abstracted.jsonl": _jsonl(records),
-        "mappings.jsonl": _jsonl(mappings),
+    written = write_files(cfg.out_dir, {
+        "abstracted.jsonl": jsonl(records),
+        "mappings.jsonl": jsonl(mappings),
     })
     print(f"abstracted {len(examples)} example(s)", file=sys.stderr)
     print(written[0])
@@ -334,6 +360,7 @@ def _evaluate_one_step(cfg: argparse.Namespace):
     """Load the inputs, pick one step, and evaluate the examples its
     predictions cover. ``eval`` takes a single-step dump only; ``inspect``
     takes ``--step`` or else the last step present."""
+    _bind("load_predictions", "predictions_by_step", "evaluate_examples")
     examples = _load_corpus(cfg)
     by_step = predictions_by_step(load_predictions(cfg.preds, corpus=examples))
     if not by_step:
@@ -366,6 +393,7 @@ def _write_report(cfg: argparse.Namespace, examples, series, records_by_step,
     """Write the report of a run, with a case bundle from the final
     checkpoint under ``--cases``; then print ``summary`` to stderr and the
     written paths to stdout."""
+    _bind("build_report", "corpus_stats", "extract_cases", "emit_report")
     report = build_report(
         corpus_stats(examples), series, records_by_step,
         _provenance(cfg, command=cfg.command, **extra_config),
@@ -383,6 +411,7 @@ def _write_report(cfg: argparse.Namespace, examples, series, records_by_step,
 
 
 def _cmd_eval(cfg: argparse.Namespace) -> int:
+    _bind("summarize_records", "build_series")
     examples, step, step_preds, records = _evaluate_one_step(cfg)
     final = summarize_records(records, step=step)
     return _write_report(
@@ -395,6 +424,8 @@ def _cmd_eval(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_track(cfg: argparse.Namespace) -> int:
+    _bind("load_predictions", "TrackingConfig", "load_loss_log", "run_tracking",
+          "predictions_by_step")
     examples = _load_corpus(cfg)
     predictions = load_predictions(cfg.preds, corpus=examples)
     config = TrackingConfig(
@@ -432,6 +463,7 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(cfg: argparse.Namespace) -> int:
+    _bind("extract_cases", "emit_cases")
     examples, step, step_preds, records = _evaluate_one_step(cfg)
     bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed)
     path = emit_cases(bundle, cfg.out_dir)

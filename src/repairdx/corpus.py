@@ -14,9 +14,7 @@ one reader here, which reports an unreadable file by its path.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import statistics
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,6 +81,19 @@ class CorpusStats:
     identity_pairs: int
     identity_pair_fraction: float
     duplicate_buggy: int = 0
+
+    def to_obj(self) -> dict:
+        """The ``stats`` output and report.json's ``corpus_stats``; reals
+        rounded to six decimals."""
+        return {
+            "n_examples": self.n_examples,
+            "n_per_split": self.n_per_split,
+            "mean_token_length": round(self.mean_token_length, 6),
+            "median_token_length": round(self.median_token_length, 6),
+            "identity_pairs": self.identity_pairs,
+            "identity_pair_fraction": round(self.identity_pair_fraction, 6),
+            "duplicate_buggy": self.duplicate_buggy,
+        }
 
 
 def _require(obj: dict, key: str, kind, path: str, lineno: int):
@@ -212,6 +223,8 @@ def load_predictions(path, corpus=None) -> list[Prediction]:
 
 def corpus_stats(examples) -> CorpusStats:
     """Sizes, whitespace-token lengths, and identity-pair share."""
+    import statistics  # only stats and a report need it
+
     examples = list(examples)
     if not examples:
         raise InputError("cannot summarize an empty corpus")
@@ -239,6 +252,8 @@ def corpus_stats(examples) -> CorpusStats:
 
 
 def _sample_rank(seed: int, step: int | None, example_id: str) -> str:
+    import hashlib  # only track samples
+
     if step is None:
         key = f"{seed}:{example_id}"
     else:

@@ -63,6 +63,8 @@ _MODIFIERS = frozenset(
         "default",
     ]
 )
+# The modifiers of a local class (JLS 14.3), besides annotations.
+_LOCAL_CLASS_MODIFIERS = frozenset(["abstract", "final", "strictfp"])
 
 _ASSIGN_OPS = frozenset(
     ["=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<<=", ">>=", ">>>="]
@@ -263,7 +265,7 @@ class JavaParser:
                 if self.at(";"):
                     children.append(self.take())
                     continue
-                children.append(self._parse_type_declaration())
+                children.append(self._parse_type_declaration(self._parse_modifiers()))
                 if self.i == before:
                     children.append(
                         self._error_until(frozenset(["class", "interface", "enum", "@"]))
@@ -309,11 +311,11 @@ class JavaParser:
     # ------------------------------------------------------------------
     # declarations
 
-    def _parse_modifiers(self) -> list[Node]:
+    def _parse_modifiers(self, allowed: frozenset[str] = _MODIFIERS) -> list[Node]:
         mods: list[Node] = []
         while True:
             text = self.toks[self.i].text
-            if text in _MODIFIERS:
+            if text in allowed:
                 mods.append(self.take())
             elif text == "@" and self.toks[self.i + 1].text != "interface":
                 mods.append(self._parse_annotation())
@@ -365,10 +367,16 @@ class JavaParser:
 
         The four share this one frame, and the enum body is parsed here
         too, so that each level of nested declarations costs three frames
-        (member, declaration, class body).
+        (member, declaration, class body). With no ``mods`` passed in, it
+        is a local class declaration (JLS 14.3), reached from a statement:
+        it parses the local-class modifiers itself, and then requires
+        ``class``.
         """
         if mods is None:
-            mods = self._parse_modifiers()
+            mods = self._parse_modifiers(_LOCAL_CLASS_MODIFIERS)
+            if not self.at("class"):
+                mods.append(self.missing("class"))
+                return self._node("type_declaration", mods)
         kids = list(mods)
         word = self.toks[self.i].text
         if word == "@" and self.toks[self.i + 1].text == "interface":
@@ -1283,7 +1291,8 @@ _STATEMENT_DISPATCH = {
     "@": JavaParser._parse_local_declaration,
     "final": JavaParser._parse_local_declaration,
     # A local class (JLS 14.3); with no modifiers passed in, the
-    # declaration parses its own.
+    # declaration parses the local-class modifiers itself and requires
+    # `class`.
     "class": JavaParser._parse_type_declaration,
     "abstract": JavaParser._parse_type_declaration,
     "strictfp": JavaParser._parse_type_declaration,

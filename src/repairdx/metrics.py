@@ -8,7 +8,6 @@ in exactly one class and distributions always sum to the sample size.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -151,6 +150,8 @@ class SummaryStats:
 
 def aggregate(values) -> SummaryStats:
     """Mean, median, population standard deviation, extrema, and count."""
+    import statistics  # not on the path of check or abstract
+
     values = [float(v) for v in values]
     if not values:
         raise InputError("cannot aggregate an empty sequence of values")

@@ -11,20 +11,21 @@ directory.
 
 from __future__ import annotations
 
-import contextlib
-import difflib
-import errno
-import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .corpus import CorpusStats, Prediction, RepairExample
-from .errors import EnvironmentFailure, InputError
-from .metrics import BehaviorClass, EvalRecord, SummaryStats, aggregate
-from .syntax import SyntaxVerdict, check_syntax
-from .tracking import CheckpointRecord, CheckpointSeries
+from .errors import InputError
+from .fileset import jsonl, write_files
+from .metrics import aggregate
+from .syntax import check_syntax
+
+if TYPE_CHECKING:
+    from .corpus import CorpusStats, Prediction, RepairExample
+    from .metrics import BehaviorClass, EvalRecord, SummaryStats
+    from .syntax import SyntaxVerdict
+    from .tracking import CheckpointRecord, CheckpointSeries
 
 TOOL_NAME = "repairdx"
 
@@ -47,6 +48,8 @@ def _tool_version() -> str:
 
 def file_digest(path) -> str:
     """SHA-256 of a file's bytes (stable content hash for provenance)."""
+    import hashlib  # only a report records its inputs' digests
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -107,6 +110,8 @@ class CaseBundle:
 
 
 def _unified(a: str, b: str, a_name: str, b_name: str) -> str:
+    import difflib  # only a case bundle renders diffs
+
     lines = difflib.unified_diff(
         a.splitlines(), b.splitlines(), fromfile=a_name, tofile=b_name, lineterm=""
     )
@@ -130,6 +135,8 @@ def extract_cases(
         raise InputError(f"case count must be positive, got {k}")
     if k > len(records):
         raise InputError(f"asked for {k} cases but only {len(records)} records exist")
+    import hashlib
+
     by_id = {ex.id: ex for ex in examples}
     ranked = sorted(
         records,
@@ -242,55 +249,6 @@ def _record_obj(r: EvalRecord) -> dict:
     }
 
 
-def _corpus_stats_obj(s: CorpusStats) -> dict:
-    return {
-        "n_examples": s.n_examples,
-        "n_per_split": s.n_per_split,
-        "mean_token_length": _r(s.mean_token_length),
-        "median_token_length": _r(s.median_token_length),
-        "identity_pairs": s.identity_pairs,
-        "identity_pair_fraction": _r(s.identity_pair_fraction),
-        "duplicate_buggy": s.duplicate_buggy,
-    }
-
-
-def _write_files(out_dir, files: dict[str, str]) -> list[Path]:
-    """Create ``out_dir`` and write the named texts into it as one set.
-
-    Every text goes to a temp file first. Only when all of them are
-    written, and no target is a directory, are they renamed into place;
-    otherwise every temp file is removed and no target changes. A failure
-    part-way through the renames is not covered: the targets renamed
-    before it are then new and the rest old. Returns the written paths;
-    any OS error is an environment failure.
-    """
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise EnvironmentFailure(f"cannot create output directory {out}: {exc}") from None
-    pending = [(out / f".{name}.tmp", out / name) for name in files]
-    try:
-        for tmp, path in pending:
-            tmp.write_text(files[path.name], encoding="utf-8")
-        for _tmp, path in pending:
-            if path.is_dir() and not path.is_symlink():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for tmp, path in pending:
-            os.replace(tmp, path)
-    except OSError as exc:
-        for tmp, _path in pending:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-        raise EnvironmentFailure(f"cannot write {path}: {exc}") from None
-    return [path for _tmp, path in pending]
-
-
-def _jsonl(objs) -> str:
-    """JSON Lines text of ``objs``, one object per line; empty for none."""
-    return "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
-
-
 def render_checkpoints_csv(series: CheckpointSeries) -> str:
     lines = [CHECKPOINTS_HEADER]
     for r in series.records:
@@ -320,7 +278,7 @@ def render_table1_csv(table1: list[tuple[str, SummaryStats]]) -> str:
 def render_report_json(report: EvalReport) -> str:
     obj = {
         "provenance": report.provenance.to_obj(),
-        "corpus_stats": _corpus_stats_obj(report.corpus_stats),
+        "corpus_stats": report.corpus_stats.to_obj(),
         "series": [_checkpoint_obj(r) for r in report.series.records],
         "final": _checkpoint_obj(report.series.final),
         "behavior_counts": {
@@ -334,7 +292,7 @@ def render_report_json(report: EvalReport) -> str:
 
 
 def render_records_jsonl(records_by_step: dict[int, list[EvalRecord]]) -> str:
-    return _jsonl(
+    return jsonl(
         _record_obj(r) for step in sorted(records_by_step) for r in records_by_step[step]
     )
 
@@ -354,7 +312,7 @@ def emit_report(report: EvalReport, out_dir, cases: CaseBundle | None = None) ->
         files["records.jsonl"] = records_text
     if cases is not None:
         files["cases.json"] = render_cases_json(cases)
-    return _write_files(out_dir, files)
+    return write_files(out_dir, files)
 
 
 def _case_obj(case: Case) -> dict:
@@ -380,4 +338,4 @@ def render_cases_json(bundle: CaseBundle) -> str:
 
 def emit_cases(bundle: CaseBundle, out_dir) -> Path:
     """Write cases.json into ``out_dir``; returns the path."""
-    return _write_files(out_dir, {"cases.json": render_cases_json(bundle)})[0]
+    return write_files(out_dir, {"cases.json": render_cases_json(bundle)})[0]

@@ -4,11 +4,17 @@ Each run pins the exit code, stdout, stderr and the sha256 of every file
 the command writes, so a refactor of the command-line layer that moves a
 single byte of any output fails here. Temporary paths in stdout read as
 ``<tmp>``, and the tool version in ``report.json`` as ``<version>``, so
-the pins hold on any machine and for any installed version.
+the pins hold on any machine and for any installed version. Each command
+is also run once as ``python -m repairdx.cli`` in a fresh interpreter,
+where it must bind every name it calls itself.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,10 +55,12 @@ COMMANDS = {
 }
 
 
-def golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys,
-               extra=()):
-    """Run one command, with ``extra`` arguments appended; return
-    (exit code, stdout, stderr, {file: sha256})."""
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def golden_argv(name, tmp_path, corpus_file, predictions_file, loss_file, extra=()):
+    """The command line of one command, with ``extra`` arguments appended;
+    its inputs are written under ``tmp_path``."""
     files = {
         "corpus": corpus_file,
         "preds": predictions_file,
@@ -63,20 +71,32 @@ def golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys,
         "verify": write_jsonl(tmp_path / "verify.jsonl", VERIFY_CORPUS),
         "out": tmp_path / "out",
     }
-    argv = [arg.format(**{k: str(v) for k, v in files.items()})
+    return [arg.format(**{k: str(v) for k, v in files.items()})
             for arg in COMMANDS[name]] + list(extra)
-    capsys.readouterr()
-    code = main(argv)
-    captured = capsys.readouterr()
+
+
+def golden_result(tmp_path, code, out, err):
+    """(exit code, stdout, stderr, {file: sha256}) of a run that wrote to
+    ``tmp_path / "out"``."""
     version = json.dumps(_tool_version()).encode()
     digests = {}
-    out = files["out"]
-    for path in sorted(out.iterdir()) if out.is_dir() else ():
+    out_dir = tmp_path / "out"
+    for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else ():
         data = path.read_bytes().replace(version, b'"<version>"')
         digests[path.name] = hashlib.sha256(data).hexdigest()
     tmp = str(tmp_path)
-    return (code, captured.out.replace(tmp, "<tmp>"),
-            captured.err.replace(tmp, "<tmp>"), digests)
+    return code, out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>"), digests
+
+
+def golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys,
+               extra=()):
+    """Run one command in this interpreter, with ``extra`` arguments
+    appended; return (exit code, stdout, stderr, {file: sha256})."""
+    argv = golden_argv(name, tmp_path, corpus_file, predictions_file, loss_file, extra)
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    return golden_result(tmp_path, code, captured.out, captured.err)
 
 
 EXPECTED = {
@@ -208,3 +228,15 @@ def test_workers_moves_no_output_byte(name, workers, tmp_path, corpus_file,
     got = golden_run(name, tmp_path, corpus_file, predictions_file, loss_file, capsys,
                      extra=["--workers", workers])
     assert got == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_output_is_pinned_in_a_fresh_interpreter(name, tmp_path, corpus_file,
+                                                         predictions_file, loss_file):
+    # The in-process runs share one interpreter, in which a name that one
+    # command forgot to bind may have been bound by another.
+    argv = golden_argv(name, tmp_path, corpus_file, predictions_file, loss_file)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-m", "repairdx.cli", *argv], cwd=ROOT, env=env,
+                         capture_output=True, encoding="utf-8", timeout=60)
+    assert golden_result(tmp_path, res.returncode, res.stdout, res.stderr) == EXPECTED[name]

@@ -1,19 +1,9 @@
 """The public surface of the package: ``repairdx.__all__`` against the
-names ``repairdx/__init__.py`` imports."""
+name -> module table that ``repairdx/__init__.py`` serves its names from."""
 
-import ast
-from pathlib import Path
+import importlib
 
 import repairdx
-
-
-def _imported_public_names() -> set[str]:
-    tree = ast.parse(Path(repairdx.__file__).read_text(encoding="utf-8"))
-    return {
-        alias.asname or alias.name
-        for node in tree.body if isinstance(node, ast.ImportFrom)
-        for alias in node.names if not (alias.asname or alias.name).startswith("_")
-    }
 
 
 def test_every_name_in_all_resolves():
@@ -24,8 +14,22 @@ def test_every_name_in_all_resolves():
 
 
 def test_every_imported_public_name_is_in_all():
-    assert _imported_public_names() - set(repairdx.__all__) == set()
+    # The package imports its public names through `_EXPORTS` only, and
+    # each is the object of that name in the module that defines it.
+    table = repairdx._EXPORTS
+    assert list(table) == repairdx.__all__
+    for name, module in table.items():
+        value = getattr(repairdx, name)
+        assert value is getattr(importlib.import_module(f"repairdx.{module}"), name), name
+        assert value.__module__ == f"repairdx.{module}", name
 
 
 def test_all_lists_each_name_once():
     assert len(repairdx.__all__) == len(set(repairdx.__all__))
+
+
+def test_dir_lists_every_lazy_name():
+    names = dir(repairdx)
+    assert names == sorted(names)
+    assert set(repairdx.__all__) | {"__version__"} <= set(names)
+    assert not [name for name in names if not hasattr(repairdx, name)]

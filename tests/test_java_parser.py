@@ -439,10 +439,26 @@ def test_local_class_is_no_for_initializer():
     "void f ( ) { strictfp class A { } }",
     "void f ( ) { abstract strictfp class A < T > extends B { } }",
     "void f ( ) { switch ( k ) { default : abstract class A { } } }",
+    "void f ( ) { abstract @ A final class B { } }",
 ])
 def test_abstract_or_strictfp_starts_a_local_class(code):
     # JLS 14.3: a local class takes the class modifiers abstract and strictfp.
     assert check_syntax(code).valid
+
+
+@pytest.mark.parametrize("code", [
+    "void f ( ) { abstract enum E { A } }",
+    "void f ( ) { abstract interface I { } }",
+    "void f ( ) { abstract @ interface A { } }",
+    "void f ( ) { strictfp enum E { A } }",
+    "void f ( ) { abstract static class A { } }",
+    "void f ( ) { strictfp public class A { } }",
+    "void f ( ) { abstract @ A private class B { } }",
+])
+def test_local_class_takes_local_class_modifiers_only_and_is_a_class(code):
+    # JLS 14.3: after abstract, final, strictfp and annotations, a local
+    # declaration must be a class.
+    assert not check_syntax(code).valid
 
 
 @pytest.mark.parametrize("code", [

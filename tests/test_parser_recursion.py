@@ -60,6 +60,8 @@ FAMILIES = {
     "anonymous_class_fields": (
         lambda n: _ret("new A ( ) { Object o = " * n + "x" + " ; }" * n), 54),
     "local_classes": (lambda n: _body("class A { void m ( ) { " * n + "} } " * n), 110),
+    "abstract_local_classes": (
+        lambda n: _body("abstract class A { void m ( ) { " * n + "} } " * n), 110),
     "array_initializers": (lambda n: "int [ ] x = " + "{ " * n + "} " * n + ";", 220),
     "generics": (lambda n: "A < " * n + "B" + " >" * n + " x ;", 219),
     "annotations": (lambda n: "@ A ( " * n + "@ A" + " )" * n + " void f ( ) { }", 219),
