@@ -14,6 +14,10 @@ so a command or a script pays only for the modules it uses.
 
 from importlib import import_module as _import_module
 
+# The one source of the version; report.json stamps it, and pyproject.toml
+# states the same string.
+__version__ = "0.1.0"
+
 # Each public name -> the module that defines it.
 _EXPORTS = {
     "AbstractionMapping": "abstraction",
@@ -69,12 +73,6 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    # `__version__` is computed on access, by the function that stamps
-    # report.json, so that importing the package skips the lookup.
-    if name == "__version__":
-        from .report import _tool_version
-
-        return _tool_version()
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -83,4 +81,4 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted({*globals(), *_EXPORTS, "__version__"})
+    return sorted({*globals(), *_EXPORTS})

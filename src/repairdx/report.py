@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import __version__
 from .errors import InputError
 from .fileset import jsonl, write_files
 from .metrics import aggregate
@@ -37,15 +38,6 @@ BEHAVIOR_HEADER = "class,count,percentage"
 TABLE1_HEADER = "metric,mean,median,std"
 
 
-def _tool_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version(TOOL_NAME)
-    except Exception:
-        return "0.0.0+unpackaged"
-
-
 def file_digest(path) -> str:
     """SHA-256 of a file's bytes (stable content hash for provenance)."""
     import hashlib  # only a report records its inputs' digests
@@ -65,7 +57,7 @@ class Provenance:
     inputs: dict[str, str] = field(default_factory=dict)  # label -> sha256
     config: dict = field(default_factory=dict)
     tool: str = TOOL_NAME
-    version: str = field(default_factory=_tool_version)
+    version: str = __version__
 
     def to_obj(self) -> dict:
         return {

@@ -3,11 +3,13 @@
 The harness is strictly post-hoc: it consumes predictions a training run
 dumped at each checkpoint, never the model itself. The (step, example)
 tasks of a run are measured in one pass. Each distinct prediction text
-is judged once per run. The input decides how: distinct texts long
-enough in total to repay starting worker processes go to one pool, one
-process per CPU, for the whole run; shorter ones are judged in a serial
-loop. Records are built in the calling process and always reduced in
-example-id order, so results are identical at any CPU count.
+is judged once per run, and each distinct (prediction, fix) pair's edit
+distance is computed once per run. The input decides how texts are
+judged: distinct texts long enough in total to repay starting worker
+processes go to one pool, one process per usable CPU, for the whole run;
+shorter ones are judged in a serial loop. Records are built in the
+calling process and always reduced in example-id order, so results are
+identical at any CPU count.
 A prediction nested past the parser's depth guard is not valid, and
 its record says ``limit_exceeded``; each checkpoint counts those.
 Loss values are ingested from an auxiliary log when available — never
@@ -123,17 +125,19 @@ class CheckpointSeries:
 # ----------------------------------------------------------------------
 # per-example evaluation
 
-def _measure(ex: RepairExample, pred: Prediction, valid: bool,
-             em_normalize: str, ned_tokens: bool,
-             limit_exceeded: bool = False) -> EvalRecord:
-    """The record of one prediction, given the syntax verdict on its text."""
-    text, fixed = pred.prediction, ex.fixed
+def _distance(text: str, fixed: str, ned_tokens: bool) -> tuple[int, float]:
+    """``(edit_distance, ned)`` of a prediction text against its fix."""
     distance = levenshtein(text, fixed)
     if ned_tokens:
-        ned = normalized_edit_distance(text, fixed, tokens=True)
-    else:  # character NED is this same distance, scaled by the longer side
-        longer = max(len(text), len(fixed))
-        ned = distance / longer if longer else 0.0
+        return distance, normalized_edit_distance(text, fixed, tokens=True)
+    longer = max(len(text), len(fixed))  # character NED: this distance, scaled
+    return distance, distance / longer if longer else 0.0
+
+
+def _measure(ex: RepairExample, pred: Prediction, valid: bool, limit_exceeded: bool,
+             distance: int, ned: float, em_normalize: str) -> EvalRecord:
+    """The record of one prediction, given its text's verdict and distance."""
+    text, fixed = pred.prediction, ex.fixed
     return EvalRecord(
         example_id=ex.id,
         step=pred.step,
@@ -155,6 +159,14 @@ def _measure(ex: RepairExample, pred: Prediction, valid: bool,
 # 3%, for 25% more CPU), and 174k, where they won 19 of 20 pairs (medians
 # 12-17% lower). See CHANGES.md.
 _POOL_MIN_CHARS = 160_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _judge_in_worker(text: str) -> tuple[bool, bool]:
@@ -186,13 +198,15 @@ def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]],
     """Measure every (example, prediction) pair of a run.
 
     Each distinct prediction text is judged once: in one pool of at most
-    one process per CPU and per text when the texts hold at least
+    one process per usable CPU and per text when the texts hold at least
     ``_POOL_MIN_CHARS`` characters, else in one serial loop. The records
-    are then built here from those verdicts. Records come back per group
-    of pairs, each group sorted by example id.
+    are then built here from those verdicts, and each distinct
+    (prediction, fix) pair's distance is computed once, here, for every
+    record that holds the pair; a copy repeats its pair at every step.
+    Records come back per group of pairs, each group sorted by example id.
     """
     texts = list(dict.fromkeys(pred.prediction for group in groups for _ex, pred in group))
-    processes = min(os.cpu_count() or 1, len(texts))
+    processes = min(_usable_cpus(), len(texts))
     if processes > 1 and sum(map(len, texts)) >= _POOL_MIN_CHARS:
         import multiprocessing  # only a pooled run pays for the import
 
@@ -203,10 +217,15 @@ def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]],
     else:
         verdicts = list(map(_judge_in_worker, texts))
     judged = dict(zip(texts, verdicts))
+    distances: dict[tuple[str, str], tuple[int, float]] = {}
 
     def measure(ex: RepairExample, pred: Prediction) -> EvalRecord:
-        valid, limit_exceeded = judged[pred.prediction]
-        return _measure(ex, pred, valid, em_normalize, ned_tokens, limit_exceeded)
+        text = pred.prediction
+        pair = (text, ex.fixed)
+        distance = distances.get(pair)
+        if distance is None:
+            distance = distances[pair] = _distance(text, ex.fixed, ned_tokens)
+        return _measure(ex, pred, *judged[text], *distance, em_normalize)
 
     return [sorted((measure(ex, pred) for ex, pred in group), key=lambda r: r.example_id)
             for group in groups]

@@ -2,7 +2,6 @@
 
 import json
 import multiprocessing
-import os
 from pathlib import Path
 
 import pytest
@@ -23,13 +22,13 @@ def write_jsonl(path, rows):
 
 def force_pool(monkeypatch, cpus=2, min_chars=0):
     """Make runs judge their texts in a pool from ``min_chars`` characters
-    of distinct text (at any size by default), as on a machine with
-    ``cpus`` CPUs. Returns the list that each pool's size is appended to.
-    The pool keeps the platform's default start method."""
+    of distinct text (at any size by default), as in a process that may
+    run on ``cpus`` CPUs. Returns the list that each pool's size is
+    appended to. The pool keeps the platform's default start method."""
     from repairdx import tracking
 
     monkeypatch.setattr(tracking, "_POOL_MIN_CHARS", min_chars)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(tracking, "_usable_cpus", lambda: cpus)
     sizes = []
     real = multiprocessing.get_context()
 

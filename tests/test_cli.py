@@ -7,7 +7,6 @@ subcommand writes.
 
 import json
 import multiprocessing
-import os
 import statistics
 import sys
 
@@ -785,6 +784,63 @@ def _four_step_dump(tmp_path):
             write_jsonl(tmp_path / "preds.jsonl", preds), texts)
 
 
+def _copying_dump(tmp_path):
+    """12 examples over 4 steps: the even ones copy their input at every
+    step, the odd ones alternate between a cut fix and an edited fix, and
+    ex-11 predicts ex-00's input; returns the file paths and the distinct
+    (prediction, fix) pairs."""
+    corpus = [
+        {"id": f"ex-{i:02d}", "buggy": f"int f ( int a ) {{ return a - {i} ; }}",
+         "fixed": f"int f ( int a ) {{ return a + {i} ; }}"}
+        for i in range(12)
+    ]
+    preds = []
+    for step in (0, 500, 1000, 1500):
+        for i, row in enumerate(corpus):
+            if i == 11:
+                text = corpus[0]["buggy"]
+            elif i % 2 == 0:
+                text = row["buggy"]
+            elif step % 1000 == 0:
+                text = row["fixed"][:-2]
+            else:
+                text = row["fixed"].replace("a +", "b +")
+            preds.append({"id": row["id"], "step": step, "prediction": text})
+    fixed = {row["id"]: row["fixed"] for row in corpus}
+    pairs = {(p["prediction"], fixed[p["id"]]) for p in preds}
+    return (write_jsonl(tmp_path / "corpus.jsonl", corpus),
+            write_jsonl(tmp_path / "preds.jsonl", preds), pairs)
+
+
+@pytest.mark.parametrize("extra", [[], ["--ned-tokens"]])
+def test_track_measures_each_distinct_pair_once_serial_or_pooled(tmp_path, capsys,
+                                                                  monkeypatch, extra):
+    corpus_path, preds_path, pairs = _copying_dump(tmp_path)
+    calls = []
+    real = tracking.levenshtein
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(tracking, "levenshtein", counting)
+    outputs, counted, sizes = [], [], []
+    for out_name in ("serial", "pooled"):
+        if out_name == "pooled":
+            sizes = force_pool(monkeypatch)
+        calls.clear()
+        out = tmp_path / out_name
+        assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
+                     "--out", str(out), "--sample", "12", "--cases", "3", *extra]) == 0
+        counted.append(sorted(calls))
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(pairs) == 6 + 5 * 2 + 1  # copies, odd examples' two texts, ex-11
+    assert sizes == [2]
+    assert counted == [sorted(pairs)] * 2
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 6
+
+
 def test_track_output_is_byte_identical_at_one_and_two_workers(tmp_path, capsys,
                                                                monkeypatch):
     corpus_path, preds_path, _texts = _four_step_dump(tmp_path)
@@ -845,7 +901,7 @@ def test_run_below_the_pool_threshold_is_serial(tmp_path, capsys, monkeypatch):
     # texts are all the dump's texts: one character short of the threshold.
     corpus_path, preds_path, texts = _four_step_dump(tmp_path)
     monkeypatch.setattr(tracking, "_POOL_MIN_CHARS", sum(map(len, texts)) + 1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(tracking, "_usable_cpus", lambda: 8)
     asked = []
     monkeypatch.setattr(multiprocessing, "get_context", lambda *a: asked.append(a))
     assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),

@@ -4,9 +4,9 @@ Each run pins the exit code, stdout, stderr and the sha256 of every file
 the command writes, so a refactor of the command-line layer that moves a
 single byte of any output fails here. Temporary paths in stdout read as
 ``<tmp>``, and the tool version in ``report.json`` as ``<version>``, so
-the pins hold on any machine and for any installed version. Each command
-is also run once as ``python -m repairdx.cli`` in a fresh interpreter,
-where it must bind every name it calls itself.
+the pins hold on any machine and for any ``repairdx.__version__``. Each
+command is also run once as ``python -m repairdx.cli`` in a fresh
+interpreter, where it must bind every name it calls itself.
 """
 
 import hashlib
@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
+import repairdx
 from repairdx.cli import main
-from repairdx.report import _tool_version
 
 from conftest import SMALL_PREDICTIONS, write_jsonl
 
@@ -78,7 +78,7 @@ def golden_argv(name, tmp_path, corpus_file, predictions_file, loss_file, extra=
 def golden_result(tmp_path, code, out, err):
     """(exit code, stdout, stderr, {file: sha256}) of a run that wrote to
     ``tmp_path / "out"``."""
-    version = json.dumps(_tool_version()).encode()
+    version = json.dumps(repairdx.__version__).encode()
     digests = {}
     out_dir = tmp_path / "out"
     for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else ():

@@ -1,7 +1,10 @@
 """The public surface of the package: ``repairdx.__all__`` against the
-name -> module table that ``repairdx/__init__.py`` serves its names from."""
+name -> module table that ``repairdx/__init__.py`` serves its names from,
+and ``repairdx.__version__`` against ``pyproject.toml``."""
 
 import importlib
+import re
+from pathlib import Path
 
 import repairdx
 
@@ -33,3 +36,12 @@ def test_dir_lists_every_lazy_name():
     assert names == sorted(names)
     assert set(repairdx.__all__) | {"__version__"} <= set(names)
     assert not [name for name in names if not hasattr(repairdx, name)]
+
+
+def test_version_is_the_one_in_pyproject():
+    # Read without tomllib, which Python 3.10 lacks: the `version` line of
+    # the `[project]` table.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    versions = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, re.M)
+    assert versions == [repairdx.__version__]

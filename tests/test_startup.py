@@ -2,10 +2,10 @@
 it runs.
 
 Every CLI start imports ``repairdx``, which loads none of its modules:
-each public name is imported on first access. The version string needs a
-distribution lookup through ``importlib.metadata``, and only a pooled
-run needs ``multiprocessing``, so neither is imported up front. A run
-too small to repay a pool never imports ``multiprocessing`` at all.
+each public name is imported on first access. The version is a literal
+in the package, so no command imports ``importlib.metadata``. Only a
+pooled run needs ``multiprocessing``, so it is not imported up front,
+and a run too small to repay a pool never imports it at all.
 ``check`` loads the parser but no metrics, report or abstraction code,
 ``stats`` no parser, and ``abstract`` no report.
 """
@@ -28,8 +28,9 @@ PROBE = """
 import sys
 import repairdx
 print("importlib.metadata" in sys.modules, "multiprocessing" in sys.modules)
-from repairdx.report import _tool_version
-print(repairdx.__version__ == _tool_version())
+print("__version__" in vars(repairdx), [m for m in sys.modules if m.startswith("repairdx.")])
+from repairdx.report import Provenance
+print(Provenance(seed=0).version == repairdx.__version__)
 """
 
 
@@ -38,7 +39,7 @@ def test_import_leaves_metadata_and_multiprocessing_unloaded():
     res = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split("\n")[:2] == ["False False", "True"]
+    assert res.stdout.split("\n")[:3] == ["False False", "True []", "True"]
 
 
 def test_import_loads_no_module_of_the_package():
@@ -80,7 +81,7 @@ import json
 import sys
 from repairdx.cli import main
 code = main(sys.argv[1:])
-watched = ("difflib", "statistics")
+watched = ("difflib", "statistics", "importlib.metadata")
 print(json.dumps([code, [m for m in sys.modules if m.startswith("repairdx.") or m in watched]]))
 """
 
@@ -88,16 +89,23 @@ print(json.dumps([code, [m for m in sys.modules if m.startswith("repairdx.") or 
 NOT_LOADED = {
     "stats --corpus {corpus}": [
         "repairdx.javaparse", "repairdx.syntax", "repairdx.abstraction",
-        "repairdx.tracking", "repairdx.metrics", "repairdx.report", "difflib"],
+        "repairdx.tracking", "repairdx.metrics", "repairdx.report", "difflib",
+        "importlib.metadata"],
     "check --in {snippets}": [
         "repairdx.abstraction", "repairdx.report", "repairdx.tracking",
-        "repairdx.metrics", "difflib", "statistics"],
+        "repairdx.metrics", "difflib", "statistics", "importlib.metadata"],
     "abstract --corpus {corpus} --out {out}": [
-        "repairdx.report", "repairdx.tracking", "repairdx.metrics", "difflib"],
+        "repairdx.report", "repairdx.tracking", "repairdx.metrics", "difflib",
+        "importlib.metadata"],
     "abstract --verify-only --corpus {corpus} --out {out}": [
-        "repairdx.report", "repairdx.tracking", "repairdx.metrics", "difflib"],
+        "repairdx.report", "repairdx.tracking", "repairdx.metrics", "difflib",
+        "importlib.metadata"],
     "eval --corpus {corpus} --preds {final} --out {out}": [
-        "repairdx.abstraction", "difflib"],
+        "repairdx.abstraction", "difflib", "importlib.metadata"],
+    "track --corpus {corpus} --preds {preds} --out {out} --cases 2": [
+        "repairdx.abstraction", "importlib.metadata"],
+    "inspect --corpus {corpus} --preds {preds} --out {out} --cases 2": [
+        "repairdx.abstraction", "importlib.metadata"],
 }
 
 
@@ -105,6 +113,7 @@ NOT_LOADED = {
 def test_command_loads_only_what_it_runs(command, tmp_path):
     files = {
         "corpus": write_jsonl(tmp_path / "corpus.jsonl", SMALL_CORPUS),
+        "preds": write_jsonl(tmp_path / "preds.jsonl", SMALL_PREDICTIONS),
         "final": write_jsonl(tmp_path / "final.jsonl",
                              [p for p in SMALL_PREDICTIONS if p["step"] == 1000]),
         "snippets": write_jsonl(tmp_path / "snippets.jsonl",

@@ -1,6 +1,7 @@
 """Checkpoint evaluation: invariants, determinism, pool parity."""
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -22,7 +23,7 @@ from repairdx.tracking import (
     load_loss_log,
     run_tracking,
     summarize_records,
-    _measure,
+    _distance,
 )
 
 from conftest import SMALL_CORPUS, SMALL_PREDICTIONS, force_pool, write_jsonl
@@ -179,12 +180,14 @@ def test_token_ned_under_ned_tokens():
 
 
 def test_measure_of_two_empty_texts_is_zero():
-    record = _measure(
-        RepairExample(id="e", buggy="x", fixed=""), Prediction(id="e", step=0, prediction=""),
-        valid=False, em_normalize="none", ned_tokens=False,
-    )
-    assert record.edit_distance == 0 and record.ned == 0.0
-    assert record.syntax_valid is False
+    for ned_tokens in (False, True):
+        assert _distance("", "", ned_tokens) == (0, 0.0)
+        [record] = evaluate_examples(
+            [RepairExample(id="e", buggy="x", fixed="")],
+            {"e": Prediction(id="e", step=0, prediction="")}, ned_tokens=ned_tokens,
+        )
+        assert record.edit_distance == 0 and record.ned == 0.0
+        assert record.syntax_valid is False
 
 
 def test_missing_prediction_is_named():
@@ -391,6 +394,54 @@ def test_run_tracking_judges_each_distinct_text_once(monkeypatch):
             assert r.syntax_valid == real(text[step, r.example_id]).valid
 
 
+def _repeating_predictions():
+    """Four steps of predictions in which copies and a modification repeat
+    at every step, and bug-004 repeats bug-001's input against its own fix."""
+    exs = examples()
+    preds = []
+    for step in (500, 1000, 1500, 2000):
+        for ex in exs:
+            text = {"bug-001": ex.buggy,
+                    "bug-002": ex.buggy if step < 1500 else ex.fixed,
+                    "bug-003": ex.fixed[:-2],
+                    "bug-004": exs[0].buggy}[ex.id]
+            preds.append(Prediction(id=ex.id, step=step, prediction=text))
+    return preds
+
+
+@pytest.mark.parametrize("ned_tokens", [False, True])
+def test_run_tracking_measures_each_distinct_pair_once(monkeypatch, ned_tokens):
+    preds = _repeating_predictions()
+    fixed = {ex.id: ex.fixed for ex in examples()}
+    pairs = {(p.prediction, fixed[p.id]) for p in preds}
+    calls = {"levenshtein": [], "normalized_edit_distance": []}
+    for name, seen in calls.items():
+        real = getattr(tracking, name)
+
+        def counting(a, b, *args, _real=real, _seen=seen, **kwargs):
+            _seen.append((a, b))
+            return _real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(tracking, name, counting)
+    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
+    _series, records_by_step = run_tracking(examples(), preds, config, ned_tokens=ned_tokens)
+    assert (len(preds), len(pairs)) == (16, 5)
+    assert sorted(calls["levenshtein"]) == sorted(pairs)
+    assert sorted(calls["normalized_edit_distance"]) == (sorted(pairs) if ned_tokens else [])
+    # Every record reads its own pair's numbers, against a per-record oracle.
+    text = {(p.step, p.id): p.prediction for p in preds}
+    for step, records in records_by_step.items():
+        assert len(records) == 4
+        for r in records:
+            pred, target = text[step, r.example_id], fixed[r.example_id]
+            distance = levenshtein(pred, target)
+            assert r.edit_distance == distance
+            if ned_tokens:
+                assert r.ned == normalized_edit_distance(pred, target, tokens=True)
+            else:
+                assert r.ned == distance / max(len(pred), len(target))
+
+
 def test_pool_results_do_not_depend_on_the_start_method(monkeypatch):
     config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
     serial = run_tracking(examples(), predictions(), config)
@@ -420,6 +471,17 @@ def test_pool_has_no_more_workers_than_distinct_texts(monkeypatch, cpus, expecte
     pooled = run_tracking(examples(), preds, config)
     assert sizes == [expected]
     assert pooled == serial
+
+
+def test_pool_is_sized_by_the_cpus_this_process_may_use(monkeypatch):
+    # Only the helper is asked; no pool starts here.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert tracking._usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert tracking._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert tracking._usable_cpus() == 1
 
 
 def test_run_tracking_requires_rank_zero_predictions():
