@@ -59,8 +59,9 @@ _EXPORTS = {
     "is_near_copy": "metrics",
     "levenshtein": "metrics",
     "load_examples": "corpus",
-    "load_loss_log": "tracking",
+    "load_loss_log": "corpus",
     "load_predictions": "corpus",
+    "load_snippets": "corpus",
     "normalized_edit_distance": "metrics",
     "predictions_by_step": "corpus",
     "run_tracking": "tracking",

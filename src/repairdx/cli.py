@@ -9,7 +9,10 @@ Subcommands:
 * ``track``    — evaluate a multi-checkpoint prediction dump
 * ``inspect``  — emit a qualitative case bundle
 
-Exit status: 0 success, 1 input/usage error, 2 environment failure.
+Every input file is read and validated by ``corpus`` before a command
+body judges, measures or writes anything, so a malformed input fails
+the command with no output. Exit status: 0 success, 1 input/usage error,
+2 environment failure.
 All flags are long-form; ``--help`` on any subcommand documents the file
 schemas it consumes.
 """
@@ -22,40 +25,16 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+from . import _EXPORTS
 from .errors import EnvironmentFailure, InputError, UsageError
+from .fileset import jsonl, write_files
 
-# The library names the command bodies call, each -> the module that
-# defines it. A command binds the names it calls into this module's
-# globals when it runs (`_bind`), so each command imports only the
-# modules it needs. A name bound here already, such as a wrapper set on
-# this module, is the one that runs. `__getattr__` serves the same names
-# to `getattr(repairdx.cli, name)`.
-_LIBRARY = {
-    "TrackingConfig": "corpus",
-    "_iter_jsonl": "corpus",
-    "_require": "corpus",
-    "corpus_stats": "corpus",
-    "filter_split": "corpus",
-    "load_examples": "corpus",
-    "load_predictions": "corpus",
-    "predictions_by_step": "corpus",
-    "check_syntax": "syntax",
-    "abstract_identifiers": "abstraction",
-    "check_conformance": "abstraction",
-    "jsonl": "fileset",
-    "write_files": "fileset",
-    "build_series": "tracking",
-    "evaluate_examples": "tracking",
-    "load_loss_log": "tracking",
-    "run_tracking": "tracking",
-    "summarize_records": "tracking",
-    "Provenance": "report",
-    "build_report": "report",
-    "emit_cases": "report",
-    "emit_report": "report",
-    "extract_cases": "report",
-    "file_digest": "report",
-}
+# A command binds the library names it calls into this module's globals
+# when it runs (`_bind`), each imported from the module that the
+# package's one name table, `repairdx._EXPORTS`, maps it to. So each
+# command imports only the modules it needs. A name bound here already,
+# such as a wrapper set on this module, is the one that runs.
+# `__getattr__` serves the same names to `getattr(repairdx.cli, name)`.
 
 
 def _bind(*names: str) -> None:
@@ -64,11 +43,11 @@ def _bind(*names: str) -> None:
     scope = globals()
     for name in names:
         if name not in scope:
-            scope[name] = getattr(import_module(f".{_LIBRARY[name]}", __package__), name)
+            scope[name] = getattr(import_module(f".{_EXPORTS[name]}", __package__), name)
 
 
 def __getattr__(name: str):
-    if name not in _LIBRARY:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind(name)
     return globals()[name]
@@ -241,11 +220,10 @@ def _load_corpus(cfg: argparse.Namespace):
 
 def _provenance(cfg: argparse.Namespace, **extra_config) -> Provenance:
     _bind("file_digest", "Provenance")
-    inputs = {}
-    if cfg.corpus is not None:
-        inputs["corpus"] = file_digest(cfg.corpus)
-    if cfg.preds is not None:
-        inputs["predictions"] = file_digest(cfg.preds)
+    inputs = {
+        "corpus": file_digest(cfg.corpus),
+        "predictions": file_digest(cfg.preds),
+    }
     if cfg.loss_log is not None:
         inputs["loss_log"] = file_digest(cfg.loss_log)
     config = {
@@ -270,26 +248,15 @@ def _cmd_stats(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_check(cfg: argparse.Namespace) -> int:
-    _bind("_iter_jsonl", "_require", "check_syntax")
-    path = cfg.snippets
+    _bind("load_snippets", "check_syntax")
+    snippets = load_snippets(cfg.snippets, cfg.field_name)
     verdicts = {}  # text -> verdict: each distinct text is judged once
-    total = 0
     valid = 0
     cut = 0
-    for lineno, obj in _iter_jsonl(path):
-        snippet_id = _require(obj, "id", str, str(path), lineno)
-        if cfg.field_name not in obj:
-            raise InputError(
-                f"{path}:{lineno}: no field {cfg.field_name!r} "
-                f"(have: {', '.join(sorted(obj))})"
-            )
-        code = obj[cfg.field_name]
-        if not isinstance(code, str):
-            raise InputError(f"{path}:{lineno}: field {cfg.field_name!r} must be str")
+    for snippet_id, code in snippets:
         verdict = verdicts.get(code)
         if verdict is None:
             verdict = verdicts[code] = check_syntax(code)
-        total += 1
         valid += 1 if verdict.valid else 0
         cut += 1 if verdict.limit_exceeded else 0
         print(json.dumps({
@@ -299,16 +266,14 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
             "error_count": verdict.error_count,
             "error_spans": [list(s) for s in verdict.error_spans],
         }))
-    if total == 0:
-        raise InputError(f"{path}: no snippets found")
-    pct = 100.0 * valid / total
-    print(f"checked {total} snippet(s): {valid} valid ({pct:.1f}%){_past_limit(cut)}",
+    pct = 100.0 * valid / len(snippets)
+    print(f"checked {len(snippets)} snippet(s): {valid} valid ({pct:.1f}%){_past_limit(cut)}",
           file=sys.stderr)
     return 0
 
 
 def _cmd_abstract(cfg: argparse.Namespace) -> int:
-    _bind("abstract_identifiers", "check_conformance", "write_files", "jsonl")
+    _bind("abstract_identifiers", "check_conformance")
     examples = _load_corpus(cfg)
     if cfg.verify_only:
         entries = []

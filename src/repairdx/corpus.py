@@ -4,19 +4,22 @@ On-disk formats are JSON Lines:
 
 * examples — ``{"id": str, "buggy": str, "fixed": str, "split"?: str}``
 * predictions — ``{"id": str, "step": int, "prediction": str, "rank"?: int}``
+* loss log — ``{"step": int, "train_loss"?: float, "eval_loss"?: float}``
+* snippets — ``{"id": str, "<field>": str}``, the text under a named field
 
 Loading validates eagerly and reports the first problem with its file,
-1-based line number, and offending value, so a malformed corpus fails
-loudly instead of skewing metrics downstream. Every JSON Lines input of
-the package, the loss log and ``check`` snippets included, is read by
-one reader here, which reports an unreadable file by its path.
+1-based line number, and offending value, so a malformed input fails
+loudly instead of skewing metrics downstream. This module is the one
+place that reads the records of input files (a report only hashes their
+bytes): every loader here goes through one JSON Lines reader, which
+reports an unreadable file by its path, and no other module calls it.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
@@ -221,6 +224,54 @@ def load_predictions(path, corpus=None) -> list[Prediction]:
     return preds
 
 
+def load_loss_log(path) -> dict[int, float]:
+    """Read ``{"step": int, "train_loss"?: float, "eval_loss"?: float}``
+    lines; return eval_loss by step. Loss is ingested, never computed. A
+    repeated or non-finite eval_loss is an input error naming the line."""
+    path = Path(path)
+    losses: dict[int, float] = {}
+    seen: dict[int, int] = {}
+    for lineno, obj in _iter_jsonl(path):
+        if "step" not in obj:
+            raise InputError(f"{path}:{lineno}: expected an object with a 'step' field")
+        step = obj["step"]
+        if not isinstance(step, int) or isinstance(step, bool) or step < 0:
+            raise InputError(f"{path}:{lineno}: 'step' must be a non-negative int")
+        loss = obj.get("eval_loss")
+        if loss is None:
+            continue
+        if not isinstance(loss, (int, float)) or isinstance(loss, bool):
+            raise InputError(f"{path}:{lineno}: 'eval_loss' must be a number")
+        if not abs(loss) <= sys.float_info.max:  # NaN, infinities, ints past float range
+            raise InputError(f"{path}:{lineno}: 'eval_loss' must be finite, got {loss!r}")
+        if step in seen:
+            raise InputError(f"{path}:{lineno}: duplicate eval_loss for step={step} "
+                             f"(first seen on line {seen[step]})")
+        seen[step] = lineno
+        losses[step] = float(loss)
+    return losses
+
+
+def load_snippets(path, field: str = "code") -> list[tuple[str, str]]:
+    """Read and validate a snippets JSONL file; return ``(id, code)``
+    pairs in file order, the code taken from ``field``."""
+    path = Path(path)
+    snippets: list[tuple[str, str]] = []
+    for lineno, obj in _iter_jsonl(path):
+        snippet_id = _require(obj, "id", str, str(path), lineno)
+        if field not in obj:
+            raise InputError(
+                f"{path}:{lineno}: no field {field!r} (have: {', '.join(sorted(obj))})"
+            )
+        code = obj[field]
+        if not isinstance(code, str):
+            raise InputError(f"{path}:{lineno}: field {field!r} must be str")
+        snippets.append((snippet_id, code))
+    if not snippets:
+        raise InputError(f"{path}: no snippets found")
+    return snippets
+
+
 def corpus_stats(examples) -> CorpusStats:
     """Sizes, whitespace-token lengths, and identity-pair share."""
     import statistics  # only stats and a report need it
@@ -251,14 +302,12 @@ def corpus_stats(examples) -> CorpusStats:
     )
 
 
-def _sample_rank(seed: int, step: int | None, example_id: str) -> str:
-    import hashlib  # only track samples
+def seeded_rank(*parts) -> str:
+    """The SHA-256 hex digest of ``parts`` joined by ``:``. Sorting by it
+    orders items by a seed alone: no RNG state is involved."""
+    import hashlib  # only sampling and case bundles rank
 
-    if step is None:
-        key = f"{seed}:{example_id}"
-    else:
-        key = f"{seed}:{step}:{example_id}"
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()
+    return hashlib.sha256(":".join(map(str, parts)).encode("utf-8")).hexdigest()
 
 
 def sample_validation(examples, config: TrackingConfig, step: int) -> list[RepairExample]:
@@ -281,10 +330,10 @@ def sample_validation(examples, config: TrackingConfig, step: int) -> list[Repai
         )
     if len(examples) <= config.sample_size:
         return examples
-    key_step = None if config.fixed_sample else step
+    key_step = () if config.fixed_sample else (step,)
     ranked = sorted(
         range(len(examples)),
-        key=lambda i: _sample_rank(config.seed, key_step, examples[i].id),
+        key=lambda i: seeded_rank(config.seed, *key_step, examples[i].id),
     )
     chosen = sorted(ranked[: config.sample_size])
     return [examples[i] for i in chosen]

@@ -65,6 +65,9 @@ _MODIFIERS = frozenset(
 )
 # The modifiers of a local class (JLS 14.3), besides annotations.
 _LOCAL_CLASS_MODIFIERS = frozenset(["abstract", "final", "strictfp"])
+# The modifiers of a formal, catch or lambda parameter (JLS 8.4.1, 14.20,
+# 15.27.1), besides annotations.
+_PARAMETER_MODIFIERS = frozenset(["final"])
 
 _ASSIGN_OPS = frozenset(
     ["=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<<=", ">>=", ">>>="]
@@ -178,12 +181,6 @@ class JavaParser:
 
     # ------------------------------------------------------------------
     # token plumbing
-
-    def peek(self, k: int = 0) -> Token:
-        """The token ``k`` ahead; lookahead never goes past ``k`` = 1. The
-        rules below index ``self.toks`` instead, which saves a call on
-        every token test."""
-        return self.toks[self.i + k]
 
     def at_eof(self) -> bool:
         return self.toks[self.i].kind == EOF
@@ -562,7 +559,7 @@ class JavaParser:
         return self._node("formal_parameters", kids)
 
     def _parse_formal_parameter(self) -> Node:
-        kids = self._parse_modifiers()
+        kids = self._parse_modifiers(_PARAMETER_MODIFIERS)
         if not (self.at_ident() or self.at_any(PRIMITIVE_TYPES)):
             kids.append(self.missing("parameter"))
             return self._node("formal_parameter", kids)
@@ -651,7 +648,6 @@ class JavaParser:
             kids.append(self._expect_gt())
             return self._node("type_arguments", kids)
         while True:
-            before = self.i
             if self.at("?"):
                 wc = [self.take()]
                 if self.at_any(("extends", "super")):
@@ -660,12 +656,9 @@ class JavaParser:
                 kids.append(self._node("wildcard", wc))
             else:
                 kids.append(self.parse_type())
-            if self.at(","):
-                kids.append(self.take())
-                continue
-            if self.i == before:
+            if not self.at(","):
                 break
-            break
+            kids.append(self.take())
         kids.append(self._expect_gt())
         return self._node("type_arguments", kids)
 
@@ -1005,7 +998,7 @@ class JavaParser:
         while self.at("catch"):
             handlers += 1
             catch = [self.take(), self.expect("(")]
-            catch.extend(self._parse_modifiers())
+            catch.extend(self._parse_modifiers(_PARAMETER_MODIFIERS))
             catch.append(self.parse_type())
             while self.at("|"):
                 catch.append(self.take())
@@ -1196,7 +1189,7 @@ class JavaParser:
             if not self.at(")") and not self.at_eof():
                 while True:
                     before = self.i
-                    params.extend(self._parse_modifiers())
+                    params.extend(self._parse_modifiers(_PARAMETER_MODIFIERS))
                     if self.at_ident() and self.toks[self.i + 1].text in (",", ")"):
                         params.append(self.take())
                     elif self.at_ident() or self.at_any(PRIMITIVE_TYPES):

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .corpus import seeded_rank
 from .errors import InputError
 from .fileset import jsonl, write_files
 from .metrics import aggregate
@@ -119,6 +120,9 @@ def extract_cases(
 ) -> CaseBundle:
     """Seeded deterministic sample of k cases, with both diffs rendered.
 
+    The k records with the lowest ``corpus.seeded_rank(seed, "case", id)``
+    are chosen, and come back in example-id order.
+
     ``predictions`` maps example id to the rank-0 prediction the records
     were computed from; diffs are recomputed here from the stored texts,
     never copied from elsewhere.
@@ -127,13 +131,8 @@ def extract_cases(
         raise InputError(f"case count must be positive, got {k}")
     if k > len(records):
         raise InputError(f"asked for {k} cases but only {len(records)} records exist")
-    import hashlib
-
     by_id = {ex.id: ex for ex in examples}
-    ranked = sorted(
-        records,
-        key=lambda r: hashlib.sha256(f"{seed}:case:{r.example_id}".encode()).hexdigest(),
-    )
+    ranked = sorted(records, key=lambda r: seeded_rank(seed, "case", r.example_id))
     chosen = sorted(ranked[:k], key=lambda r: r.example_id)
     cases: list[Case] = []
     for record in chosen:

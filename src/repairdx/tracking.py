@@ -12,22 +12,20 @@ calling process and always reduced in example-id order, so results are
 identical at any CPU count.
 A prediction nested past the parser's depth guard is not valid, and
 its record says ``limit_exceeded``; each checkpoint counts those.
-Loss values are ingested from an auxiliary log when available — never
-computed.
+Loss values are attached by step when a caller passes them, as read
+from an auxiliary log by ``corpus.load_loss_log``: never computed. This
+module reads no file.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .corpus import (
     Prediction,
     RepairExample,
     TrackingConfig,
-    _iter_jsonl,
     predictions_by_step,
     sample_validation,
 )
@@ -325,31 +323,3 @@ def run_tracking(
         for step, records in records_by_step.items()
     ]
     return build_series(checkpoint_records), records_by_step
-
-
-def load_loss_log(path) -> dict[int, float]:
-    """Read ``{"step": int, "train_loss"?: float, "eval_loss"?: float}``
-    lines; return eval_loss by step. Loss is ingested, never computed. A
-    repeated or non-finite eval_loss is an input error naming the line."""
-    path = Path(path)
-    losses: dict[int, float] = {}
-    seen: dict[int, int] = {}
-    for lineno, obj in _iter_jsonl(path):
-        if "step" not in obj:
-            raise InputError(f"{path}:{lineno}: expected an object with a 'step' field")
-        step = obj["step"]
-        if not isinstance(step, int) or isinstance(step, bool) or step < 0:
-            raise InputError(f"{path}:{lineno}: 'step' must be a non-negative int")
-        loss = obj.get("eval_loss")
-        if loss is None:
-            continue
-        if not isinstance(loss, (int, float)) or isinstance(loss, bool):
-            raise InputError(f"{path}:{lineno}: 'eval_loss' must be a number")
-        if not abs(loss) <= sys.float_info.max:  # NaN, infinities, ints past float range
-            raise InputError(f"{path}:{lineno}: 'eval_loss' must be finite, got {loss!r}")
-        if step in seen:
-            raise InputError(f"{path}:{lineno}: duplicate eval_loss for step={step} "
-                             f"(first seen on line {seen[step]})")
-        seen[step] = lineno
-        losses[step] = float(loss)
-    return losses

@@ -19,6 +19,7 @@ from contextlib import contextmanager
 
 from repairdx.abstraction import abstract_identifiers, check_conformance
 from repairdx.cli import main
+from repairdx.corpus import load_loss_log
 from repairdx.metrics import (
     aggregate,
     exact_match,
@@ -26,7 +27,6 @@ from repairdx.metrics import (
     normalized_edit_distance,
 )
 from repairdx.syntax import check_syntax
-from repairdx.tracking import load_loss_log
 
 from conftest import write_jsonl
 

@@ -384,6 +384,23 @@ def test_check_non_string_id_is_input_error(tmp_path, capsys):
     assert "s.jsonl:1: field 'id' must be str, got int" in captured.err
 
 
+@pytest.mark.parametrize("line,message", [
+    ('{"id": 5, "code": "int x ;"}', "s.jsonl:2: field 'id' must be str, got int"),
+    ('{"id": "s2", "text": "int x ;"}', "s.jsonl:2: no field 'code' (have: id, text)"),
+    ('{"id": "s2", "code": 7}', "s.jsonl:2: field 'code' must be str"),
+    ('{"id": "s2", "code": ', "s.jsonl:2: invalid JSON: "),
+])
+def test_check_with_a_bad_second_line_prints_no_verdict(line, message, tmp_path, capsys):
+    # The whole file is validated before the first verdict is printed,
+    # as every other command validates its inputs before writing.
+    snippets = tmp_path / "s.jsonl"
+    snippets.write_text('{"id": "s1", "code": "int x ;"}\n' + line + "\n", encoding="utf-8")
+    assert main(["check", "--in", str(snippets)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tmp_path / message}")
+
+
 # ---------------------------------------------------------------------------
 # unreadable input files
 # ---------------------------------------------------------------------------

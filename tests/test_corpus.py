@@ -1,5 +1,6 @@
 """Corpus loading, validation, statistics, and deterministic sampling."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,8 +14,10 @@ from repairdx.corpus import (
     filter_split,
     load_examples,
     load_predictions,
+    load_snippets,
     predictions_by_step,
     sample_validation,
+    seeded_rank,
 )
 from repairdx.errors import InputError
 
@@ -240,7 +243,48 @@ def test_stats_on_empty_corpus_is_an_input_error():
 
 
 # ----------------------------------------------------------------------
+# load_snippets
+
+
+def test_load_snippets_returns_id_and_code_in_file_order(tmp_path):
+    path = write_jsonl(tmp_path / "s.jsonl", [
+        {"id": "b", "code": "int x ;", "note": 1},
+        {"id": "a", "text": "void f ( ) { }", "code": ""},
+    ])
+    assert load_snippets(path) == [("b", "int x ;"), ("a", "")]
+    other = write_jsonl(tmp_path / "t.jsonl", [{"id": "a", "text": "void f ( ) { }"}])
+    assert load_snippets(other, "text") == [("a", "void f ( ) { }")]
+
+
+@pytest.mark.parametrize("row,message", [
+    ({"id": 5, "code": "x"}, "s.jsonl:1: field 'id' must be str, got int"),
+    ({"code": "x"}, "s.jsonl:1: missing required field 'id'"),
+    ({"id": "s1", "text": "x", "b": 1}, "s.jsonl:1: no field 'code' (have: b, id, text)"),
+    ({"id": "s1", "code": None}, "s.jsonl:1: field 'code' must be str"),
+])
+def test_load_snippets_names_the_bad_row(tmp_path, row, message):
+    path = write_jsonl(tmp_path / "s.jsonl", [row])
+    with pytest.raises(InputError) as info:
+        load_snippets(path)
+    assert str(info.value) == f"{tmp_path / message}"
+
+
+def test_load_snippets_of_an_empty_file_is_an_input_error(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n", encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        load_snippets(path)
+    assert str(info.value) == f"{path}: no snippets found"
+
+
+# ----------------------------------------------------------------------
 # sampling
+
+
+def test_seeded_rank_is_the_digest_of_the_colon_joined_parts():
+    for parts, key in [((42, "case", "e1"), "42:case:e1"), ((7, 500, "e1"), "7:500:e1"),
+                       ((7, "e1"), "7:e1")]:
+        assert seeded_rank(*parts) == hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
 def big_corpus(n=400):

@@ -148,7 +148,7 @@ class LevelByLevelParser(JavaParser):
         ops = _BINARY_LEVELS[level]
         left = self._parse_binary(level + 1)
         while True:
-            t = self.peek()
+            t = self.toks[self.i]
             if t.text not in ops or t.kind not in (PUNCT, KEYWORD):
                 return left
             if t.text == "instanceof":
@@ -469,6 +469,30 @@ def test_local_class_takes_local_class_modifiers_only_and_is_a_class(code):
 ])
 def test_abstract_or_strictfp_starts_no_other_statement(code):
     assert not check_syntax(code).valid
+
+
+@pytest.mark.parametrize("code", [
+    "void f ( static int x ) { }",
+    "void f ( int a , public int x ) { }",
+    "void f ( final static int x ) { }",
+    "void f ( ) { try { } catch ( static E e ) { } }",
+    "void f ( ) { try { } catch ( @ A private E e ) { } }",
+    "Object f ( ) { return ( public int x ) -> x ; }",
+    "Object f ( ) { return ( final volatile int x , int y ) -> x ; }",
+])
+def test_parameter_takes_no_member_modifier(code):
+    # JLS 8.4.1, 14.20, 15.27.1: a formal, catch or lambda parameter takes
+    # `final` and annotations only.
+    assert not check_syntax(code).valid
+
+
+@pytest.mark.parametrize("code", [
+    "void f ( final int x , @ A int y , final @ A ( 1 ) int ... z ) { }",
+    "void f ( ) { try { } catch ( final @ A E | F e ) { } }",
+    "Object f ( ) { return ( final int x , @ A int y ) -> x ; }",
+])
+def test_parameter_takes_final_and_annotations(code):
+    assert check_syntax(code).valid
 
 
 def test_resource_that_is_no_declaration_holds_its_modifier_once():

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repairdx import tracking
-from repairdx.corpus import Prediction, RepairExample, TrackingConfig
+from repairdx.corpus import Prediction, RepairExample, TrackingConfig, load_loss_log
 from repairdx.errors import InputError
 from repairdx.metrics import (
     BehaviorClass,
@@ -20,7 +20,6 @@ from repairdx.tracking import (
     CheckpointSeries,
     build_series,
     evaluate_examples,
-    load_loss_log,
     run_tracking,
     summarize_records,
     _distance,
