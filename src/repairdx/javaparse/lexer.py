@@ -6,14 +6,15 @@ Comments and whitespace are skipped. Offsets index into the source string.
 
 One compiled master pattern (the "Writing a Tokenizer" recipe of the `re`
 documentation) skips the whitespace and comments before a token and
-matches the token in the same call: an ASCII identifier or keyword, an
-ASCII number it can finish exactly, or an operator. Everything else (a
-non-ASCII start character, a string or char literal, a number the
-pattern cannot finish exactly) falls back to a per-character dispatch over
-`str` predicates. The fast path is exact because `\\s` is
-`str.isspace()` and `\\w` is `str.isalnum()` or `_`; `\\d` is not
-`str.isdigit()` (`²`, `٣`) and no `re` class is `str.isalpha()`, so
-those decisions stay in the dispatch.
+matches the token in the same call: an ASCII identifier or keyword, a
+number, or an operator. It is the one number scanner: a numeric literal
+is ASCII (JLS §3.10.1-3.10.2 allow only the digits `0`-`9`), so a
+non-ASCII digit such as `²` or `٣` never extends or starts one. Three
+things fall back to a per-character dispatch over `str` predicates: an
+identifier with a non-ASCII start (no `re` class is `str.isalpha()`),
+a string or char literal, and a character that starts no token. The
+pattern is exact because `\\s` is `str.isspace()` and `\\w` is
+`str.isalnum()` or `_`.
 
 A token's text decides whether it is punctuation or a keyword: a keyword
 text is only ever on a KEYWORD token, since a word is an identifier
@@ -60,9 +61,6 @@ PUNCT = "punct"
 BAD = "bad"
 EOF = "eof"
 
-_HEX = set("0123456789abcdefABCDEF_")
-_SUFFIX = set("lLfFdD")
-
 
 class Token(NamedTuple):
     kind: str
@@ -74,26 +72,23 @@ class Token(NamedTuple):
 # The group names are the token kinds they yield. A match always
 # succeeds: when no token group matches, the empty last alternative
 # leaves `lastgroup` None and the dispatch takes over at `end()`.
-# The number is matched greedily inside a lookahead, which `re` never
-# re-enters, so it cannot backtrack to a shorter literal; it then must
-# not run into a word character or '.', where the scanner could read on
-# (`1e²`, `0xp+.`, `1.x`). A '.' before any digit, ASCII or not, starts
-# a number, so the '.' operator is not matched before a digit or any
-# non-ASCII word character; the dispatch judges those.
+# Once a number's start (`0x`, `0b` or a digit) matches, every later part
+# is optional, and nothing follows a token group, so `re` never gives
+# back what a greedy part matched: a number is as long as a left-to-right
+# scanner reads it. A '.' before a digit starts a number, which is tried
+# before the '.' operator.
 _MASTER = re.compile(
     r"""
     (?:\s+|//[^\n]*\n?|/\*(?:[\s\S]*?\*/|[\s\S]*))*
     (?:
         (?P<ident>[A-Za-z_$][\w$]*)
-      | (?P<number>(?=(?P<literal>
-            \.?
+      | (?P<number>\.?
             (?:0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?[0-9]*)?
               |0[bB][01_]*
               |[0-9][0-9_]*(?:\.(?=[0-9eEfFdD])[0-9_]*)?(?:[eE][+-]?[0-9]+)?
-            )[lLfFdD]?
-        ))(?P=literal)(?![\w.]))
+            )[lLfFdD]?)
       | (?P<punct>"""
-    + "|".join(re.escape(op) + (r"(?![^\W_A-Za-z])" if op == "." else "") for op in _OPERATORS)
+    + "|".join(re.escape(op) for op in _OPERATORS)
     + r""")
       |
     )
@@ -102,59 +97,8 @@ _MASTER = re.compile(
 )
 
 
-def _ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_" or ch == "$"
-
-
 def _ident_part(ch: str) -> bool:
     return ch.isalnum() or ch == "_" or ch == "$"
-
-
-def _scan_number(src: str, i: int) -> int:
-    n = len(src)
-    if src[i] == "0" and i + 1 < n and src[i + 1] in "xX":
-        i += 2
-        while i < n and src[i] in _HEX:
-            i += 1
-        if i < n and src[i] == ".":  # hex float
-            i += 1
-            while i < n and src[i] in _HEX:
-                i += 1
-        if i < n and src[i] in "pP":
-            i += 1
-            if i < n and src[i] in "+-":
-                i += 1
-            while i < n and src[i].isdigit():
-                i += 1
-    elif src[i] == "0" and i + 1 < n and src[i + 1] in "bB":
-        i += 2
-        while i < n and (src[i] in "01_"):
-            i += 1
-    else:
-        while i < n and (src[i].isdigit() or src[i] == "_"):
-            i += 1
-        # Consume '.' only when it clearly continues the literal; "1.x" is
-        # left as NUMBER '.' IDENT for the parser to reject.
-        if (
-            i < n
-            and src[i] == "."
-            and i + 1 < n
-            and (src[i + 1].isdigit() or src[i + 1] in "eEfFdD")
-        ):
-            i += 1
-            while i < n and (src[i].isdigit() or src[i] == "_"):
-                i += 1
-        if i < n and src[i] in "eE":
-            j = i + 1
-            if j < n and src[j] in "+-":
-                j += 1
-            if j < n and src[j].isdigit():
-                i = j
-                while i < n and src[i].isdigit():
-                    i += 1
-    if i < n and src[i] in _SUFFIX:
-        i += 1
-    return i
 
 
 def _scan_quoted(src: str, i: int, quote: str) -> tuple[int, bool]:
@@ -177,25 +121,18 @@ def _scan_quoted(src: str, i: int, quote: str) -> tuple[int, bool]:
 
 
 def _dispatch(src: str, i: int) -> Token:
-    """The token at ``i``, which is no whitespace and starts no comment."""
+    """The token at ``i``, where the master pattern matched none: an
+    identifier with a non-ASCII start, a string or char literal, or a BAD
+    character. The pattern takes every ASCII identifier start, `_` and
+    `$` included, so here a letter is all that starts an identifier."""
     n = len(src)
     ch = src[i]
-    if _ident_start(ch):
+    if ch.isalpha():
         j = i + 1
         while j < n and _ident_part(src[j]):
             j += 1
         text = src[i:j]
         return Token(KEYWORD if text in KEYWORDS else IDENT, text, i, j)
-    if ch.isdigit():
-        j = _scan_number(src, i)
-        return Token(NUMBER, src[i:j], i, j)
-    if ch == ".":
-        # The master pattern takes every other operator, and '.' wherever
-        # no digit or non-ASCII word character follows.
-        if i + 1 < n and src[i + 1].isdigit():
-            j = _scan_number(src, i + 1)
-            return Token(NUMBER, src[i:j], i, j)
-        return Token(PUNCT, ".", i, i + 1)
     if ch == '"':
         if src.startswith('"""', i):  # text block
             j = src.find('"""', i + 3)

@@ -846,9 +846,16 @@ class JavaParser:
         return self._node("expression_statement", kids)
 
     def _parse_local_declaration(self) -> Node:
-        kids = self._parse_modifiers()
+        """A local variable declaration (JLS 14.4), or a local class
+        (JLS 14.3) after `final` or an annotation. Besides annotations, a
+        class takes the local-class modifiers and a variable `final`
+        alone: before a type, `abstract` and `strictfp` are error leaves."""
+        kids = self._parse_modifiers(_LOCAL_CLASS_MODIFIERS)
         if self.at("class"):
             return self._parse_type_declaration(kids)
+        kids = [Node(ERROR, k.start, k.end, [], k.text)
+                if k.kind in _LOCAL_CLASS_MODIFIERS and k.kind != "final" else k
+                for k in kids]
         kids.append(self.parse_type())
         kids.append(self._parse_declarator_rest(self.expect_ident()))
         while self.at(","):

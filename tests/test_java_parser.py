@@ -472,6 +472,31 @@ def test_abstract_or_strictfp_starts_no_other_statement(code):
 
 
 @pytest.mark.parametrize("code", [
+    "final static int x = 0 ;",
+    "final static class A { }",
+    "@ A public int x ;",
+    "@ A static class B { }",
+    "final abstract int x ;",
+])
+def test_local_declaration_takes_no_member_modifier(code):
+    # JLS 14.3, 14.4: after `final` or an annotation, a local class takes
+    # the local-class modifiers, and a local variable `final` alone.
+    assert not check_syntax(f"void f ( ) {{ {code} }}").valid
+
+
+@pytest.mark.parametrize("code", [
+    "final int x = 0 ;",
+    "@ A final int x ;",
+    "@ A int x , y = 1 ;",
+    "final class A { }",
+    "@ A abstract class B { }",
+    "final strictfp class C { }",
+])
+def test_local_declaration_takes_its_own_modifiers(code):
+    assert check_syntax(f"void f ( ) {{ {code} }}").valid
+
+
+@pytest.mark.parametrize("code", [
     "void f ( static int x ) { }",
     "void f ( int a , public int x ) { }",
     "void f ( final static int x ) { }",

@@ -126,6 +126,15 @@ def test_appending_unmatched_brace_turns_valid_into_invalid():
     assert not check_syntax(base + " }").valid
 
 
+# JLS 3.10.1 allows only the ASCII digits 0-9 in a numeric literal, and
+# none of these digits can start a Java identifier.
+@pytest.mark.parametrize("stmt", [
+    "return 1² ;", "return ٣ ;", "return .٣ ;", "return 1.٣ ;", "return 0x1p² ;",
+])
+def test_non_ascii_digit_is_no_part_of_a_number(stmt):
+    assert not check_syntax(f"int f ( ) {{ {stmt} }}").valid
+
+
 # Element-value arrays (JLS 9.7.1) hold annotations, expressions and
 # nested arrays; an array initializer outside an annotation holds no
 # annotation.
