@@ -72,8 +72,6 @@ _PSEUDO_KEYWORDS = frozenset(["var"])
 
 _NEVER_ABSTRACT = JAVA_LANG_NAMES | _PSEUDO_KEYWORDS
 
-_SKIP_SUBTREES = frozenset(["package_declaration", "import_declaration"])
-
 # Kinds whose direct identifier children all name a type. A type
 # declaration has one such child: the name it declares.
 _TYPE_NAME_KINDS = frozenset(
@@ -159,8 +157,6 @@ def _identifier_occurrences(root: Node) -> list[tuple[int, int, str, str]]:
     while stack:
         node, deep = stack.pop()
         kind = node.kind
-        if kind in _SKIP_SUBTREES:
-            continue
         if kind == "class_literal":
             # The receiver of `Foo.Bar.class` names a type, however deep
             # the dotted chain nests.

@@ -5,10 +5,13 @@ nodes, required-but-absent tokens become zero-width MISSING nodes, and
 every call yields a tree. Coverage targets method-level Java up to roughly
 version 14: generics, lambdas, method references, anonymous classes,
 try-with-resources, multi-catch, and both colon and arrow switch forms.
-Deliberately out of scope: module declarations, sealed types, and pattern
-matching in switch labels (see the flagged-constructs fixture). Records
-have no rule of their own, yet `record Point ( int x , int y ) { }` parses
-clean: as a method whose return type is named `record`.
+A compilation unit here is a sequence of type declarations: `package`
+and `import` declarations are out of scope, since every caller parses a
+fragment inside a class. Also out of scope: module declarations, sealed
+types, and pattern matching in switch labels (see the flagged-constructs
+fixture). Records have no rule of their own, yet `record Point ( int x ,
+int y ) { }` parses clean: as a method whose return type is named
+`record`.
 
 The parser is deterministic: equal inputs yield equal trees. Instances are
 single-use; `parse_java` constructs a fresh one per call. Parse time is
@@ -95,21 +98,21 @@ _OPERAND_KINDS = _LITERAL_KINDS | {IDENT}
 _LEAF_KIND = {IDENT: IDENTIFIER, NUMBER: LITERAL, STRING: LITERAL, CHAR: LITERAL, BAD: ERROR}
 _LITERAL_KEYWORDS = frozenset(["true", "false", "null"])
 
-# Besides identifiers and literals, the texts where error recovery in a
-# block stops: each may start a statement.
-_STATEMENT_START = PRIMITIVE_TYPES | _LITERAL_KEYWORDS | {
-    "if", "while", "do", "for", "switch", "return", "throw", "try",
-    "break", "continue", "synchronized", "assert", "class", "final",
-    "new", "this", "super",
-    "(", "!", "~", "+", "-", "++", "--", "{", ";", "@",
+# The prefix operators (JLS 15.15), and those of them that a cast to a
+# reference type cannot take before its operand (JLS 15.16): `( a ) - b`
+# is a difference.
+_PREFIX_OPS = frozenset(["+", "-", "++", "--", "!", "~"])
+_SIGN_OPS = frozenset(["+", "-", "++", "--"])
+# Besides identifiers and literals, the texts that start an expression:
+# a primitive type only as `int.class`.
+_EXPRESSION_START = PRIMITIVE_TYPES | _LITERAL_KEYWORDS | _PREFIX_OPS | {
+    "this", "super", "new", "switch", "(",
 }
 
-# Besides identifiers and literals, the texts that may follow `yield` in
-# a yield statement, and `(Type)` in a cast.
-_YIELD_OPERAND_START = PRIMITIVE_TYPES | _LITERAL_KEYWORDS | {
-    "this", "super", "new", "switch", "(", "!", "~", "+", "-",
-}
-_CAST_OPERAND_START = _LITERAL_KEYWORDS | {"this", "super", "new", "(", "!", "~"}
+# Where error recovery stops in a class body, and in a block besides the
+# texts that start a statement.
+_MEMBER_SYNC = frozenset(["}", ";", "class", "interface", "enum"])
+_BLOCK_SYNC = frozenset(["}"])
 
 # Besides identifiers, `<` and the `>` tokens, the texts a type-argument
 # list may hold.
@@ -253,16 +256,13 @@ class JavaParser:
     def parse(self) -> Node:
         children: list[Node] = []
         try:
-            if self.at("package"):
-                children.append(self._parse_package())
-            while self.at("import"):
-                children.append(self._parse_import())
             while not self.at_eof():
                 before = self.i
                 if self.at(";"):
                     children.append(self.take())
                     continue
-                children.append(self._parse_type_declaration(self._parse_modifiers()))
+                mods = self._parse_modifiers(_MODIFIERS)
+                children.append(self._parse_type_declaration(mods))
                 if self.i == before:
                     children.append(
                         self._error_until(frozenset(["class", "interface", "enum", "@"]))
@@ -282,38 +282,24 @@ class JavaParser:
         p = self.toks[self.i].start
         return Node(LIMIT, p, p)
 
-    def _parse_package(self) -> Node:
-        kids = [self.take(), self._parse_qualified_name()]
-        kids.append(self.expect(";"))
-        return self._node("package_declaration", kids)
-
-    def _parse_import(self) -> Node:
-        kids = [self.take()]
-        if self.at("static"):
-            kids.append(self.take())
-        kids.append(self._parse_qualified_name())
-        if self.at("."):
-            kids.append(self.take())
-            kids.append(self.expect("*"))
-        kids.append(self.expect(";"))
-        return self._node("import_declaration", kids)
-
-    def _parse_qualified_name(self) -> Node:
-        kids = [self.expect_ident()]
-        while self.at(".") and self.toks[self.i + 1].kind == IDENT:
-            kids.append(self.take())
-            kids.append(self.take())
-        return self._node("qualified_name", kids)
-
     # ------------------------------------------------------------------
     # declarations
 
-    def _parse_modifiers(self, allowed: frozenset[str] = _MODIFIERS) -> list[Node]:
+    def _parse_modifiers(self, allowed: frozenset[str]) -> list[Node]:
+        """Annotations, and the keyword modifiers in ``allowed``. A keyword
+        taken again is an ERROR leaf (JLS 8.3.1, 8.4.3, 4.12.4)."""
         mods: list[Node] = []
+        seen: set[str] = set()
         while True:
-            text = self.toks[self.i].text
+            t = self.toks[self.i]
+            text = t.text
             if text in allowed:
-                mods.append(self.take())
+                if text in seen:
+                    self.i += 1
+                    mods.append(Node(ERROR, t.start, t.end, [], text))
+                else:
+                    seen.add(text)
+                    mods.append(self.take())
             elif text == "@" and self.toks[self.i + 1].text != "interface":
                 mods.append(self._parse_annotation())
             else:
@@ -400,7 +386,7 @@ class JavaParser:
             return self._node(f"{word}_declaration", kids)
         body = [self.expect("{")]
         while self.at_ident() or self.at("@"):
-            const = self._parse_modifiers()
+            const = self._parse_modifiers(frozenset())  # annotations
             const.append(self.expect_ident())
             if self.at("("):
                 const.append(self._parse_arguments())
@@ -436,11 +422,7 @@ class JavaParser:
             before = self.i
             kids.append(self._parse_member())
             if self.i == before:
-                kids.append(
-                    self._error_until(
-                        frozenset(["}", ";", "class", "interface", "enum"])
-                    )
-                )
+                kids.append(self._error_until(_MEMBER_SYNC))
         kids.append(self.expect("}"))
         return self._node(kind, kids)
 
@@ -451,7 +433,7 @@ class JavaParser:
                 raise _NestingLimit
             if self.at(";"):
                 return self.take()
-            mods = self._parse_modifiers()
+            mods = self._parse_modifiers(_MODIFIERS)
             if self.at("{"):
                 kids = list(mods)
                 kids.append(self.parse_block())
@@ -476,9 +458,7 @@ class JavaParser:
                 if kids:
                     kids.append(self.missing("member declaration"))
                     return self._node("member_declaration", kids)
-                return self._error_until(
-                    frozenset(["}", ";", "class", "interface", "enum"])
-                )
+                return self._error_until(_MEMBER_SYNC)
             kids.append(self.parse_type())
             name = self.expect_ident()
             if self.at("("):
@@ -577,7 +557,7 @@ class JavaParser:
         kids = [self.take()]  # <
         while not self._at_gt() and not self.at_eof():
             before = self.i
-            tp = self._parse_modifiers()  # annotations
+            tp = self._parse_modifiers(frozenset())  # annotations
             tp.append(self.expect_ident())
             if self.at("extends"):
                 tp.append(self.take())
@@ -737,7 +717,7 @@ class JavaParser:
         try:
             while True:
                 text = self.toks[self.i].text
-                if text == "final":
+                if text in _PARAMETER_MODIFIERS:
                     self.i += 1
                 elif text == "@":
                     self.i += 1
@@ -773,13 +753,14 @@ class JavaParser:
         mark = self.i
         try:
             self.i += 1  # (
-            primitive = self.at_any(PRIMITIVE_TYPES)
             if not self._scan_type() or not self.at(")"):
                 return False
             nxt = self.toks[self.i + 1]
-            if nxt.kind in _OPERAND_KINDS or nxt.text in _CAST_OPERAND_START:
+            if nxt.kind in _OPERAND_KINDS:
                 return True
-            return primitive and nxt.text in ("+", "-", "++", "--")
+            # A type ends in a primitive keyword exactly when it is primitive.
+            primitive = self.toks[self.i - 1].text in PRIMITIVE_TYPES
+            return nxt.text in _EXPRESSION_START and (primitive or nxt.text not in _SIGN_OPS)
         finally:
             self.i = mark
 
@@ -792,7 +773,7 @@ class JavaParser:
             before = self.i
             kids.append(self.parse_statement())
             if self.i == before:
-                kids.append(self._error_until(frozenset(["}"]), self._stmt_start))
+                kids.append(self._error_until(_BLOCK_SYNC, self._stmt_start))
         kids.append(self.expect("}"))
         return self._node("block", kids)
 
@@ -825,14 +806,17 @@ class JavaParser:
                 return self._parse_expression_statement()
             if t.kind in _LITERAL_KINDS:
                 return self._parse_expression_statement()
-            return self._error_until(frozenset(["}"]), self._stmt_start)
+            return self._error_until(_BLOCK_SYNC, self._stmt_start)
         finally:
             self.depth -= 1
 
     def _yield_statement_ahead(self) -> bool:
-        """`yield <expr>` vs. `yield` the identifier (restricted since 14)."""
+        """`yield <expr>` vs. `yield` the identifier (restricted since 14).
+        As in javac, `yield ++ ;` updates the variable `yield`."""
         nxt = self.toks[self.i + 1]
-        return nxt.kind in _OPERAND_KINDS or nxt.text in _YIELD_OPERAND_START
+        if nxt.text in ("++", "--"):
+            return self.toks[self.i + 2].text != ";"
+        return nxt.kind in _OPERAND_KINDS or nxt.text in _EXPRESSION_START
 
     def _parse_empty_statement(self) -> Node:
         # The leaf is built here, not by `take`, so that a statement nest
@@ -889,7 +873,7 @@ class JavaParser:
         kids = [self.take(), self.expect("(")]
         end = self._declaration_ahead()
         if end and self.toks[end].text == ":":
-            kids.extend(self._parse_modifiers())
+            kids.extend(self._parse_modifiers(_PARAMETER_MODIFIERS))
             kids.append(self.parse_type())
             kids.append(self.expect_ident())
             kids.append(self.expect(":"))
@@ -900,7 +884,7 @@ class JavaParser:
         if end:
             # A local declaration without its ';', parsed in this frame so
             # that an initializer sits no deeper than in a statement.
-            init = self._parse_modifiers()
+            init = self._parse_modifiers(_PARAMETER_MODIFIERS)
             init.append(self.parse_type())
             init.append(self._parse_declarator_rest(self.expect_ident()))
             while self.at(","):
@@ -1027,7 +1011,7 @@ class JavaParser:
         while not self.at(")") and not self.at_eof():
             before = self.i
             if self._declaration_ahead():
-                res = self._parse_modifiers()
+                res = self._parse_modifiers(_PARAMETER_MODIFIERS)
                 res.append(self.parse_type())
                 res.append(self.expect_ident())
                 res.append(self.expect("="))
@@ -1105,12 +1089,15 @@ class JavaParser:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
             t = self.toks[self.i]
-            if t.text in ("+", "-", "++", "--", "!", "~"):
+            if t.text in _PREFIX_OPS:
                 kids = [self.take(), self._parse_unary()]
                 return self._node("unary_expression", kids)
             if t.text == "(" and self._cast_ahead():
                 kids = [self.take(), self.parse_type(), self.expect(")")]
-                kids.append(self._parse_unary())
+                if kids[1].kind != "primitive_type" and self._lambda_ahead():
+                    kids.append(self._parse_lambda())
+                else:
+                    kids.append(self._parse_unary())
                 return self._node("cast_expression", kids)
             return self._parse_postfix()
         finally:
@@ -1309,14 +1296,20 @@ _STATEMENT_DISPATCH = {
     "synchronized": JavaParser._parse_synchronized,
     "try": JavaParser._parse_try,
     **dict.fromkeys(
-        ["(", "!", "~", "+", "-", "++", "--", "new", "this", "super", *_LITERAL_KEYWORDS],
+        _EXPRESSION_START - PRIMITIVE_TYPES - {"switch"},
         JavaParser._parse_expression_statement,
     ),
 }
 
+# Besides identifiers and literals, the texts where error recovery in a
+# block stops: each starts a statement.
+_STATEMENT_START = frozenset(_STATEMENT_DISPATCH) | PRIMITIVE_TYPES
+
 
 def parse_java(src: str) -> Node:
-    """Parse a compilation unit; never raises on malformed input.
+    """Parse a sequence of type declarations; never raises on malformed
+    input. A `package` or `import` declaration is out of scope, and is an
+    error like any other text that starts no type declaration.
 
     Input nested past the depth guard stops the parse there: its tree is a
     compilation unit with one LIMIT node where the guard fired, or with one

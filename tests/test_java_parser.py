@@ -14,8 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repairdx.javaparse import ERROR, MISSING, parse_java
-from repairdx.javaparse.lexer import KEYWORD, PUNCT
-from repairdx.javaparse.parser import _BINARY_LEVELS, JavaParser
+from repairdx.javaparse.lexer import _OPERATORS, KEYWORD, KEYWORDS, PUNCT
+from repairdx.javaparse.parser import (
+    _BINARY_LEVELS,
+    _EXPRESSION_START,
+    _OPERAND_KINDS,
+    JavaParser,
+)
 from repairdx.syntax import check_syntax, wrap_method
 
 
@@ -251,6 +256,13 @@ VALID_SNIPPETS = [
     "void f ( ) { this . x = super . y ; }",
     "Class < ? > f ( ) { return String . class ; }",
     "Class < ? > f ( ) { return int . class ; }",
+    # JLS 15.16: a reference type may cast a lambda, and a cast operand
+    # may be a switch expression or a class literal
+    "Object f ( ) { return ( Runnable ) ( ) -> { } ; }",
+    "Object f ( ) { return ( Function < A , B > ) x -> x ; }",
+    "Object f ( ) { return ( int [ ] ) x -> x ; }",
+    "int f ( ) { return ( int ) switch ( x ) { default -> 1 ; } ; }",
+    "Object f ( ) { return ( Object ) int . class ; }",
     # statements
     "void f ( ) { ; }",
     "void f ( ) { { } { ; } }",
@@ -264,6 +276,8 @@ VALID_SNIPPETS = [
     "int f ( ) { switch ( k ) { case 1 : case 2 : return 1 ; default : return 0 ; } }",
     "int f ( ) { return switch ( k ) { case 0 -> 1 ; default -> 2 ; } ; }",
     "int f ( ) { return switch ( k ) { default : yield 9 ; } ; }",
+    "int f ( ) { return switch ( x ) { default : { yield ++ y ; } } ; }",
+    "int f ( ) { return switch ( x ) { default : { yield -- y ; } } ; }",
     "void f ( ) { try { g ( ) ; } catch ( Exception e ) { } }",
     "void f ( ) { try { g ( ) ; } catch ( A | B e ) { } finally { h ( ) ; } }",
     "void f ( ) { try ( AutoCloseable c = open ( ) ; AutoCloseable d = open ( ) ) { } catch ( Exception e ) { } }",
@@ -294,6 +308,9 @@ VALID_SNIPPETS = [
     "interface Marker { void m ( ) ; }",
     "enum Color { RED , GREEN , BLUE }",
     "enum Op { PLUS { } , MINUS { } ; void apply ( ) { } }",
+    "public static final void f ( ) { }",
+    "< @ X T > void f ( ) { }",
+    "enum E { @ X A , @ Y @ Y B }",
     # generics, lambdas, method references
     "void f ( ) { java . util . List < String > xs = new java . util . ArrayList < > ( ) ; }",
     "void f ( ) { java . util . Map < String , Integer > m = new java . util . HashMap < String , Integer > ( ) ; }",
@@ -334,6 +351,18 @@ INVALID_SNIPPETS = [
     "int f ( ) { return \"unterminated ; }",  # broken string literal
     "void f ( ) { @ ; }",                 # bare annotation marker
     "int f ( ) { return 1 ; } }",         # extra closing brace
+    "Object f ( ) { return ( int ) x -> x ; }",  # primitive cast of a lambda
+    "int f ( ) { return ( int [ ] ) - x ; }",    # sign after a reference cast
+    # a repeated modifier (JLS 8.3.1, 8.4.3, 4.12.4), and a keyword modifier
+    # on a type parameter or enum constant (JLS 8.1.2, 8.9.1)
+    "public public void f ( ) { }",
+    "class A { static static int x ; }",
+    "void f ( final final int x ) { }",
+    "void f ( ) { final final int x ; }",
+    "void f ( ) { for ( final final int x : xs ) ; }",
+    "void f ( ) { try ( final final A a = b ) { } }",
+    "< public T > void f ( ) { }",
+    "enum E { @ X public A }",
 ]
 
 
@@ -534,3 +563,71 @@ def test_nested_annotated_resources_parse_in_linear_time():
     start = time.monotonic()
     assert check_syntax(code).valid
     assert time.monotonic() - start < 2.0
+
+
+# ----------------------------------------------------------------------
+# one table per decision: the texts that start an expression feed casts,
+# `yield` and the statement rules, and recovery stops where a statement
+# rule applies
+
+@pytest.mark.parametrize("code", [
+    "int f ( ) { return ( a ) + b ; }",
+    "int f ( ) { return ( a ) - b ; }",
+    "int f ( ) { return ( int ) + b ; }",
+    "int f ( ) { return ( int ) - - b ; }",
+])
+def test_only_a_primitive_cast_takes_a_sign(code):
+    # `( a ) + b` is a sum: a reference type takes no sign operator
+    # before its operand (JLS 15.16).
+    tree = parse_java(wrap_method(code))
+    casts = [n for n in tree.walk() if n.kind == "cast_expression"]
+    assert check_syntax(code).valid
+    assert len(casts) == ("( int )" in code)
+
+
+@pytest.mark.parametrize("op", ["++", "--"])
+def test_yield_before_a_semicolon_is_the_variable(op):
+    # As in javac, `yield ++ ;` updates a variable named `yield`.
+    code = f"void f ( ) {{ yield {op} ; }}"
+    tree = parse_java(wrap_method(code))
+    assert check_syntax(code).valid
+    assert "yield_statement" not in {n.kind for n in tree.walk()}
+
+
+# Every keyword and operator text, and one token of each other kind:
+# identifier, number, string, char, BAD and EOF.
+TOKEN_PROBES = sorted(KEYWORDS) + _OPERATORS + ["x", "1", '"s"', "'c'", "#", ""]
+
+
+@pytest.mark.parametrize("text", TOKEN_PROBES)
+def test_recovery_stops_exactly_where_a_statement_rule_applies(text):
+    parser = JavaParser(text)
+    assert parser._stmt_start() == (parser.parse_statement().kind != ERROR), text
+
+
+@pytest.mark.parametrize("text", [t for t in TOKEN_PROBES if t != "#"])
+def test_an_expression_starts_exactly_where_the_table_says(text):
+    # A BAD token is left out: it becomes an ERROR leaf, not a MISSING one.
+    parser = JavaParser(text)
+    tok = parser.toks[0]
+    starts = tok.kind in _OPERAND_KINDS or tok.text in _EXPRESSION_START
+    leaf = parser._parse_unary()
+    while leaf.children:
+        leaf = leaf.children[0]
+    assert (leaf.kind == MISSING and leaf.text == "expression") == (not starts), text
+
+
+# ----------------------------------------------------------------------
+# a repeated keyword modifier is one ERROR leaf over the repeat (JLS
+# 8.3.1, 8.4.3, 4.12.4)
+
+def test_a_repeated_modifier_is_an_error_over_the_repeat():
+    assert check_syntax("void f ( final final int x ) { }").error_spans == ((15, 20),)
+
+
+def test_runaway_modifiers_are_one_error_each_in_linear_time():
+    start = time.monotonic()
+    verdict = check_syntax("public " * 10_000 + "void f ( ) { }")
+    assert time.monotonic() - start < 2.0
+    assert not verdict.valid
+    assert verdict.error_count == 9_999
