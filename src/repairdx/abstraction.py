@@ -19,7 +19,7 @@ implicitly imported ``java.lang`` type names are never abstracted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError
 from .javaparse import IDENTIFIER, Node, parse_java, tokenize
@@ -103,32 +103,47 @@ class UnparseableCodeError(InputError):
         self.verdict = verdict
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One conformance defect, anchored to a byte span of the input."""
 
     span: tuple[int, int]
     message: str
 
 
-@dataclass
 class AbstractionReport:
     """Outcome of a conformance check."""
 
-    violations: list[Violation] = field(default_factory=list)
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: list[Violation] | None = None):
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.violations == other.violations
 
     @property
     def conformant(self) -> bool:
         return not self.violations
 
 
-@dataclass
 class AbstractionMapping:
     """Original -> placeholder pairs, per category, in index order."""
 
-    variables: list[tuple[str, str]] = field(default_factory=list)
-    methods: list[tuple[str, str]] = field(default_factory=list)
-    types: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("variables", "methods", "types")
+
+    def __init__(self, variables: list[tuple[str, str]] | None = None,
+                 methods: list[tuple[str, str]] | None = None,
+                 types: list[tuple[str, str]] | None = None):
+        self.variables = [] if variables is None else variables
+        self.methods = [] if methods is None else methods
+        self.types = [] if types is None else types
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def as_dict(self) -> dict[str, str]:
         merged: dict[str, str] = {}

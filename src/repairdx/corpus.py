@@ -19,14 +19,23 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError
 
+# hashlib loads OpenSSL's libcrypto, about 3.5 MB of peak memory and 5 ms
+# per process; the interpreter's own SHA-256 module gives the same digests.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
 
-@dataclass(frozen=True)
-class RepairExample:
+
+class RepairExample(NamedTuple):
     """One buggy/fixed pair. Records without a split label default to
     test, the split predictions are usually evaluated against."""
 
@@ -40,8 +49,7 @@ class RepairExample:
         return self.buggy == self.fixed
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """One model output for one example at one training step."""
 
     id: str
@@ -50,26 +58,29 @@ class Prediction:
     rank: int = 0
 
 
-@dataclass(frozen=True)
 class TrackingConfig:
     """Knobs for checkpoint-by-checkpoint evaluation."""
 
-    sample_size: int = 100
-    interval_steps: int = 500
-    seed: int = 42
-    fixed_sample: bool = False
+    __slots__ = ("sample_size", "interval_steps", "seed", "fixed_sample")
 
-    def __post_init__(self):
-        if self.sample_size <= 0:
-            raise InputError(f"sample_size must be positive, got {self.sample_size}")
-        if self.interval_steps <= 0:
-            raise InputError(
-                f"interval_steps must be positive, got {self.interval_steps}"
-            )
+    def __init__(self, sample_size: int = 100, interval_steps: int = 500,
+                 seed: int = 42, fixed_sample: bool = False):
+        if sample_size <= 0:
+            raise InputError(f"sample_size must be positive, got {sample_size}")
+        if interval_steps <= 0:
+            raise InputError(f"interval_steps must be positive, got {interval_steps}")
+        self.sample_size = sample_size
+        self.interval_steps = interval_steps
+        self.seed = seed
+        self.fixed_sample = fixed_sample
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-@dataclass
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Shape of a corpus: sizes, lengths, and identity-pair noise.
 
     Token lengths are whitespace-token counts of the buggy side, the
@@ -305,9 +316,7 @@ def corpus_stats(examples) -> CorpusStats:
 def seeded_rank(*parts) -> str:
     """The SHA-256 hex digest of ``parts`` joined by ``:``. Sorting by it
     orders items by a seed alone: no RNG state is involved."""
-    import hashlib  # only sampling and case bundles rank
-
-    return hashlib.sha256(":".join(map(str, parts)).encode("utf-8")).hexdigest()
+    return sha256(":".join(map(str, parts)).encode("utf-8")).hexdigest()
 
 
 def sample_validation(examples, config: TrackingConfig, step: int) -> list[RepairExample]:

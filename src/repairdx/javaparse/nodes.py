@@ -11,7 +11,6 @@ their lexeme as the kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 ERROR = "ERROR"
@@ -22,13 +21,23 @@ LITERAL = "literal"
 _ERROR_KINDS = frozenset([ERROR, MISSING, LIMIT])
 
 
-@dataclass(repr=False, slots=True)
 class Node:
-    kind: str
-    start: int
-    end: int
-    children: list["Node"] = field(default_factory=list)
-    text: str = ""
+    __slots__ = ("kind", "start", "end", "children", "text")
+
+    def __init__(self, kind: str, start: int, end: int,
+                 children: list[Node] | None = None, text: str = ""):
+        self.kind = kind
+        self.start = start
+        self.end = end
+        self.children = [] if children is None else children
+        self.text = text
+
+    # Equal trees are equal node for node; a node is mutable, so unhashable.
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.kind, self.start, self.end, self.children, self.text)
+                == (other.kind, other.start, other.end, other.children, other.text))
 
     @property
     def is_error(self) -> bool:

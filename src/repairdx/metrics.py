@@ -8,9 +8,8 @@ in exactly one class and distributions always sum to the sample size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -40,6 +39,38 @@ def exact_match(prediction: str, target: str, normalize: str = "none") -> bool:
     raise InputError(f"unknown normalize mode {normalize!r}; use 'none' or 'whitespace'")
 
 
+# Elements per block of ``_block_masks``; a multiple of 8, so every block
+# starts on a byte.
+_MASK_BLOCK = 512
+
+
+def _block_masks(a: Sequence) -> dict:
+    """``{x: mask}`` with bit i of ``mask`` set where ``a[i] == x``.
+
+    OR-ing each bit into a mask as long as ``a`` would cost O(len(a) / word
+    size) per element, so O(len(a)**2 / word size) in all. Instead each
+    block of ``_MASK_BLOCK`` elements is built with small ints, its masks
+    are appended as bytes to their element's buffer, and each buffer
+    becomes one int.
+    """
+    width = _MASK_BLOCK // 8
+    chunks: dict = {}  # x -> little-endian bytes of its mask so far
+    for lo in range(0, len(a), _MASK_BLOCK):
+        block: dict = {}
+        bit = 1
+        for x in a[lo:lo + _MASK_BLOCK]:
+            block[x] = block.get(x, 0) | bit
+            bit <<= 1
+        offset = lo // 8
+        for x, bits in block.items():
+            buf = chunks.get(x)
+            if buf is None:
+                buf = chunks[x] = bytearray()
+            buf += bytes(offset - len(buf))  # the blocks x is absent from
+            buf += bits.to_bytes(width, "little")
+    return {x: int.from_bytes(buf, "little") for x, buf in chunks.items()}
+
+
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Edit distance (insert/delete/substitute, unit costs).
 
@@ -48,7 +79,11 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     algorithm of Myers (1999), in Hyyrö's (2001) formulation for global
     edit distance, runs with Python ints as bit vectors: the longer side
     is the bit vector and the loop runs once per element of the shorter
-    side, so the cost is O(len(shorter) * len(longer) / word size).
+    side, at O(len(longer) / word size) per element. The longer side's
+    match masks are built in time linear in its length (see
+    ``_block_masks``) plus one full-width int per distinct element, so
+    the cost is O((len(shorter) + distinct elements of the longer)
+    * len(longer) / word size).
     """
     if a == b:
         return 0
@@ -70,11 +105,15 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     if len(a) < len(b):  # bit vector over the longer, loop over the shorter
         a, b = b, a
     # peq[x]: bit i set where a[i] == x.
-    peq: dict = {}
-    bit = 1
-    for x in a:
-        peq[x] = peq.get(x, 0) | bit
-        bit <<= 1
+    if len(a) <= _MASK_BLOCK:
+        peq: dict = {}
+        bit = 1
+        for x in a:
+            peq[x] = peq.get(x, 0) | bit
+            bit <<= 1
+    else:
+        peq = _block_masks(a)
+        bit = 1 << len(a)
     mask = bit - 1
     last = bit >> 1
     # Vertical deltas of the current DP column: +1 where vp, -1 where vn.
@@ -136,8 +175,7 @@ def is_near_copy(prediction: str, buggy: str) -> bool:
     return normalize_whitespace(prediction) == normalize_whitespace(buggy)
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(NamedTuple):
     """Five-number-ish summary of a metric sample."""
 
     mean: float
@@ -165,8 +203,7 @@ def aggregate(values) -> SummaryStats:
     )
 
 
-@dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(NamedTuple):
     """Everything measured about one prediction at one checkpoint."""
 
     example_id: str

@@ -12,12 +12,11 @@ directory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .corpus import seeded_rank
+from .corpus import seeded_rank, sha256
 from .errors import InputError
 from .fileset import jsonl, write_files
 from .metrics import aggregate
@@ -41,24 +40,31 @@ TABLE1_HEADER = "metric,mean,median,std"
 
 def file_digest(path) -> str:
     """SHA-256 of a file's bytes (stable content hash for provenance)."""
-    import hashlib  # only a report records its inputs' digests
-
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
 
 
-@dataclass
 class Provenance:
     """Everything needed to reproduce a report from scratch."""
 
-    seed: int
-    inputs: dict[str, str] = field(default_factory=dict)  # label -> sha256
-    config: dict = field(default_factory=dict)
-    tool: str = TOOL_NAME
-    version: str = __version__
+    __slots__ = ("seed", "inputs", "config", "tool", "version")
+
+    def __init__(self, seed: int, inputs: dict[str, str] | None = None,
+                 config: dict | None = None, tool: str = TOOL_NAME,
+                 version: str = __version__):
+        self.seed = seed
+        self.inputs = {} if inputs is None else inputs  # label -> sha256
+        self.config = {} if config is None else config
+        self.tool = tool
+        self.version = version
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def to_obj(self) -> dict:
         return {
@@ -71,35 +77,61 @@ class Provenance:
         }
 
 
-@dataclass
 class EvalReport:
     """Full result of an evaluation or tracking run."""
 
-    corpus_stats: CorpusStats
-    series: CheckpointSeries
-    table1: list[tuple[str, SummaryStats]]
-    provenance: Provenance
-    records_by_step: dict[int, list[EvalRecord]] = field(default_factory=dict)
+    __slots__ = ("corpus_stats", "series", "table1", "provenance", "records_by_step")
+
+    def __init__(self, corpus_stats: CorpusStats, series: CheckpointSeries,
+                 table1: list[tuple[str, SummaryStats]], provenance: Provenance,
+                 records_by_step: dict[int, list[EvalRecord]] | None = None):
+        self.corpus_stats = corpus_stats
+        self.series = series
+        self.table1 = table1
+        self.provenance = provenance
+        self.records_by_step = {} if records_by_step is None else records_by_step
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-@dataclass
 class Case:
     """One qualitative inspection case with recomputed diffs."""
 
-    example_id: str
-    buggy: str
-    fixed: str
-    prediction: str
-    behavior: BehaviorClass
-    verdict: SyntaxVerdict
-    diff_vs_buggy: str
-    diff_vs_fixed: str
+    __slots__ = ("example_id", "buggy", "fixed", "prediction", "behavior", "verdict",
+                 "diff_vs_buggy", "diff_vs_fixed")
+
+    def __init__(self, example_id: str, buggy: str, fixed: str, prediction: str,
+                 behavior: BehaviorClass, verdict: SyntaxVerdict, diff_vs_buggy: str,
+                 diff_vs_fixed: str):
+        self.example_id = example_id
+        self.buggy = buggy
+        self.fixed = fixed
+        self.prediction = prediction
+        self.behavior = behavior
+        self.verdict = verdict
+        self.diff_vs_buggy = diff_vs_buggy
+        self.diff_vs_fixed = diff_vs_fixed
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-@dataclass
 class CaseBundle:
-    seed: int
-    cases: list[Case] = field(default_factory=list)
+    __slots__ = ("seed", "cases")
+
+    def __init__(self, seed: int, cases: list[Case] | None = None):
+        self.seed = seed
+        self.cases = [] if cases is None else cases
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.seed == other.seed and self.cases == other.cases
 
 
 def _unified(a: str, b: str, a_name: str, b_name: str) -> str:

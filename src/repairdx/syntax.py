@@ -22,7 +22,7 @@ wherever validity is counted; the flag tells it apart from invalid Java.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bindings
 from .javaparse import LIMIT, Node
@@ -33,8 +33,7 @@ WRAP_PREFIX = "class __W { "
 WRAP_SUFFIX = "\n}"
 
 
-@dataclass(frozen=True)
-class SyntaxVerdict:
+class SyntaxVerdict(NamedTuple):
     """Outcome of checking one code fragment."""
 
     error_spans: tuple[tuple[int, int], ...] = ()

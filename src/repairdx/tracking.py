@@ -20,7 +20,6 @@ module reads no file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from .corpus import (
     Prediction,
@@ -44,7 +43,6 @@ from .metrics import (
 from .syntax import check_syntax
 
 
-@dataclass(frozen=True)
 class CheckpointRecord:
     """Aggregated metrics for one checkpoint.
 
@@ -57,35 +55,46 @@ class CheckpointRecord:
     ``n``, the denominator of ``syntax_validity_pct``.
     """
 
-    step: int
-    n: int
-    valid_count: int
-    exact_match_count: int
-    copy_count: int
-    modification_count: int
-    ned_stats: SummaryStats
-    eval_loss: float | None = None
-    near_copy_count: int = 0
-    limit_exceeded_count: int = 0
+    __slots__ = ("step", "n", "valid_count", "exact_match_count", "copy_count",
+                 "modification_count", "ned_stats", "eval_loss", "near_copy_count",
+                 "limit_exceeded_count")
 
-    def __post_init__(self):
-        if self.n <= 0:
-            raise InputError(f"checkpoint at step {self.step} has no examples")
-        for name in ("valid_count", "exact_match_count", "copy_count",
-                     "modification_count", "near_copy_count"):
-            value = getattr(self, name)
-            if not 0 <= value <= self.n:
-                raise InputError(f"{name} out of range [0, {self.n}]: {value!r}")
-        if not 0 <= self.limit_exceeded_count <= self.n - self.valid_count:
+    def __init__(self, step: int, n: int, valid_count: int, exact_match_count: int,
+                 copy_count: int, modification_count: int, ned_stats: SummaryStats,
+                 eval_loss: float | None = None, near_copy_count: int = 0,
+                 limit_exceeded_count: int = 0):
+        if n <= 0:
+            raise InputError(f"checkpoint at step {step} has no examples")
+        for name, value in (("valid_count", valid_count),
+                            ("exact_match_count", exact_match_count),
+                            ("copy_count", copy_count),
+                            ("modification_count", modification_count),
+                            ("near_copy_count", near_copy_count)):
+            if not 0 <= value <= n:
+                raise InputError(f"{name} out of range [0, {n}]: {value!r}")
+        if not 0 <= limit_exceeded_count <= n - valid_count:
             raise InputError(
-                f"limit_exceeded_count out of range [0, {self.n - self.valid_count}] "
-                f"(n - valid_count): {self.limit_exceeded_count!r}"
+                f"limit_exceeded_count out of range [0, {n - valid_count}] "
+                f"(n - valid_count): {limit_exceeded_count!r}"
             )
-        total = self.exact_match_count + self.copy_count + self.modification_count
-        if total != self.n:
-            raise InputError(
-                f"behavior counts must sum to n={self.n}, got {total} at step {self.step}"
-            )
+        total = exact_match_count + copy_count + modification_count
+        if total != n:
+            raise InputError(f"behavior counts must sum to n={n}, got {total} at step {step}")
+        self.step = step
+        self.n = n
+        self.valid_count = valid_count
+        self.exact_match_count = exact_match_count
+        self.copy_count = copy_count
+        self.modification_count = modification_count
+        self.ned_stats = ned_stats
+        self.eval_loss = eval_loss
+        self.near_copy_count = near_copy_count
+        self.limit_exceeded_count = limit_exceeded_count
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     syntax_validity_pct = property(lambda self: 100.0 * self.valid_count / self.n)
     exact_match_pct = property(lambda self: 100.0 * self.exact_match_count / self.n)
@@ -103,11 +112,18 @@ class CheckpointRecord:
         return dict(zip(BehaviorClass, counts))
 
 
-@dataclass
 class CheckpointSeries:
     """Checkpoint records in strictly increasing step order."""
 
-    records: list[CheckpointRecord] = field(default_factory=list)
+    __slots__ = ("records",)
+
+    def __init__(self, records: list[CheckpointRecord] | None = None):
+        self.records = [] if records is None else records
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.records == other.records
 
     @property
     def steps(self) -> list[int]:

@@ -54,7 +54,7 @@ def test_round_trip_preserves_everything(tmp_path):
         RepairExample(id="a", buggy="int x ;", fixed="int y ;", split="valid"),
         RepairExample(id="b", buggy="a\nb", fixed="cé", split="test"),
     ]
-    path = write_jsonl(tmp_path / "out.jsonl", [vars(e) for e in examples])
+    path = write_jsonl(tmp_path / "out.jsonl", [e._asdict() for e in examples])
     assert load_examples(path) == examples
 
 

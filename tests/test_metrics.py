@@ -173,6 +173,46 @@ def test_token_lists_with_one_sided_tokens():
     assert levenshtein([("a", 1), ("b", 2)], [("b", 2)]) == 1
 
 
+# The longer side's match masks are built 512 elements at a time past
+# 512 elements; these lengths sit on and around the block edges.
+@pytest.mark.parametrize("n", [511, 512, 513, 1023, 1024, 1025, 4097])
+def test_agrees_with_oracle_at_mask_block_boundaries(n):
+    rng = random.Random(n)
+    for m in (2, 40) if n > 2000 else (2, 40, 300):
+        a, b = untrimmable(rng, n), other_untrimmable(rng, m)
+        expected = oracle_levenshtein(a, b)
+        assert levenshtein(a, b) == levenshtein(b, a) == expected, (n, m)
+
+
+@pytest.mark.parametrize("n", [513, 1025])
+def test_token_lists_agree_with_oracle_across_mask_blocks(n):
+    rng = random.Random(n)
+    vocab = ["int", "x", "=", "1", ";", "{", "}", "f", "("]
+    # A few tokens only early, a few only late: their masks skip blocks.
+    a = (["early"] + [rng.choice(vocab) for _ in range(n - 2)] + ["late"])
+    b = [rng.choice(vocab + ["late"]) for _ in range(60)]
+    assert levenshtein(a, b) == levenshtein(b, a) == oracle_levenshtein(a, b)
+    # Every element distinct, so every mask is one bit in one block.
+    a, b = list(range(n)), list(range(0, n, 7))
+    assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+
+def test_400k_side_against_300_chars_is_fast():
+    # Too large for the oracle's matrix, so the answer is known instead:
+    # b is 150 characters of a followed by 150 that a never holds. At most
+    # 150 characters of a can match, so at least len(a) - 150 edits are
+    # needed, and matching those 150, substituting the z's and deleting
+    # the rest takes exactly that many.
+    rng = random.Random(400_000)
+    a = untrimmable(rng, 400_000)
+    b = a[1000:1150] + "z" * 150
+    started = time.perf_counter()
+    assert levenshtein(a, b) == len(a) - 150
+    assert levenshtein(b, a) == len(a) - 150
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
 def test_twenty_thousand_char_pair_is_fast():
     rng = random.Random(20_000)
     a, b = untrimmable(rng, 20_000), other_untrimmable(rng, 20_000)

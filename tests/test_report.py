@@ -1,12 +1,21 @@
 """Report assembly and emission: layouts, determinism, atomicity."""
 
+import hashlib
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
-from repairdx.corpus import Prediction, RepairExample, TrackingConfig, corpus_stats
+from repairdx.corpus import (
+    Prediction,
+    RepairExample,
+    TrackingConfig,
+    corpus_stats,
+    load_snippets,
+    seeded_rank,
+)
 from repairdx.errors import EnvironmentFailure, InputError
 from repairdx.metrics import BehaviorClass
 from repairdx.report import (
@@ -233,6 +242,26 @@ def test_file_digest_is_sha256(tmp_path):
     assert file_digest(path) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+FIXTURES = sorted((Path(__file__).parent / "data").glob("*.jsonl"))
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.name)
+def test_digests_equal_hashlib_on_fixture_inputs(path):
+    # The package hashes with the interpreter's built-in SHA-256 module,
+    # not hashlib's OpenSSL one; the digests must be the same.
+    assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    for snippet_id, _code in load_snippets(path):
+        for parts in [(42, snippet_id), (7, 500, snippet_id), (42, "case", snippet_id)]:
+            key = ":".join(map(str, parts)).encode("utf-8")
+            assert seeded_rank(*parts) == hashlib.sha256(key).hexdigest()
+
+
+def test_file_digest_equals_hashlib_across_read_blocks(tmp_path):
+    path = tmp_path / "big"
+    path.write_bytes(bytes(range(256)) * 10_000)  # 2.4 MiB: three 1 MiB reads
+    assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ----------------------------------------------------------------------

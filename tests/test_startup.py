@@ -7,9 +7,12 @@ in the package, so no command imports ``importlib.metadata``. Only a
 pooled run needs ``multiprocessing``, so it is not imported up front,
 and a run too small to repay a pool never imports it at all.
 ``check`` loads the parser but no metrics, report or abstraction code,
-``stats`` no parser, and ``abstract`` no report.
+``stats`` no parser, and ``abstract`` no report. No command, and not the
+benchmark's set-up statement, loads OpenSSL through ``hashlib``, or
+``dataclasses`` with the ``inspect`` module it imports.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -81,31 +84,36 @@ import json
 import sys
 from repairdx.cli import main
 code = main(sys.argv[1:])
-watched = ("difflib", "statistics", "importlib.metadata")
+watched = ("difflib", "statistics", "importlib.metadata", "dataclasses", "inspect",
+           "hashlib", "_hashlib")
 print(json.dumps([code, [m for m in sys.modules if m.startswith("repairdx.") or m in watched]]))
 """
+
+# Modules no command loads: the metadata reader, OpenSSL's binding, and
+# the dataclass machinery.
+NEVER_LOADED = ["importlib.metadata", "dataclasses", "inspect", "hashlib", "_hashlib"]
 
 # command line -> modules it must not load, each with its submodules
 NOT_LOADED = {
     "stats --corpus {corpus}": [
         "repairdx.javaparse", "repairdx.syntax", "repairdx.abstraction",
         "repairdx.tracking", "repairdx.metrics", "repairdx.report", "difflib",
-        "importlib.metadata"],
+        *NEVER_LOADED],
     "check --in {snippets}": [
         "repairdx.abstraction", "repairdx.report", "repairdx.tracking",
-        "repairdx.metrics", "difflib", "statistics", "importlib.metadata"],
+        "repairdx.metrics", "difflib", "statistics", *NEVER_LOADED],
     "abstract --corpus {corpus} --out {out}": [
         "repairdx.report", "repairdx.tracking", "repairdx.metrics", "difflib",
-        "importlib.metadata"],
+        *NEVER_LOADED],
     "abstract --verify-only --corpus {corpus} --out {out}": [
         "repairdx.report", "repairdx.tracking", "repairdx.metrics", "difflib",
-        "importlib.metadata"],
+        *NEVER_LOADED],
     "eval --corpus {corpus} --preds {final} --out {out}": [
-        "repairdx.abstraction", "difflib", "importlib.metadata"],
+        "repairdx.abstraction", "difflib", *NEVER_LOADED],
     "track --corpus {corpus} --preds {preds} --out {out} --cases 2": [
-        "repairdx.abstraction", "importlib.metadata"],
+        "repairdx.abstraction", *NEVER_LOADED],
     "inspect --corpus {corpus} --preds {preds} --out {out} --cases 2": [
-        "repairdx.abstraction", "importlib.metadata"],
+        "repairdx.abstraction", *NEVER_LOADED],
 }
 
 
@@ -129,3 +137,16 @@ def test_command_loads_only_what_it_runs(command, tmp_path):
     assert code == 0, res.stderr
     assert [m for m in loaded
             if any(m == bad or m.startswith(bad + ".") for bad in NOT_LOADED[command])] == []
+
+
+def test_benchmark_setup_statement_loads_no_heavy_module():
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    [setup] = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "SETUP_CODE" for t in node.targets)]
+    probe = setup + f"; import sys; print([m for m in {NEVER_LOADED!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
