@@ -123,6 +123,9 @@ class AbstractionReport:
             return NotImplemented
         return self.violations == other.violations
 
+    def __repr__(self):
+        return f"AbstractionReport(violations={self.violations!r})"
+
     @property
     def conformant(self) -> bool:
         return not self.violations
@@ -144,6 +147,10 @@ class AbstractionMapping:
         if type(other) is not type(self):
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        return (f"AbstractionMapping(variables={self.variables!r}, "
+                f"methods={self.methods!r}, types={self.types!r})")
 
     def as_dict(self) -> dict[str, str]:
         merged: dict[str, str] = {}

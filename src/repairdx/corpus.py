@@ -58,26 +58,27 @@ class Prediction(NamedTuple):
     rank: int = 0
 
 
-class TrackingConfig:
-    """Knobs for checkpoint-by-checkpoint evaluation."""
+class _TrackingFields(NamedTuple):
+    sample_size: int = 100
+    interval_steps: int = 500
+    seed: int = 42
+    fixed_sample: bool = False
 
-    __slots__ = ("sample_size", "interval_steps", "seed", "fixed_sample")
 
-    def __init__(self, sample_size: int = 100, interval_steps: int = 500,
-                 seed: int = 42, fixed_sample: bool = False):
-        if sample_size <= 0:
-            raise InputError(f"sample_size must be positive, got {sample_size}")
-        if interval_steps <= 0:
-            raise InputError(f"interval_steps must be positive, got {interval_steps}")
-        self.sample_size = sample_size
-        self.interval_steps = interval_steps
-        self.seed = seed
-        self.fixed_sample = fixed_sample
+class TrackingConfig(_TrackingFields):
+    """Knobs for checkpoint-by-checkpoint evaluation.
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    A ``NamedTuple`` checked once when built; a ``NamedTuple`` class body
+    cannot define ``__init__``, hence the fields' base class.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *_args, **_kwargs):
+        if self.sample_size <= 0:
+            raise InputError(f"sample_size must be positive, got {self.sample_size}")
+        if self.interval_steps <= 0:
+            raise InputError(f"interval_steps must be positive, got {self.interval_steps}")
 
 
 class CorpusStats(NamedTuple):

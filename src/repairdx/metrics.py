@@ -104,16 +104,8 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
         return len(a)
     if len(a) < len(b):  # bit vector over the longer, loop over the shorter
         a, b = b, a
-    # peq[x]: bit i set where a[i] == x.
-    if len(a) <= _MASK_BLOCK:
-        peq: dict = {}
-        bit = 1
-        for x in a:
-            peq[x] = peq.get(x, 0) | bit
-            bit <<= 1
-    else:
-        peq = _block_masks(a)
-        bit = 1 << len(a)
+    peq = _block_masks(a)  # peq[x]: bit i set where a[i] == x
+    bit = 1 << len(a)
     mask = bit - 1
     last = bit >> 1
     # Vertical deltas of the current DP column: +1 where vp, -1 where vn.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .corpus import seeded_rank, sha256
@@ -66,6 +66,10 @@ class Provenance:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
+    def __repr__(self):
+        return (f"Provenance(seed={self.seed!r}, inputs={self.inputs!r}, "
+                f"config={self.config!r}, tool={self.tool!r}, version={self.version!r})")
+
     def to_obj(self) -> dict:
         return {
             "tool": self.tool,
@@ -77,61 +81,32 @@ class Provenance:
         }
 
 
-class EvalReport:
+class EvalReport(NamedTuple):
     """Full result of an evaluation or tracking run."""
 
-    __slots__ = ("corpus_stats", "series", "table1", "provenance", "records_by_step")
-
-    def __init__(self, corpus_stats: CorpusStats, series: CheckpointSeries,
-                 table1: list[tuple[str, SummaryStats]], provenance: Provenance,
-                 records_by_step: dict[int, list[EvalRecord]] | None = None):
-        self.corpus_stats = corpus_stats
-        self.series = series
-        self.table1 = table1
-        self.provenance = provenance
-        self.records_by_step = {} if records_by_step is None else records_by_step
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    corpus_stats: CorpusStats
+    series: CheckpointSeries
+    table1: list[tuple[str, SummaryStats]]
+    provenance: Provenance
+    records_by_step: dict[int, list[EvalRecord]]
 
 
-class Case:
+class Case(NamedTuple):
     """One qualitative inspection case with recomputed diffs."""
 
-    __slots__ = ("example_id", "buggy", "fixed", "prediction", "behavior", "verdict",
-                 "diff_vs_buggy", "diff_vs_fixed")
-
-    def __init__(self, example_id: str, buggy: str, fixed: str, prediction: str,
-                 behavior: BehaviorClass, verdict: SyntaxVerdict, diff_vs_buggy: str,
-                 diff_vs_fixed: str):
-        self.example_id = example_id
-        self.buggy = buggy
-        self.fixed = fixed
-        self.prediction = prediction
-        self.behavior = behavior
-        self.verdict = verdict
-        self.diff_vs_buggy = diff_vs_buggy
-        self.diff_vs_fixed = diff_vs_fixed
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    example_id: str
+    buggy: str
+    fixed: str
+    prediction: str
+    behavior: BehaviorClass
+    verdict: SyntaxVerdict
+    diff_vs_buggy: str
+    diff_vs_fixed: str
 
 
-class CaseBundle:
-    __slots__ = ("seed", "cases")
-
-    def __init__(self, seed: int, cases: list[Case] | None = None):
-        self.seed = seed
-        self.cases = [] if cases is None else cases
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.seed == other.seed and self.cases == other.cases
+class CaseBundle(NamedTuple):
+    seed: int
+    cases: list[Case]
 
 
 def _unified(a: str, b: str, a_name: str, b_name: str) -> str:

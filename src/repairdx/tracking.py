@@ -20,6 +20,7 @@ module reads no file.
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 from .corpus import (
     Prediction,
@@ -43,7 +44,20 @@ from .metrics import (
 from .syntax import check_syntax
 
 
-class CheckpointRecord:
+class _CheckpointFields(NamedTuple):
+    step: int
+    n: int
+    valid_count: int
+    exact_match_count: int
+    copy_count: int
+    modification_count: int
+    ned_stats: SummaryStats
+    eval_loss: float | None = None
+    near_copy_count: int = 0
+    limit_exceeded_count: int = 0
+
+
+class CheckpointRecord(_CheckpointFields):
     """Aggregated metrics for one checkpoint.
 
     The counts are the reduction; the percentages are read from them.
@@ -52,49 +66,30 @@ class CheckpointRecord:
     (how often the model changed its input at all, exact fixes included).
     ``limit_exceeded_count`` counts the predictions that are not valid
     because the parser's depth guard stopped their parse; they stay in
-    ``n``, the denominator of ``syntax_validity_pct``.
+    ``n``, the denominator of ``syntax_validity_pct``. A ``NamedTuple``
+    checked once when built, like ``corpus.TrackingConfig``.
     """
 
-    __slots__ = ("step", "n", "valid_count", "exact_match_count", "copy_count",
-                 "modification_count", "ned_stats", "eval_loss", "near_copy_count",
-                 "limit_exceeded_count")
+    __slots__ = ()
 
-    def __init__(self, step: int, n: int, valid_count: int, exact_match_count: int,
-                 copy_count: int, modification_count: int, ned_stats: SummaryStats,
-                 eval_loss: float | None = None, near_copy_count: int = 0,
-                 limit_exceeded_count: int = 0):
-        if n <= 0:
-            raise InputError(f"checkpoint at step {step} has no examples")
-        for name, value in (("valid_count", valid_count),
-                            ("exact_match_count", exact_match_count),
-                            ("copy_count", copy_count),
-                            ("modification_count", modification_count),
-                            ("near_copy_count", near_copy_count)):
-            if not 0 <= value <= n:
-                raise InputError(f"{name} out of range [0, {n}]: {value!r}")
-        if not 0 <= limit_exceeded_count <= n - valid_count:
+    def __init__(self, *_args, **_kwargs):
+        if self.n <= 0:
+            raise InputError(f"checkpoint at step {self.step} has no examples")
+        for name in ("valid_count", "exact_match_count", "copy_count",
+                     "modification_count", "near_copy_count"):
+            value = getattr(self, name)
+            if not 0 <= value <= self.n:
+                raise InputError(f"{name} out of range [0, {self.n}]: {value!r}")
+        if not 0 <= self.limit_exceeded_count <= self.n - self.valid_count:
             raise InputError(
-                f"limit_exceeded_count out of range [0, {n - valid_count}] "
-                f"(n - valid_count): {limit_exceeded_count!r}"
+                f"limit_exceeded_count out of range [0, {self.n - self.valid_count}] "
+                f"(n - valid_count): {self.limit_exceeded_count!r}"
             )
-        total = exact_match_count + copy_count + modification_count
-        if total != n:
-            raise InputError(f"behavior counts must sum to n={n}, got {total} at step {step}")
-        self.step = step
-        self.n = n
-        self.valid_count = valid_count
-        self.exact_match_count = exact_match_count
-        self.copy_count = copy_count
-        self.modification_count = modification_count
-        self.ned_stats = ned_stats
-        self.eval_loss = eval_loss
-        self.near_copy_count = near_copy_count
-        self.limit_exceeded_count = limit_exceeded_count
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        total = self.exact_match_count + self.copy_count + self.modification_count
+        if total != self.n:
+            raise InputError(
+                f"behavior counts must sum to n={self.n}, got {total} at step {self.step}"
+            )
 
     syntax_validity_pct = property(lambda self: 100.0 * self.valid_count / self.n)
     exact_match_pct = property(lambda self: 100.0 * self.exact_match_count / self.n)
@@ -124,6 +119,9 @@ class CheckpointSeries:
         if type(other) is not type(self):
             return NotImplemented
         return self.records == other.records
+
+    def __repr__(self):
+        return f"CheckpointSeries(records={self.records!r})"
 
     @property
     def steps(self) -> list[int]:

@@ -307,6 +307,11 @@ def test_mapping_serializes_to_plain_objects():
     assert isinstance(mapping, AbstractionMapping)
     merged = mapping.as_dict()
     assert merged["count"] == "VAR_1" and merged["get"] == "METHOD_1"
+    assert repr(mapping) == (
+        "AbstractionMapping(variables=[('count', 'VAR_1'), ('obj', 'VAR_2'), "
+        "('x', 'VAR_3')], methods=[('get', 'METHOD_1')], types=[])"
+    )
+    assert repr(AbstractionReport()) == "AbstractionReport(violations=[])"
 
 
 def test_conformance_after_abstraction_holds_for_every_parseable_input(valid_methods):

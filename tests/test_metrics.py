@@ -173,8 +173,8 @@ def test_token_lists_with_one_sided_tokens():
     assert levenshtein([("a", 1), ("b", 2)], [("b", 2)]) == 1
 
 
-# The longer side's match masks are built 512 elements at a time past
-# 512 elements; these lengths sit on and around the block edges.
+# The longer side's match masks are built 512 elements at a time; these
+# lengths sit on and around the block edges.
 @pytest.mark.parametrize("n", [511, 512, 513, 1023, 1024, 1025, 4097])
 def test_agrees_with_oracle_at_mask_block_boundaries(n):
     rng = random.Random(n)

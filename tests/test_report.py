@@ -274,6 +274,14 @@ def case_inputs(step=500):
     return examples(), preds, records_by_step[step]
 
 
+def test_provenance_prints_its_fields():
+    p = Provenance(seed=3, config={"command": "eval"})
+    assert repr(p) == (
+        "Provenance(seed=3, inputs={}, config={'command': 'eval'}, "
+        f"tool='repairdx', version={p.version!r})"
+    )
+
+
 def test_extract_cases_is_deterministic_and_sorted():
     exs, preds, records = case_inputs()
     one = extract_cases(exs, preds, records, 3, seed=42)

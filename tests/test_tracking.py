@@ -70,6 +70,29 @@ def test_percentages_must_stay_in_range():
         )
 
 
+def test_checks_cannot_be_bypassed_by_assignment():
+    # The records are checked once when built, so they must stay as built.
+    record = checkpoint()
+    config = TrackingConfig()
+    with pytest.raises(AttributeError):
+        record.valid_count = -1
+    with pytest.raises(AttributeError):
+        config.sample_size = 0
+    assert (record.valid_count, config.sample_size) == (3, 100)
+    assert hash(config) == hash(TrackingConfig(100, 500, 42, False))
+    assert hash(record) == hash(checkpoint())
+
+
+def test_records_print_their_fields():
+    assert repr(TrackingConfig(sample_size=7)) == (
+        "TrackingConfig(sample_size=7, interval_steps=500, seed=42, fixed_sample=False)"
+    )
+    series = CheckpointSeries([checkpoint(step=500)])
+    assert repr(series).startswith(
+        "CheckpointSeries(records=[CheckpointRecord(step=500, n=4, valid_count=3, "
+    )
+
+
 def test_limit_exceeded_count_is_at_most_the_invalid_count():
     def record(valid, cut):
         return CheckpointRecord(
