@@ -83,9 +83,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_workers(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=1,
-                     help="accepted and ignored (must be at least 1): a run "
-                          "judges its texts in a process pool when they are "
-                          "long enough in total to repay it")
+                     help="accepted and ignored (must be at least 1): every "
+                          "command runs in this one process")
 
 
 def _add_inputs(sub: argparse.ArgumentParser, out_help: str) -> None:
@@ -202,6 +201,10 @@ def parse_args(argv=None) -> argparse.Namespace:
         raise UsageError(f"--seed must be non-negative, got {cfg.seed}")
     if cfg.cases < 0:
         raise UsageError(f"--cases must be non-negative, got {cfg.cases}")
+    if cfg.command == "track":
+        for flag, value in (("--sample", cfg.sample_size), ("--interval", cfg.interval_steps)):
+            if value < 1:
+                raise UsageError(f"{flag} must be positive, got {value}")
     if cfg.cases == 0 and cfg.command == "inspect":  # 0 means "no bundle" elsewhere
         raise UsageError("--cases must be positive for inspect, got 0")
     return cfg
@@ -297,12 +300,20 @@ def _cmd_abstract(cfg: argparse.Namespace) -> int:
               file=sys.stderr)
         print(path)
         return 0
+    abstracted = {}  # text -> (abstracted text, mapping): each distinct side once
+
+    def abstract(text):
+        result = abstracted.get(text)
+        if result is None:
+            result = abstracted[text] = abstract_identifiers(text)
+        return result
+
     records = []
     mappings = []
     for ex in examples:
         try:
-            new_buggy, map_buggy = abstract_identifiers(ex.buggy)
-            new_fixed, map_fixed = abstract_identifiers(ex.fixed)
+            new_buggy, map_buggy = abstract(ex.buggy)
+            new_fixed, map_fixed = abstract(ex.fixed)
         except InputError as exc:
             raise InputError(f"example {ex.id!r}: {exc}") from None
         records.append({

@@ -4,12 +4,9 @@ The harness is strictly post-hoc: it consumes predictions a training run
 dumped at each checkpoint, never the model itself. The (step, example)
 tasks of a run are measured in one pass. Each distinct prediction text
 is judged once per run, and each distinct (prediction, fix) pair's edit
-distance is computed once per run. The input decides how texts are
-judged: distinct texts long enough in total to repay starting worker
-processes go to one pool, one process per usable CPU, for the whole run;
-shorter ones are judged in a serial loop. Records are built in the
-calling process and always reduced in example-id order, so results are
-identical at any CPU count.
+distance is computed once per run, all in the calling process: no
+worker process or thread is started. Records are always reduced in
+example-id order.
 A prediction nested past the parser's depth guard is not valid, and
 its record says ``limit_exceeded``; each checkpoint counts those.
 Loss values are attached by step when a caller passes them, as read
@@ -19,7 +16,6 @@ module reads no file.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 from .corpus import (
@@ -164,29 +160,6 @@ def _measure(ex: RepairExample, pred: Prediction, valid: bool, limit_exceeded: b
     )
 
 
-# Total characters of distinct prediction text from which a run judges
-# its texts in a pool. Alternating `track` child runs on 2 CPUs (Python
-# 3.11.7, two batches of 10 pairs per size) put the break-even between
-# 141k characters, where two processes did not beat one (medians within
-# 3%, for 25% more CPU), and 174k, where they won 19 of 20 pairs (medians
-# 12-17% lower). See CHANGES.md.
-_POOL_MIN_CHARS = 160_000
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else every CPU of the host."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _judge_in_worker(text: str) -> tuple[bool, bool]:
-    """``(valid, limit_exceeded)`` of one text's verdict."""
-    verdict = check_syntax(text)
-    return verdict.valid, verdict.limit_exceeded
-
-
 def _tasks(
     step: int | None,
     examples: list[RepairExample],
@@ -209,26 +182,14 @@ def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]],
               em_normalize: str, ned_tokens: bool) -> list[list[EvalRecord]]:
     """Measure every (example, prediction) pair of a run.
 
-    Each distinct prediction text is judged once: in one pool of at most
-    one process per usable CPU and per text when the texts hold at least
-    ``_POOL_MIN_CHARS`` characters, else in one serial loop. The records
-    are then built here from those verdicts, and each distinct
-    (prediction, fix) pair's distance is computed once, here, for every
-    record that holds the pair; a copy repeats its pair at every step.
-    Records come back per group of pairs, each group sorted by example id.
+    Each distinct prediction text is judged once, and each distinct
+    (prediction, fix) pair's distance is computed once, for every record
+    that holds the text or the pair; a copy repeats its pair at every
+    step. Records come back per group of pairs, each group sorted by
+    example id.
     """
-    texts = list(dict.fromkeys(pred.prediction for group in groups for _ex, pred in group))
-    processes = min(_usable_cpus(), len(texts))
-    if processes > 1 and sum(map(len, texts)) >= _POOL_MIN_CHARS:
-        import multiprocessing  # only a pooled run pays for the import
-
-        ctx = multiprocessing.get_context()
-        chunk = max(1, len(texts) // (processes * 4))
-        with ctx.Pool(processes) as pool:
-            verdicts = pool.map(_judge_in_worker, texts, chunksize=chunk)
-    else:
-        verdicts = list(map(_judge_in_worker, texts))
-    judged = dict(zip(texts, verdicts))
+    judged = {text: check_syntax(text)
+              for text in dict.fromkeys(pred.prediction for group in groups for _ex, pred in group)}
     distances: dict[tuple[str, str], tuple[int, float]] = {}
 
     def measure(ex: RepairExample, pred: Prediction) -> EvalRecord:
@@ -237,7 +198,8 @@ def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]],
         distance = distances.get(pair)
         if distance is None:
             distance = distances[pair] = _distance(text, ex.fixed, ned_tokens)
-        return _measure(ex, pred, *judged[text], *distance, em_normalize)
+        verdict = judged[text]
+        return _measure(ex, pred, verdict.valid, verdict.limit_exceeded, *distance, em_normalize)
 
     return [sorted((measure(ex, pred) for ex, pred in group), key=lambda r: r.example_id)
             for group in groups]

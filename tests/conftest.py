@@ -1,7 +1,6 @@
 """Shared fixtures: frozen data files and small corpus builders."""
 
 import json
-import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -18,27 +17,6 @@ def write_jsonl(path, rows):
     path = Path(path)
     path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
     return path
-
-
-def force_pool(monkeypatch, cpus=2, min_chars=0):
-    """Make runs judge their texts in a pool from ``min_chars`` characters
-    of distinct text (at any size by default), as in a process that may
-    run on ``cpus`` CPUs. Returns the list that each pool's size is
-    appended to. The pool keeps the platform's default start method."""
-    from repairdx import tracking
-
-    monkeypatch.setattr(tracking, "_POOL_MIN_CHARS", min_chars)
-    monkeypatch.setattr(tracking, "_usable_cpus", lambda: cpus)
-    sizes = []
-    real = multiprocessing.get_context()
-
-    class RecordingContext:
-        def Pool(self, processes):
-            sizes.append(processes)
-            return real.Pool(processes)
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda: RecordingContext())
-    return sizes
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ subcommand writes.
 """
 
 import json
-import multiprocessing
 import statistics
 import sys
 
@@ -17,7 +16,7 @@ from repairdx import report as report_module
 from repairdx.cli import main, parse_args
 from repairdx.errors import UsageError
 
-from conftest import SMALL_PREDICTIONS, force_pool, load_jsonl, write_jsonl
+from conftest import SMALL_PREDICTIONS, load_jsonl, write_jsonl
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +348,50 @@ def test_abstract_unparseable_example_is_named(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["abstract", "--corpus", str(corpus), "--out", str(out)]) == 1
     assert "bad-123" in capsys.readouterr().err
+
+
+def _counting_abstraction(monkeypatch):
+    """Wrap ``cli.abstract_identifiers``; returns the real function and the
+    list of texts each call abstracted."""
+    real = cli.abstract_identifiers
+    calls = []
+    monkeypatch.setattr(cli, "abstract_identifiers",
+                        lambda code: calls.append(code) or real(code))
+    return real, calls
+
+
+def test_abstract_abstracts_each_distinct_side_once(tmp_path, capsys, monkeypatch):
+    one = "int f ( int a ) { return a ; }"
+    two = "int g ( int b ) { return b + 1 ; }"
+    three = "void h ( ) { x = 0 ; }"
+    rows = [{"id": "a", "buggy": one, "fixed": two},
+            {"id": "b", "buggy": one, "fixed": three},
+            {"id": "c", "buggy": two, "fixed": two}]
+    corpus = write_jsonl(tmp_path / "c.jsonl", rows)
+    real, calls = _counting_abstraction(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["abstract", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert calls == [one, two, three]
+    abstracted = {text: real(text) for text in (one, two, three)}
+    assert load_jsonl(out / "abstracted.jsonl") == [
+        {"id": r["id"], "buggy": abstracted[r["buggy"]][0],
+         "fixed": abstracted[r["fixed"]][0], "split": "test"} for r in rows]
+    assert load_jsonl(out / "mappings.jsonl") == [
+        {"id": r["id"], "buggy": abstracted[r["buggy"]][1].to_obj(),
+         "fixed": abstracted[r["fixed"]][1].to_obj()} for r in rows]
+
+
+def test_abstract_names_the_first_example_of_a_repeated_bad_side(tmp_path, capsys,
+                                                                 monkeypatch):
+    good, bad = "int f ( ) { return 1 ; }", "int f ( { return 1 ; }"
+    corpus = write_jsonl(tmp_path / "c.jsonl", [
+        {"id": "first", "buggy": good, "fixed": bad},
+        {"id": "second", "buggy": bad, "fixed": good},
+    ])
+    _real, calls = _counting_abstraction(monkeypatch)
+    assert main(["abstract", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: example 'first': ")
+    assert calls == [good, bad]
 
 
 @pytest.mark.parametrize("blocked,flags", [
@@ -783,7 +826,7 @@ def test_track_emits_case_bundle_from_final_step(corpus_file, predictions_file,
 
 def _four_step_dump(tmp_path):
     """12 examples over 4 steps, each prediction a copy, a fix, a cut fix
-    or an edited fix; returns the file paths and the distinct texts."""
+    or an edited fix; returns the file paths."""
     corpus = [
         {"id": f"ex-{i:02d}", "buggy": f"int f ( int a ) {{ return a - {i} ; }}",
          "fixed": f"int f ( int a ) {{ return a + {i} ; }}"}
@@ -796,9 +839,8 @@ def _four_step_dump(tmp_path):
             text = [row["buggy"], row["fixed"], row["fixed"][:-2],
                     row["fixed"].replace("a +", "b +")][choice]
             preds.append({"id": row["id"], "step": step, "prediction": text})
-    texts = set(p["prediction"] for p in preds)
     return (write_jsonl(tmp_path / "corpus.jsonl", corpus),
-            write_jsonl(tmp_path / "preds.jsonl", preds), texts)
+            write_jsonl(tmp_path / "preds.jsonl", preds))
 
 
 def _copying_dump(tmp_path):
@@ -841,46 +883,32 @@ def test_track_measures_each_distinct_pair_once_serial_or_pooled(tmp_path, capsy
         return real(a, b)
 
     monkeypatch.setattr(tracking, "levenshtein", counting)
-    outputs, counted, sizes = [], [], []
-    for out_name in ("serial", "pooled"):
-        if out_name == "pooled":
-            sizes = force_pool(monkeypatch)
-        calls.clear()
-        out = tmp_path / out_name
-        assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
-                     "--out", str(out), "--sample", "12", "--cases", "3", *extra]) == 0
-        counted.append(sorted(calls))
-        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    out = tmp_path / "out"
+    assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
+                 "--out", str(out), "--sample", "12", "--cases", "3", *extra]) == 0
     assert len(pairs) == 6 + 5 * 2 + 1  # copies, odd examples' two texts, ex-11
-    assert sizes == [2]
-    assert counted == [sorted(pairs)] * 2
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == 6
+    assert sorted(calls) == sorted(pairs)
+    assert len(list(out.iterdir())) == 6
 
 
-def test_track_output_is_byte_identical_at_one_and_two_workers(tmp_path, capsys,
-                                                               monkeypatch):
-    corpus_path, preds_path, _texts = _four_step_dump(tmp_path)
+def test_track_output_is_byte_identical_at_one_and_two_workers(tmp_path, capsys):
+    corpus_path, preds_path = _four_step_dump(tmp_path)
     names = ("records.jsonl", "report.json", "checkpoints.csv", "cases.json")
     outputs = []
-    sizes = []
-    for workers in ("1", "2"):  # a serial run, then a pooled one
-        if workers == "2":
-            sizes = force_pool(monkeypatch)
+    for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
         assert main(["track", "--corpus", str(corpus_path),
                      "--preds", str(preds_path), "--out", str(out),
                      "--sample", "8", "--cases", "3",
                      "--workers", workers]) == 0
         outputs.append({name: (out / name).read_bytes() for name in names})
-    assert sizes == [2]
     assert outputs[0] == outputs[1]
     report = json.loads(outputs[0]["report.json"])
     assert [c["step"] for c in report["series"]] == [0, 500, 1000, 1500]
     assert len(outputs[0]["records.jsonl"].splitlines()) == 4 * 8
 
 
-def test_shared_text_is_measured_per_example_at_any_worker_count(tmp_path, monkeypatch):
+def test_shared_text_is_measured_per_example_at_any_worker_count(tmp_path):
     corpus = [
         {"id": "a", "buggy": "int f ( ) { return 1 ; }", "fixed": "int f ( ) { return 2 ; }"},
         {"id": "b", "buggy": "int f ( ) { return 3 ; }", "fixed": "int f ( ) { return 4 ; }"},
@@ -895,17 +923,13 @@ def test_shared_text_is_measured_per_example_at_any_worker_count(tmp_path, monke
     corpus_path = write_jsonl(tmp_path / "corpus.jsonl", corpus)
     preds_path = write_jsonl(tmp_path / "preds.jsonl", preds)
     outputs = []
-    sizes = []
-    for workers in ("1", "2"):  # a serial run, then a pooled one
-        if workers == "2":
-            sizes = force_pool(monkeypatch)
+    for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
         assert main(["track", "--corpus", str(corpus_path),
                      "--preds", str(preds_path), "--out", str(out),
                      "--workers", workers]) == 0
         outputs.append({name: (out / name).read_bytes()
                         for name in ("records.jsonl", "report.json")})
-    assert sizes == [2]
     assert outputs[0] == outputs[1]
     records = [json.loads(l) for l in outputs[0]["records.jsonl"].splitlines()]
     assert [(r["id"], r["behavior"], r["edit_distance"]) for r in records] == [
@@ -913,35 +937,16 @@ def test_shared_text_is_measured_per_example_at_any_worker_count(tmp_path, monke
     ] * 2
 
 
-def test_run_below_the_pool_threshold_is_serial(tmp_path, capsys, monkeypatch):
-    # All 12 examples are sampled at every step, so the run's distinct
-    # texts are all the dump's texts: one character short of the threshold.
-    corpus_path, preds_path, texts = _four_step_dump(tmp_path)
-    monkeypatch.setattr(tracking, "_POOL_MIN_CHARS", sum(map(len, texts)) + 1)
-    monkeypatch.setattr(tracking, "_usable_cpus", lambda: 8)
-    asked = []
-    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: asked.append(a))
-    assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
-                 "--out", str(tmp_path / "out"), "--sample", "12",
-                 "--workers", "8"]) == 0
-    assert asked == []
-
-
-def test_run_at_the_pool_threshold_pools_one_process_per_cpu(tmp_path, capsys,
-                                                             monkeypatch):
-    corpus_path, preds_path, texts = _four_step_dump(tmp_path)
-    sizes = force_pool(monkeypatch, cpus=8, min_chars=sum(map(len, texts)))
-    outputs = []
-    for workers in ("1", "8"):
-        out = tmp_path / f"w{workers}"
-        assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
-                     "--out", str(out), "--sample", "12", "--cases", "3",
-                     "--workers", workers]) == 0
-        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
-    assert len(texts) > 8
-    assert sizes == [8, 8]  # min(CPUs, distinct texts), whatever --workers says
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == 6
+@pytest.mark.parametrize("flag,value", [("--sample", "0"), ("--sample", "-2"),
+                                        ("--interval", "0")])
+def test_track_rejects_a_non_positive_sample_or_interval_before_reading(flag, value,
+                                                                        tmp_path, capsys):
+    # Neither input file exists: the flag is refused before any is read.
+    assert main(["track", "--corpus", str(tmp_path / "missing.jsonl"),
+                 "--preds", str(tmp_path / "missing-preds.jsonl"),
+                 "--out", str(tmp_path / "out"), flag, value]) == 1
+    assert capsys.readouterr().err == f"usage error: {flag} must be positive, got {value}\n"
+    assert not (tmp_path / "out").exists()
 
 
 _BAD_CASE_COUNTS = {

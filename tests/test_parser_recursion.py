@@ -25,7 +25,7 @@ from repairdx.cli import main
 from repairdx.javaparse import LIMIT, JavaParser, parse_java
 from repairdx.syntax import check_syntax, wrap_method
 
-from conftest import force_pool, write_jsonl
+from conftest import write_jsonl
 
 FRAME_BUDGET = 750
 DEFAULT_RECURSION_LIMIT = 1000
@@ -230,7 +230,7 @@ def test_balanced_5000_deep_nest_stops_at_the_guard():
     assert verdict.error_count == 1 and verdict.limit_exceeded
 
 
-def test_pooled_and_serial_track_agree_on_cut_predictions(tmp_path, capsys, monkeypatch):
+def test_pooled_and_serial_track_agree_on_cut_predictions(tmp_path, capsys):
     deep = FAMILIES["parentheses"][0]
     corpus = [{"id": f"e{i}", "buggy": _ret("a"), "fixed": _ret("b")} for i in range(4)]
     texts = [deep(100), deep(2000), _ret("( " * 300 + "a" + " )" * 299), _ret("b")]
@@ -238,22 +238,14 @@ def test_pooled_and_serial_track_agree_on_cut_predictions(tmp_path, capsys, monk
              for step in (500, 1000) for row, text in zip(corpus, texts)]
     corpus_path = write_jsonl(tmp_path / "corpus.jsonl", corpus)
     preds_path = write_jsonl(tmp_path / "preds.jsonl", preds)
-    outputs = []
-    sizes = []
-    for run in ("serial", "pooled"):
-        if run == "pooled":
-            sizes = force_pool(monkeypatch)
-        out = tmp_path / run
-        assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
-                     "--out", str(out), "--cases", "4"]) == 0
-        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
-    assert sizes == [2]
-    assert outputs[0] == outputs[1]
-    records = [json.loads(line) for line in outputs[0]["records.jsonl"].splitlines()]
+    out = tmp_path / "out"
+    assert main(["track", "--corpus", str(corpus_path), "--preds", str(preds_path),
+                 "--out", str(out), "--cases", "4"]) == 0
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
     assert [(r["syntax_valid"], r["limit_exceeded"]) for r in records] == [
         (False, True), (False, True), (False, False), (True, False),
     ] * 2
-    report = json.loads(outputs[0]["report.json"])
+    report = json.loads((out / "report.json").read_text())
     assert [row["limit_exceeded_count"] for row in report["series"]] == [2, 2]
     assert [row["syntax_validity_pct"] for row in report["series"]] == [25.0, 25.0]
 

@@ -3,9 +3,9 @@ it runs.
 
 Every CLI start imports ``repairdx``, which loads none of its modules:
 each public name is imported on first access. The version is a literal
-in the package, so no command imports ``importlib.metadata``. Only a
-pooled run needs ``multiprocessing``, so it is not imported up front,
-and a run too small to repay a pool never imports it at all.
+in the package, so no command imports ``importlib.metadata``. No
+command starts a worker process, so none imports ``multiprocessing``,
+however much text it judges.
 ``check`` loads the parser but no metrics, report or abstraction code,
 ``stats`` no parser, and ``abstract`` no report. No command, and not the
 benchmark's set-up statement, loads OpenSSL through ``hashlib``, or
@@ -24,6 +24,7 @@ import pytest
 import repairdx
 
 from conftest import SMALL_CORPUS, SMALL_PREDICTIONS, write_jsonl
+from threaded_caller import large_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,39 +60,20 @@ def test_unknown_attribute_is_still_an_attribute_error():
         repairdx.no_such_name
 
 
-TRACK_PROBE = """
-import sys
-from repairdx.cli import main
-code = main(sys.argv[1:])
-print(code, "multiprocessing" in sys.modules)
-"""
-
-
-def test_small_track_run_leaves_multiprocessing_unloaded(tmp_path):
-    corpus = write_jsonl(tmp_path / "corpus.jsonl", SMALL_CORPUS)
-    preds = write_jsonl(tmp_path / "preds.jsonl", SMALL_PREDICTIONS)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    res = subprocess.run(
-        [sys.executable, "-c", TRACK_PROBE, "track", "--corpus", str(corpus),
-         "--preds", str(preds), "--out", str(tmp_path / "out"), "--workers", "2"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "0 False"
-
-
 LOADED_PROBE = """
 import json
 import sys
 from repairdx.cli import main
 code = main(sys.argv[1:])
 watched = ("difflib", "statistics", "importlib.metadata", "dataclasses", "inspect",
-           "hashlib", "_hashlib")
+           "hashlib", "_hashlib", "multiprocessing")
 print(json.dumps([code, [m for m in sys.modules if m.startswith("repairdx.") or m in watched]]))
 """
 
-# Modules no command loads: the metadata reader, OpenSSL's binding, and
-# the dataclass machinery.
-NEVER_LOADED = ["importlib.metadata", "dataclasses", "inspect", "hashlib", "_hashlib"]
+# Modules no command loads: the metadata reader, OpenSSL's binding, the
+# dataclass machinery and process pools.
+NEVER_LOADED = ["importlib.metadata", "dataclasses", "inspect", "hashlib", "_hashlib",
+                "multiprocessing"]
 
 # command line -> modules it must not load, each with its submodules
 NOT_LOADED = {
@@ -137,6 +119,31 @@ def test_command_loads_only_what_it_runs(command, tmp_path):
     assert code == 0, res.stderr
     assert [m for m in loaded
             if any(m == bad or m.startswith(bad + ".") for bad in NOT_LOADED[command])] == []
+
+
+def test_large_track_run_leaves_multiprocessing_unloaded(tmp_path):
+    corpus, preds = large_run()
+    assert len({p["prediction"] for p in preds}) == 600
+    assert sum(len(p["prediction"]) for p in preds) > 160_000
+    argv = ["track", "--corpus", str(write_jsonl(tmp_path / "corpus.jsonl", corpus)),
+            "--preds", str(write_jsonl(tmp_path / "preds.jsonl", preds)),
+            "--out", str(tmp_path / "out"), "--sample", "600", "--workers", "2"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    code, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0, res.stderr
+    assert "multiprocessing" not in loaded
+    assert "tracked 1 checkpoint(s)" in res.stderr
+
+
+def test_run_with_a_second_thread_alive_raises_no_deprecation_warning():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, str(ROOT / "tests" / "threaded_caller.py")],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "0 DeprecationWarning(s)" in res.stdout
 
 
 def test_benchmark_setup_statement_loads_no_heavy_module():

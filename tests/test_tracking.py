@@ -1,7 +1,4 @@
-"""Checkpoint evaluation: invariants, determinism, pool parity."""
-
-import multiprocessing
-import os
+"""Checkpoint evaluation: invariants, determinism, one judgment per text."""
 
 import pytest
 
@@ -25,7 +22,7 @@ from repairdx.tracking import (
     _distance,
 )
 
-from conftest import SMALL_CORPUS, SMALL_PREDICTIONS, force_pool, write_jsonl
+from conftest import SMALL_CORPUS, SMALL_PREDICTIONS, write_jsonl
 
 
 def examples():
@@ -219,15 +216,6 @@ def test_missing_prediction_is_named():
         evaluate_examples(examples(), by_id)
 
 
-def test_worker_pool_matches_serial_evaluation(monkeypatch):
-    by_id = {p.id: p for p in predictions() if p.step == 500}
-    serial = evaluate_examples(examples(), by_id)
-    sizes = force_pool(monkeypatch)
-    parallel = evaluate_examples(examples(), by_id)
-    assert sizes == [2]
-    assert serial == parallel
-
-
 # ----------------------------------------------------------------------
 # summarize
 
@@ -376,15 +364,12 @@ def test_run_tracking_ignores_secondary_beams():
     assert with_noise == without
 
 
-def test_run_tracking_names_the_step_missing_a_prediction(monkeypatch):
+def test_run_tracking_names_the_step_missing_a_prediction():
     config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
     later = [
         Prediction(id=ex.id, step=1500, prediction=ex.fixed)
         for ex in examples() if ex.id != "bug-002"
     ]
-    with pytest.raises(InputError, match=r"'bug-002' at step 1500"):
-        run_tracking(examples(), predictions() + later, config)
-    force_pool(monkeypatch)
     with pytest.raises(InputError, match=r"'bug-002' at step 1500"):
         run_tracking(examples(), predictions() + later, config)
 
@@ -462,48 +447,6 @@ def test_run_tracking_measures_each_distinct_pair_once(monkeypatch, ned_tokens):
                 assert r.ned == normalized_edit_distance(pred, target, tokens=True)
             else:
                 assert r.ned == distance / max(len(pred), len(target))
-
-
-def test_pool_results_do_not_depend_on_the_start_method(monkeypatch):
-    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
-    serial = run_tracking(examples(), predictions(), config)
-    spawn = multiprocessing.get_context("spawn")
-    force_pool(monkeypatch)
-    asked = []
-
-    def default_context(method=None):
-        assert method is None, "the pool must use the platform's default start method"
-        asked.append(method)
-        return spawn
-
-    monkeypatch.setattr(multiprocessing, "get_context", default_context)
-    assert run_tracking(examples(), predictions(), config) == serial
-    assert asked == [None]
-
-
-@pytest.mark.parametrize("cpus,expected", [(64, 3), (2, 2)])
-def test_pool_has_no_more_workers_than_distinct_texts(monkeypatch, cpus, expected):
-    # One step, three distinct prediction texts over four examples.
-    texts = ["int a ;", "int b ;", "int a ;", "int c ( ) { }"]
-    preds = [Prediction(id=f"bug-00{i}", step=500, prediction=text)
-             for i, text in enumerate(texts, 1)]
-    config = TrackingConfig(sample_size=10, interval_steps=500, seed=42)
-    serial = run_tracking(examples(), preds, config)
-    sizes = force_pool(monkeypatch, cpus=cpus)
-    pooled = run_tracking(examples(), preds, config)
-    assert sizes == [expected]
-    assert pooled == serial
-
-
-def test_pool_is_sized_by_the_cpus_this_process_may_use(monkeypatch):
-    # Only the helper is asked; no pool starts here.
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert tracking._usable_cpus() == 2
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert tracking._usable_cpus() == 64
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert tracking._usable_cpus() == 1
 
 
 def test_run_tracking_requires_rank_zero_predictions():
