@@ -7,14 +7,15 @@ Comments and whitespace are skipped. Offsets index into the source string.
 One compiled master pattern (the "Writing a Tokenizer" recipe of the `re`
 documentation) skips the whitespace and comments before a token and
 matches the token in the same call: an ASCII identifier or keyword, a
-number, or an operator. It is the one number scanner: a numeric literal
-is ASCII (JLS §3.10.1-3.10.2 allow only the digits `0`-`9`), so a
-non-ASCII digit such as `²` or `٣` never extends or starts one. Three
-things fall back to a per-character dispatch over `str` predicates: an
-identifier with a non-ASCII start (no `re` class is `str.isalpha()`),
-a string or char literal, and a character that starts no token. The
-pattern is exact because `\\s` is `str.isspace()` and `\\w` is
-`str.isalnum()` or `_`.
+number, an operator, or a string or char literal. It is the one number
+scanner: a numeric literal is ASCII (JLS §3.10.1-3.10.2 allow only the
+digits `0`-`9`), so a non-ASCII digit such as `²` or `٣` never extends
+or starts one. A literal is scanned once, terminated or not: its closing
+quote is an optional group, and a match without it is a BAD token. Three
+things fall back to a dispatch over `str` predicates: an identifier with
+a non-ASCII start (no `re` class is `str.isalpha()`), a text block, and
+a character that starts no token. The pattern is exact because `\\s` is
+`str.isspace()` and `\\w` is `str.isalnum()` or `_`.
 
 A token's text decides whether it is punctuation or a keyword: a keyword
 text is only ever on a KEYWORD token, since a word is an identifier
@@ -76,7 +77,10 @@ class Token(NamedTuple):
 # is optional, and nothing follows a token group, so `re` never gives
 # back what a greedy part matched: a number is as long as a left-to-right
 # scanner reads it. A '.' before a digit starts a number, which is tried
-# before the '.' operator.
+# before the '.' operator. A string or char literal ends at its closing
+# quote (group `sq` or `cq`), at a newline or the end, where it is BAD,
+# or at a backslash that escapes neither, which the BAD token keeps.
+# `"""` starts a text block, which the dispatch scans.
 _MASTER = re.compile(
     r"""
     (?:\s+|//[^\n]*\n?|/\*(?:[\s\S]*?\*/|[\s\S]*))*
@@ -90,41 +94,28 @@ _MASTER = re.compile(
       | (?P<punct>"""
     + "|".join(re.escape(op) for op in _OPERATORS)
     + r""")
+      | (?P<string>"(?!"")[^"\\\n]*(?:\\[^\n][^"\\\n]*)*(?:(?P<sq>")|\\)?)
+      | (?P<char>'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*(?:(?P<cq>')|\\)?)
       |
     )
     """,
     re.VERBOSE,
 )
 
+# The closing-quote group of each literal kind: without it the literal is BAD.
+_CLOSING = {STRING: "sq", CHAR: "cq"}
+
 
 def _ident_part(ch: str) -> bool:
     return ch.isalnum() or ch == "_" or ch == "$"
 
 
-def _scan_quoted(src: str, i: int, quote: str) -> tuple[int, bool]:
-    """Scan past the closing quote. Returns (end, terminated)."""
-    n = len(src)
-    i += 1
-    while i < n:
-        ch = src[i]
-        if ch == quote:
-            return i + 1, True
-        if ch == "\n":
-            return i, False
-        if ch == "\\":
-            if i + 1 < n and src[i + 1] != "\n":
-                i += 2
-                continue
-            return i + 1, False
-        i += 1
-    return i, False
-
-
 def _dispatch(src: str, i: int) -> Token:
     """The token at ``i``, where the master pattern matched none: an
-    identifier with a non-ASCII start, a string or char literal, or a BAD
-    character. The pattern takes every ASCII identifier start, `_` and
-    `$` included, so here a letter is all that starts an identifier."""
+    identifier with a non-ASCII start, a text block, or a BAD character.
+    The pattern takes every ASCII identifier start, `_` and `$` included,
+    and every quote but the `"` that opens a text block, so here a letter
+    is all that starts an identifier and a `"` starts a text block."""
     n = len(src)
     ch = src[i]
     if ch.isalpha():
@@ -133,17 +124,11 @@ def _dispatch(src: str, i: int) -> Token:
             j += 1
         text = src[i:j]
         return Token(KEYWORD if text in KEYWORDS else IDENT, text, i, j)
-    if ch == '"':
-        if src.startswith('"""', i):  # text block
-            j = src.find('"""', i + 3)
-            if j < 0:
-                return Token(BAD, src[i:], i, n)
-            return Token(STRING, src[i:j + 3], i, j + 3)
-        j, ok = _scan_quoted(src, i, '"')
-        return Token(STRING if ok else BAD, src[i:j], i, j)
-    if ch == "'":
-        j, ok = _scan_quoted(src, i, "'")
-        return Token(CHAR if ok else BAD, src[i:j], i, j)
+    if ch == '"':  # text block
+        j = src.find('"""', i + 3)
+        if j < 0:
+            return Token(BAD, src[i:], i, n)
+        return Token(STRING, src[i:j + 3], i, j + 3)
     return Token(BAD, ch, i, i + 1)
 
 
@@ -168,8 +153,11 @@ def tokenize(src: str) -> list[Token]:
             continue
         start, i = m.span(kind)
         text = src[start:i]
-        if kind == IDENT and text in KEYWORDS:
-            kind = KEYWORD
+        if kind == IDENT:
+            if text in KEYWORDS:
+                kind = KEYWORD
+        elif kind in _CLOSING and m.start(_CLOSING[kind]) < 0:
+            kind = BAD
         append(new(Token, (kind, text, start, i)))
     append(Token(EOF, "", n, n))
     return tokens
