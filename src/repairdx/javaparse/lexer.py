@@ -3,6 +3,8 @@
 Total over arbitrary input: characters that cannot start a token, and
 unterminated string/char literals, become BAD tokens instead of raising.
 Comments and whitespace are skipped. Offsets index into the source string.
+A line ends at `\\n` or `\\r` (JLS §3.4), which ends a `//` comment and
+leaves a string or char literal on it unterminated.
 
 One compiled master pattern (the "Writing a Tokenizer" recipe of the `re`
 documentation) skips the whitespace and comments before a token and
@@ -78,12 +80,12 @@ class Token(NamedTuple):
 # back what a greedy part matched: a number is as long as a left-to-right
 # scanner reads it. A '.' before a digit starts a number, which is tried
 # before the '.' operator. A string or char literal ends at its closing
-# quote (group `sq` or `cq`), at a newline or the end, where it is BAD,
+# quote (group `sq` or `cq`), at a line end or the end, where it is BAD,
 # or at a backslash that escapes neither, which the BAD token keeps.
 # `"""` starts a text block, which the dispatch scans.
 _MASTER = re.compile(
     r"""
-    (?:\s+|//[^\n]*\n?|/\*(?:[\s\S]*?\*/|[\s\S]*))*
+    (?:\s+|//[^\r\n]*|/\*(?:[\s\S]*?\*/|[\s\S]*))*
     (?:
         (?P<ident>[A-Za-z_$][\w$]*)
       | (?P<number>\.?
@@ -94,8 +96,8 @@ _MASTER = re.compile(
       | (?P<punct>"""
     + "|".join(re.escape(op) for op in _OPERATORS)
     + r""")
-      | (?P<string>"(?!"")[^"\\\n]*(?:\\[^\n][^"\\\n]*)*(?:(?P<sq>")|\\)?)
-      | (?P<char>'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*(?:(?P<cq>')|\\)?)
+      | (?P<string>"(?!"")[^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*(?:(?P<sq>")|\\)?)
+      | (?P<char>'[^'\\\r\n]*(?:\\[^\r\n][^'\\\r\n]*)*(?:(?P<cq>')|\\)?)
       |
     )
     """,

@@ -4,9 +4,13 @@ A per-character scanner over `str` predicates (`isspace`, `isalpha`,
 `isalnum`) and an ASCII digit test. `tests/test_java_lexer.py` requires
 the shipped lexer to yield the same `(kind, text, start, end)` stream on
 any input.
-Do not edit: it is the reference, not the product. Its digit test alone
-was changed from `str.isdigit()` to `_digit`, because JLS §3.10.1 allows
-only `0`-`9` in a numeric literal, and `isdigit` let `²` and `٣` in.
+Do not edit: it is the reference, not the product. Two of its tests
+were changed, each to follow the JLS where the old scanner did not: its
+digit test, from `str.isdigit()` to `_digit`, because JLS §3.10.1 allows
+only `0`-`9` in a numeric literal, and `isdigit` let `²` and `٣` in; and
+its line-terminator tests, in the `//` scan and in `_scan_quoted`, from
+`\\n` alone to `\\r` or `\\n`, because JLS §3.4 ends a line at either,
+and a lone `\\r` let a `//` comment or a literal run on past it.
 """
 
 from __future__ import annotations
@@ -128,10 +132,10 @@ def _scan_quoted(src: str, i: int, quote: str) -> tuple[int, bool]:
         ch = src[i]
         if ch == quote:
             return i + 1, True
-        if ch == "\n":
+        if ch == "\n" or ch == "\r":
             return i, False
         if ch == "\\":
-            if i + 1 < n and src[i + 1] != "\n":
+            if i + 1 < n and src[i + 1] not in "\r\n":
                 i += 2
                 continue
             return i + 1, False
@@ -149,8 +153,10 @@ def tokenize(src: str) -> list[Token]:
             i += 1
             continue
         if ch == "/" and i + 1 < n and src[i + 1] == "/":
-            j = src.find("\n", i)
-            i = n if j < 0 else j + 1
+            j = i + 2
+            while j < n and src[j] not in "\r\n":
+                j += 1
+            i = j
             continue
         if ch == "/" and i + 1 < n and src[i + 1] == "*":
             j = src.find("*/", i + 2)

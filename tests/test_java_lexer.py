@@ -102,6 +102,14 @@ def test_unterminated_string_is_a_bad_token():
     assert toks[0].kind == BAD
 
 
+def test_a_carriage_return_ends_a_line_comment_and_a_literal():
+    # JLS 3.4: CR, LF and CR LF each end a line.
+    assert kinds_and_texts("a // c\rb") == [(IDENT, "a"), (IDENT, "b")]
+    assert kinds_and_texts('"a\rb"') == [(BAD, '"a'), (IDENT, "b"), (BAD, '"')]
+    assert kinds_and_texts("'\r'") == [(BAD, "'"), (BAD, "'")]
+    assert kinds_and_texts('"a\\\r"') == [(BAD, '"a\\'), (BAD, '"')]
+
+
 def test_unknown_character_is_a_bad_token():
     toks = kinds_and_texts("# weird")
     assert toks[0] == (BAD, "#")

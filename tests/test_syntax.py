@@ -135,6 +135,19 @@ def test_non_ascii_digit_is_no_part_of_a_number(stmt):
     assert not check_syntax(f"int f ( ) {{ {stmt} }}").valid
 
 
+# JLS 3.4 ends a line at CR, LF or CR LF: a line comment stops at a lone
+# CR, and a string or char literal may not span one.
+@pytest.mark.parametrize("code,valid", [
+    ("int f ( ) { // c\r return 1 ; }", True),
+    ("int f ( ) { // c\r\n return 1 ; }", True),
+    ('String f ( ) { return "a\rb" ; }', False),
+    ("char f ( ) { return '\r' ; }", False),
+    ('String f ( ) { return "a\\\rb" ; }', False),
+])
+def test_a_carriage_return_ends_a_line(code, valid):
+    assert check_syntax(code).valid is valid
+
+
 # Element-value arrays (JLS 9.7.1) hold annotations, expressions and
 # nested arrays; an array initializer outside an annotation holds no
 # annotation.
