@@ -1,6 +1,8 @@
 """Lexer behavior: token kinds, spans, maximal munch, error tokens, and
 equality with the per-character scanner kept in ``reference_lexer``."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +178,7 @@ def assert_text_decides_kind(toks):
 PIECES = list("abxXeEpPfFdDlL019_$.+-*/=<>!&|^%~?:;,()[]{}@\"'\\ \n\t") + [
     "²", "½", "٣", "é", "\u00a0", "\u2028", "\u3000", "\x1c", '"""', "/*", "*/",
     "//", "0x", "0b", "1e", ".5", "...", "->", "int", "return",
+    "\\\n", "\\\r", "\r", '""""', '"""""', "\\'", '\\"',
 ]
 
 
@@ -200,9 +203,33 @@ def test_number_tokens_are_ascii(pieces):
 @pytest.mark.parametrize("src", [
     "0xp+.", ".0xB", "1e²", ".²", "1.x",
     "..5", "1.5.3", ".5.5", "0x1p+x", "1e+x", "1.²", "é1", "a . ٣", "/*/ x", "x // c",
+    '"\\"', '"a\\', "'\\\n", '""""', '"""a""""', '"\r"', "'\r'",
 ])
 def test_trap_inputs_match_the_reference_scanner(src):
     assert _stream(tokenize(src)) == _stream(reference_tokenize(src))
+
+
+# Degenerate model output can hold a literal of any length. Each of these
+# lexes in about 0.1 s at most (the escape pairs of the fourth cost the
+# most); the bound leaves room for a slow machine and fails on a scan
+# whose cost grows faster than its input, such as one that backtracks.
+MEGABYTE_INPUTS = {
+    "unterminated string": '"' + "a" * 999_999,
+    "terminated string": '"' + "a" * 999_998 + '"',
+    "unterminated char": "'" + "a" * 999_999,
+    "escape-dense string": '"' + "\\a" * 499_999,
+    "unterminated text block": '"""' + "a" * 999_997,
+}
+
+
+@pytest.mark.parametrize("name", MEGABYTE_INPUTS)
+def test_a_megabyte_literal_lexes_in_under_a_second(name):
+    src = MEGABYTE_INPUTS[name]
+    began = time.perf_counter()
+    toks = tokenize(src)
+    elapsed = time.perf_counter() - began
+    assert _stream(toks) == _stream(reference_tokenize(src))
+    assert elapsed < 1.0, f"{name}: {elapsed:.3f} s"
 
 
 def test_trap_inputs_keep_their_scanner_tokens():
