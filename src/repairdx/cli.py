@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from importlib import import_module
 from pathlib import Path
 
@@ -278,14 +279,18 @@ def _cmd_check(cfg: argparse.Namespace) -> int:
 def _cmd_abstract(cfg: argparse.Namespace) -> int:
     _bind("abstract_identifiers", "check_conformance")
     examples = _load_corpus(cfg)
+    # Both modes do each distinct side once: a side repeats across
+    # examples, and its result depends on its text alone.
     if cfg.verify_only:
+        conformance = cache(
+            lambda text: check_conformance(text, strict_gaps=cfg.strict_gaps))
         entries = []
         bad = 0
         for ex in examples:
             entry = {"id": ex.id}
             clean = True
             for fname in ("buggy", "fixed"):
-                report = check_conformance(getattr(ex, fname), strict_gaps=cfg.strict_gaps)
+                report = conformance(getattr(ex, fname))
                 entry[fname] = [
                     {"span": list(v.span), "message": v.message}
                     for v in report.violations
@@ -300,14 +305,7 @@ def _cmd_abstract(cfg: argparse.Namespace) -> int:
               file=sys.stderr)
         print(path)
         return 0
-    abstracted = {}  # text -> (abstracted text, mapping): each distinct side once
-
-    def abstract(text):
-        result = abstracted.get(text)
-        if result is None:
-            result = abstracted[text] = abstract_identifiers(text)
-        return result
-
+    abstract = cache(abstract_identifiers)
     records = []
     mappings = []
     for ex in examples:

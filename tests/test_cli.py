@@ -381,6 +381,31 @@ def test_abstract_abstracts_each_distinct_side_once(tmp_path, capsys, monkeypatc
          "fixed": abstracted[r["fixed"]][1].to_obj()} for r in rows]
 
 
+def test_verify_checks_each_distinct_side_once(tmp_path, capsys, monkeypatch):
+    one = "int METHOD_1 ( int VAR_1 ) { return VAR_1 ; }"
+    two = "int METHOD_1 ( ) { return count ; }"
+    rows = [{"id": "a", "buggy": one, "fixed": two},
+            {"id": "b", "buggy": two, "fixed": one},
+            {"id": "c", "buggy": one, "fixed": one}]
+    corpus = write_jsonl(tmp_path / "c.jsonl", rows)
+    real = cli.check_conformance
+    calls = []
+    monkeypatch.setattr(cli, "check_conformance",
+                        lambda code, **kw: calls.append(code) or real(code, **kw))
+    out = tmp_path / "verify"
+    assert main(["abstract", "--verify-only", "--corpus", str(corpus),
+                 "--out", str(out)]) == 0
+    assert calls == [one, two]
+    violations = {text: [{"span": list(v.span), "message": v.message}
+                         for v in real(text).violations] for text in (one, two)}
+    assert violations[one] == [] and violations[two] != []
+    assert load_jsonl(out / "conformance.jsonl") == [
+        {"id": r["id"], "buggy": violations[r["buggy"]], "fixed": violations[r["fixed"]],
+         "conformant": not violations[r["buggy"]] and not violations[r["fixed"]]}
+        for r in rows]
+    assert "1 conformant, 2 with violations" in capsys.readouterr().err
+
+
 def test_abstract_names_the_first_example_of_a_repeated_bad_side(tmp_path, capsys,
                                                                  monkeypatch):
     good, bad = "int f ( ) { return 1 ; }", "int f ( { return 1 ; }"
