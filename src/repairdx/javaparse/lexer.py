@@ -104,7 +104,7 @@ _MASTER = re.compile(
     re.VERBOSE,
 )
 
-# The closing-quote group of each literal kind: without it the literal is BAD.
+# The closing-quote group of each literal kind.
 _CLOSING = {STRING: "sq", CHAR: "cq"}
 
 
