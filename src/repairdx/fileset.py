@@ -49,6 +49,11 @@ def write_files(out_dir, files: dict[str, str]) -> list[Path]:
     return [path for _tmp, path in pending]
 
 
+# One encoder for every object: ``json.dumps`` with a non-default keyword
+# builds a new ``JSONEncoder`` per call.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def jsonl(objs) -> str:
     """JSON Lines text of ``objs``, one object per line; empty for none."""
-    return "".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
+    return "".join(_encode(obj) + "\n" for obj in objs)

@@ -14,9 +14,10 @@ scanner: a numeric literal is ASCII (JLS §3.10.1-3.10.2 allow only the
 digits `0`-`9`), so a non-ASCII digit such as `²` or `٣` never extends
 or starts one. A literal is scanned once, terminated or not: its closing
 quote is an optional group, and a match without it is a BAD token. Three
-things fall back to a dispatch over `str` predicates: an identifier with
-a non-ASCII start (no `re` class is `str.isalpha()`), a text block, and
-a character that starts no token. The pattern is exact because `\\s` is
+things fall back to a dispatch: an identifier with a non-ASCII start (no
+`re` class is `str.isalpha()`, so `str.isalpha()` takes its first
+character and the compiled `[\\w$]*` the rest), a text block, and a
+character that starts no token. The patterns are exact because `\\s` is
 `str.isspace()` and `\\w` is `str.isalnum()` or `_`.
 
 A token's text decides whether it is punctuation or a keyword: a keyword
@@ -107,9 +108,9 @@ _MASTER = re.compile(
 # The closing-quote group of each literal kind.
 _CLOSING = {STRING: "sq", CHAR: "cq"}
 
-
-def _ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch == "_" or ch == "$"
+# The rest of an identifier whose non-ASCII first character the dispatch
+# took.
+_IDENT_REST = re.compile(r"[\w$]*")
 
 
 def _dispatch(src: str, i: int) -> Token:
@@ -121,9 +122,7 @@ def _dispatch(src: str, i: int) -> Token:
     n = len(src)
     ch = src[i]
     if ch.isalpha():
-        j = i + 1
-        while j < n and _ident_part(src[j]):
-            j += 1
+        j = _IDENT_REST.match(src, i + 1).end()
         text = src[i:j]
         return Token(KEYWORD if text in KEYWORDS else IDENT, text, i, j)
     if ch == '"':  # text block

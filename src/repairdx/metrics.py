@@ -39,36 +39,22 @@ def exact_match(prediction: str, target: str, normalize: str = "none") -> bool:
     raise InputError(f"unknown normalize mode {normalize!r}; use 'none' or 'whitespace'")
 
 
-# Elements per block of ``_block_masks``; a multiple of 8, so every block
-# starts on a byte.
-_MASK_BLOCK = 512
+def _match_masks(a: Sequence, wanted: Sequence) -> dict:
+    """``{x: mask}`` for each ``x`` in ``wanted``, with bit i of ``mask``
+    set where ``a[i] == x``; 0 for an ``x`` absent from ``a``.
 
-
-def _block_masks(a: Sequence) -> dict:
-    """``{x: mask}`` with bit i of ``mask`` set where ``a[i] == x``.
-
-    OR-ing each bit into a mask as long as ``a`` would cost O(len(a) / word
-    size) per element, so O(len(a)**2 / word size) in all. Instead each
-    block of ``_MASK_BLOCK`` elements is built with small ints, its masks
-    are appended as bytes to their element's buffer, and each buffer
-    becomes one int.
+    OR-ing each bit into an int as long as ``a`` would cost O(len(a) / word
+    size) per element of ``a``. Instead one pass over ``a`` sets the bits
+    in a byte buffer per wanted element, and each buffer becomes one int.
     """
-    width = _MASK_BLOCK // 8
-    chunks: dict = {}  # x -> little-endian bytes of its mask so far
-    for lo in range(0, len(a), _MASK_BLOCK):
-        block: dict = {}
-        bit = 1
-        for x in a[lo:lo + _MASK_BLOCK]:
-            block[x] = block.get(x, 0) | bit
-            bit <<= 1
-        offset = lo // 8
-        for x, bits in block.items():
-            buf = chunks.get(x)
-            if buf is None:
-                buf = chunks[x] = bytearray()
-            buf += bytes(offset - len(buf))  # the blocks x is absent from
-            buf += bits.to_bytes(width, "little")
-    return {x: int.from_bytes(buf, "little") for x, buf in chunks.items()}
+    width = (len(a) + 7) >> 3
+    bufs = {x: bytearray(width) for x in set(wanted)}
+    get = bufs.get
+    for i, x in enumerate(a):
+        buf = get(x)
+        if buf is not None:
+            buf[i >> 3] |= 1 << (i & 7)
+    return {x: int.from_bytes(buf, "little") for x, buf in bufs.items()}
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -79,11 +65,10 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     algorithm of Myers (1999), in Hyyrö's (2001) formulation for global
     edit distance, runs with Python ints as bit vectors: the longer side
     is the bit vector and the loop runs once per element of the shorter
-    side, at O(len(longer) / word size) per element. The longer side's
-    match masks are built in time linear in its length (see
-    ``_block_masks``) plus one full-width int per distinct element, so
-    the cost is O((len(shorter) + distinct elements of the longer)
-    * len(longer) / word size).
+    side, at O(len(longer) / word size) per element. The match masks are
+    built by ``_match_masks`` in one pass over the longer side, plus one
+    full-width int per distinct element of the shorter side, so the cost
+    is O(len(longer) + len(shorter) * len(longer) / word size).
     """
     if a == b:
         return 0
@@ -104,16 +89,15 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
         return len(a)
     if len(a) < len(b):  # bit vector over the longer, loop over the shorter
         a, b = b, a
-    peq = _block_masks(a)  # peq[x]: bit i set where a[i] == x
+    peq = _match_masks(a, b)  # peq[y]: bit i set where a[i] == y
     bit = 1 << len(a)
     mask = bit - 1
     last = bit >> 1
     # Vertical deltas of the current DP column: +1 where vp, -1 where vn.
     # Column 0 is 0..len(a), all +1; dist tracks the bottom cell.
     vp, vn, dist = mask, 0, len(a)
-    get = peq.get
     for y in b:
-        eq = get(y, 0)
+        eq = peq[y]
         d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & mask
         hp = vn | (mask ^ (d0 | vp))
         hn = d0 & vp

@@ -232,6 +232,15 @@ def test_a_megabyte_literal_lexes_in_under_a_second(name):
     assert elapsed < 1.0, f"{name}: {elapsed:.3f} s"
 
 
+def test_a_megabyte_identifier_with_a_non_ascii_start_lexes_in_under_a_second():
+    src = "é" + "é1_$a" * 199_999 + "é" * 4
+    began = time.perf_counter()
+    toks = tokenize(src)
+    elapsed = time.perf_counter() - began
+    assert _stream(toks) == [(IDENT, src, 0, len(src)), (EOF, "", len(src), len(src))]
+    assert elapsed < 1.0, f"{elapsed:.3f} s"
+
+
 def test_trap_inputs_keep_their_scanner_tokens():
     assert kinds_and_texts("0xp+.") == [(NUMBER, "0xp+"), (PUNCT, ".")]
     assert kinds_and_texts(".0xB") == [(NUMBER, ".0xB")]

@@ -19,6 +19,7 @@ from repairdx.errors import InputError
 from repairdx.metrics import (
     BehaviorClass,
     SummaryStats,
+    _match_masks,
     aggregate,
     classify_behavior,
     exact_match,
@@ -173,8 +174,8 @@ def test_token_lists_with_one_sided_tokens():
     assert levenshtein([("a", 1), ("b", 2)], [("b", 2)]) == 1
 
 
-# The longer side's match masks are built 512 elements at a time; these
-# lengths sit on and around the block edges.
+# The longer side's match masks are built in byte buffers, 8 elements to
+# a byte; these lengths end one short of, on and one past a byte edge.
 @pytest.mark.parametrize("n", [511, 512, 513, 1023, 1024, 1025, 4097])
 def test_agrees_with_oracle_at_mask_block_boundaries(n):
     rng = random.Random(n)
@@ -188,13 +189,23 @@ def test_agrees_with_oracle_at_mask_block_boundaries(n):
 def test_token_lists_agree_with_oracle_across_mask_blocks(n):
     rng = random.Random(n)
     vocab = ["int", "x", "=", "1", ";", "{", "}", "f", "("]
-    # A few tokens only early, a few only late: their masks skip blocks.
+    # One token only early, one only late: "late" is in b, so its mask is
+    # zero in every byte but the last; "early" is not, so it gets no mask.
     a = (["early"] + [rng.choice(vocab) for _ in range(n - 2)] + ["late"])
     b = [rng.choice(vocab + ["late"]) for _ in range(60)]
     assert levenshtein(a, b) == levenshtein(b, a) == oracle_levenshtein(a, b)
-    # Every element distinct, so every mask is one bit in one block.
+    # Every element distinct, so every mask is one bit in one byte.
     a, b = list(range(n)), list(range(0, n, 7))
     assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+
+def test_match_masks_cover_every_wanted_symbol_and_byte_edge():
+    a = "abcdefgxyz"  # x, y and z at positions 7, 8 and 9
+    assert _match_masks(a, "xyzq") == {"x": 1 << 7, "y": 1 << 8, "z": 1 << 9, "q": 0}
+    assert _match_masks("abab", "a") == {"a": 0b0101}
+    # Token lists work too, and only the wanted symbols get a mask.
+    tokens = ["int", "x", "=", "x", ";"]
+    assert _match_masks(tokens, ["x", ";", "y"]) == {"x": 0b01010, ";": 1 << 4, "y": 0}
 
 
 def test_400k_side_against_300_chars_is_fast():
