@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
+from ._record import SlottedRecord
 from .errors import InputError
 from .javaparse import IDENTIFIER, Node, parse_java, tokenize
 from .javaparse.lexer import BAD, IDENT
@@ -110,7 +111,7 @@ class Violation(NamedTuple):
     message: str
 
 
-class AbstractionReport:
+class AbstractionReport(SlottedRecord):
     """Outcome of a conformance check."""
 
     __slots__ = ("violations",)
@@ -118,20 +119,12 @@ class AbstractionReport:
     def __init__(self, violations: list[Violation] | None = None):
         self.violations = [] if violations is None else violations
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.violations == other.violations
-
-    def __repr__(self):
-        return f"AbstractionReport(violations={self.violations!r})"
-
     @property
     def conformant(self) -> bool:
         return not self.violations
 
 
-class AbstractionMapping:
+class AbstractionMapping(SlottedRecord):
     """Original -> placeholder pairs, per category, in index order."""
 
     __slots__ = ("variables", "methods", "types")
@@ -142,15 +135,6 @@ class AbstractionMapping:
         self.variables = [] if variables is None else variables
         self.methods = [] if methods is None else methods
         self.types = [] if types is None else types
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        return (f"AbstractionMapping(variables={self.variables!r}, "
-                f"methods={self.methods!r}, types={self.types!r})")
 
     def as_dict(self) -> dict[str, str]:
         merged: dict[str, str] = {}

@@ -254,13 +254,11 @@ def _cmd_stats(cfg: argparse.Namespace) -> int:
 def _cmd_check(cfg: argparse.Namespace) -> int:
     _bind("load_snippets", "check_syntax")
     snippets = load_snippets(cfg.snippets, cfg.field_name)
-    verdicts = {}  # text -> verdict: each distinct text is judged once
+    judge = cache(check_syntax)  # each distinct text is judged once
     valid = 0
     cut = 0
     for snippet_id, code in snippets:
-        verdict = verdicts.get(code)
-        if verdict is None:
-            verdict = verdicts[code] = check_syntax(code)
+        verdict = judge(code)
         valid += 1 if verdict.valid else 0
         cut += 1 if verdict.limit_exceeded else 0
         print(json.dumps({

@@ -224,12 +224,9 @@ class JavaParser:
         return Node(MISSING, p, p, [], what)
 
     def _node(self, kind: str, children: list[Node]) -> Node:
-        """A node over ``children``, a list it takes ownership of. Children
-        come in source order, so the last one ends the node."""
-        if children:
-            return Node(kind, children[0].start, children[-1].end, children)
-        start = self.toks[self.i].start
-        return Node(kind, start, start, children)
+        """A node over ``children``, a non-empty list it takes ownership
+        of. Children come in source order, so the last one ends the node."""
+        return Node(kind, children[0].start, children[-1].end, children)
 
     def _error_until(self, stop_texts: frozenset[str], stop_pred=None) -> Node:
         """Consume at least one token, then up to a synchronization point."""
@@ -477,23 +474,28 @@ class JavaParser:
                 else:
                     kids.append(self.expect(";"))
                 return self._node("method_declaration", kids)
-            kids.append(self._parse_declarator_rest(name))
-            while self.at(","):
-                kids.append(self.take())
-                kids.append(self._parse_declarator_rest(self.expect_ident()))
+            self._parse_declarators(kids, name)
             kids.append(self.expect(";"))
             return self._node("field_declaration", kids)
         finally:
             self.depth -= 1
 
-    def _parse_declarator_rest(self, name: Node) -> Node:
-        kids = self._parse_dims([name])
-        if self.at("="):
+    def _parse_declarators(self, kids: list[Node], name: Node | None = None) -> None:
+        """Append to ``kids`` the comma-separated variable declarators
+        ahead; ``name`` is the first one's identifier if already taken.
+        Each initializer is parsed in this frame, one below the caller."""
+        while True:
+            declarator = self._parse_dims([self.expect_ident() if name is None else name])
+            if self.at("="):
+                declarator.append(self.take())
+                declarator.append(
+                    self._parse_array_initializer() if self.at("{") else self.parse_expression()
+                )
+            kids.append(self._node("variable_declarator", declarator))
+            if not self.at(","):
+                return
             kids.append(self.take())
-            kids.append(
-                self._parse_array_initializer() if self.at("{") else self.parse_expression()
-            )
-        return self._node("variable_declarator", kids)
+            name = None
 
     def _parse_array_initializer(self, element_values: bool = False) -> Node:
         """`{ ... }` of expressions, or of annotation element values.
@@ -841,10 +843,7 @@ class JavaParser:
                 if k.kind in _LOCAL_CLASS_MODIFIERS and k.kind != "final" else k
                 for k in kids]
         kids.append(self.parse_type())
-        kids.append(self._parse_declarator_rest(self.expect_ident()))
-        while self.at(","):
-            kids.append(self.take())
-            kids.append(self._parse_declarator_rest(self.expect_ident()))
+        self._parse_declarators(kids)
         kids.append(self.expect(";"))
         return self._node("local_variable_declaration", kids)
 
@@ -886,10 +885,7 @@ class JavaParser:
             # that an initializer sits no deeper than in a statement.
             init = self._parse_modifiers(_PARAMETER_MODIFIERS)
             init.append(self.parse_type())
-            init.append(self._parse_declarator_rest(self.expect_ident()))
-            while self.at(","):
-                init.append(self.take())
-                init.append(self._parse_declarator_rest(self.expect_ident()))
+            self._parse_declarators(init)
             kids.append(self._node("local_variable_declaration", init))
         elif not self.at(";"):
             kids.append(self._parse_expression_list())

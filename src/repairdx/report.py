@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
+from ._record import SlottedRecord
 from .corpus import seeded_rank, sha256
 from .errors import InputError
 from .fileset import jsonl, write_files
@@ -47,7 +48,7 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-class Provenance:
+class Provenance(SlottedRecord):
     """Everything needed to reproduce a report from scratch."""
 
     __slots__ = ("seed", "inputs", "config", "tool", "version")
@@ -60,15 +61,6 @@ class Provenance:
         self.config = {} if config is None else config
         self.tool = tool
         self.version = version
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        return (f"Provenance(seed={self.seed!r}, inputs={self.inputs!r}, "
-                f"config={self.config!r}, tool={self.tool!r}, version={self.version!r})")
 
     def to_obj(self) -> dict:
         return {

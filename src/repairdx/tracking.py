@@ -16,8 +16,10 @@ module reads no file.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
+from ._record import SlottedRecord
 from .corpus import (
     Prediction,
     RepairExample,
@@ -103,21 +105,13 @@ class CheckpointRecord(_CheckpointFields):
         return dict(zip(BehaviorClass, counts))
 
 
-class CheckpointSeries:
+class CheckpointSeries(SlottedRecord):
     """Checkpoint records in strictly increasing step order."""
 
     __slots__ = ("records",)
 
     def __init__(self, records: list[CheckpointRecord] | None = None):
         self.records = [] if records is None else records
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.records == other.records
-
-    def __repr__(self):
-        return f"CheckpointSeries(records={self.records!r})"
 
     @property
     def steps(self) -> list[int]:
@@ -140,24 +134,6 @@ def _distance(text: str, fixed: str, ned_tokens: bool) -> tuple[int, float]:
         return distance, normalized_edit_distance(text, fixed, tokens=True)
     longer = max(len(text), len(fixed))  # character NED: this distance, scaled
     return distance, distance / longer if longer else 0.0
-
-
-def _measure(ex: RepairExample, pred: Prediction, valid: bool, limit_exceeded: bool,
-             distance: int, ned: float, em_normalize: str) -> EvalRecord:
-    """The record of one prediction, given its text's verdict and distance."""
-    text, fixed = pred.prediction, ex.fixed
-    return EvalRecord(
-        example_id=ex.id,
-        step=pred.step,
-        behavior=classify_behavior(ex.buggy, text, fixed),
-        exact=exact_match(text, fixed, normalize=em_normalize),
-        edit_distance=distance,
-        ned=ned,
-        syntax_valid=valid,
-        near_copy=is_near_copy(text, ex.buggy),
-        pred_len=len(text),
-        limit_exceeded=limit_exceeded,
-    )
 
 
 def _tasks(
@@ -188,18 +164,25 @@ def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]],
     step. Records come back per group of pairs, each group sorted by
     example id.
     """
-    judged = {text: check_syntax(text)
-              for text in dict.fromkeys(pred.prediction for group in groups for _ex, pred in group)}
-    distances: dict[tuple[str, str], tuple[int, float]] = {}
+    judge = cache(check_syntax)
+    distance = cache(lambda text, fixed: _distance(text, fixed, ned_tokens))
 
     def measure(ex: RepairExample, pred: Prediction) -> EvalRecord:
-        text = pred.prediction
-        pair = (text, ex.fixed)
-        distance = distances.get(pair)
-        if distance is None:
-            distance = distances[pair] = _distance(text, ex.fixed, ned_tokens)
-        verdict = judged[text]
-        return _measure(ex, pred, verdict.valid, verdict.limit_exceeded, *distance, em_normalize)
+        text, fixed = pred.prediction, ex.fixed
+        verdict = judge(text)
+        edit_distance, ned = distance(text, fixed)
+        return EvalRecord(
+            example_id=ex.id,
+            step=pred.step,
+            behavior=classify_behavior(ex.buggy, text, fixed),
+            exact=exact_match(text, fixed, normalize=em_normalize),
+            edit_distance=edit_distance,
+            ned=ned,
+            syntax_valid=verdict.valid,
+            near_copy=is_near_copy(text, ex.buggy),
+            pred_len=len(text),
+            limit_exceeded=verdict.limit_exceeded,
+        )
 
     return [sorted((measure(ex, pred) for ex, pred in group), key=lambda r: r.example_id)
             for group in groups]

@@ -13,6 +13,7 @@ from repairdx.abstraction import (
     AbstractionMapping,
     AbstractionReport,
     UnparseableCodeError,
+    Violation,
     abstract_identifiers,
     _identifier_occurrences,
     check_conformance,
@@ -275,6 +276,11 @@ def test_malformed_placeholder_suffix_is_a_violation():
     report = check_conformance("int VAR_01 = VAR_x ;")
     assert not report.conformant
     assert len(report.violations) == 2
+
+
+def test_unrecognized_text_is_a_violation_over_its_span():
+    report = check_conformance("int VAR_1 = # ;")
+    assert report.violations == [Violation((12, 13), "unrecognized text '#'")]
 
 
 def test_keywords_and_literals_are_not_violations():

@@ -622,6 +622,18 @@ def test_eval_rejects_multistep_dump(corpus_file, predictions_file,
     assert "track" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_eval_and_inspect_need_a_rank_0_prediction(command, corpus_file, tmp_path, capsys):
+    preds = write_jsonl(tmp_path / "p.jsonl",
+                        [dict(row, rank=1) for row in SMALL_PREDICTIONS if row["step"] == 500])
+    out = tmp_path / "r"
+    assert main([command, "--corpus", str(corpus_file), "--preds", str(preds),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: prediction set contains no rank-0 predictions\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_em_normalize_moves_only_the_exact_field_and_table1(tmp_path, capsys):
     # One prediction equals its fix byte for byte, the other only up to
     # whitespace. The behavior class compares bytes; --em-normalize moves
@@ -897,8 +909,7 @@ def _copying_dump(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [[], ["--ned-tokens"]])
-def test_track_measures_each_distinct_pair_once_serial_or_pooled(tmp_path, capsys,
-                                                                  monkeypatch, extra):
+def test_track_measures_each_distinct_pair_once(tmp_path, capsys, monkeypatch, extra):
     corpus_path, preds_path, pairs = _copying_dump(tmp_path)
     calls = []
     real = tracking.levenshtein

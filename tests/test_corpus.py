@@ -82,6 +82,17 @@ def test_blank_code_is_rejected_with_line_number(tmp_path, field):
         load_examples(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("id", "", "field 'id' must be non-empty"),
+    ("split", "", "field 'split' must be a non-empty str, got ''"),
+])
+def test_empty_id_or_split_is_rejected_with_line_number(tmp_path, field, value, message):
+    row = {"id": "a", "buggy": "int x ;", "fixed": "int y ;", field: value}
+    path = write_jsonl(tmp_path / "c.jsonl", [row])
+    with pytest.raises(InputError, match=rf"c\.jsonl:1: {message}"):
+        load_examples(path)
+
+
 def test_duplicate_ids_are_rejected(tmp_path):
     path = write_jsonl(tmp_path / "c.jsonl", [
         {"id": "a", "buggy": "x", "fixed": "y"},
@@ -178,6 +189,13 @@ def test_duplicate_id_step_rank_is_rejected(tmp_path):
         {"id": "a", "step": 0, "prediction": "y"},
     ])
     with pytest.raises(InputError, match="duplicate prediction"):
+        load_predictions(path)
+
+
+def test_predictions_file_of_blank_lines_is_an_input_error(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text("\n  \n\n")
+    with pytest.raises(InputError, match=r"p\.jsonl: no predictions found"):
         load_predictions(path)
 
 

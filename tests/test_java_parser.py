@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repairdx.javaparse import ERROR, MISSING, parse_java
+from repairdx.javaparse import ERROR, MISSING, Node, parse_java, tokenize
 from repairdx.javaparse.lexer import _OPERATORS, KEYWORD, KEYWORDS, PUNCT
 from repairdx.javaparse.parser import (
     _BINARY_LEVELS,
@@ -289,6 +289,11 @@ VALID_SNIPPETS = [
     "void f ( ) { var x = 1 ; x += 1 ; }",
     "void f ( ) { new Thread ( ) . start ( ) ; }",
     "void f ( ) { this . g ( ) ; super . g ( ) ; }",
+    "void f ( ) { int . class . getName ( ) ; }",
+    "void f ( int x ) { switch ( x ) { case 1 , 2 : break ; } }",
+    "int f ( int x ) { switch ( x ) { case 1 -> throw new IllegalStateException ( ) ; default -> { return 0 ; } } }",
+    "void f ( ) { this . < String > g ( ) ; }",
+    "void f ( ) { Object o = new < String > A ( ) ; }",
     # declarations
     "int x = 0 ;",
     "static final double PI2 = 6.28 , TAU = PI2 ;",
@@ -311,6 +316,10 @@ VALID_SNIPPETS = [
     "public static final void f ( ) { }",
     "< @ X T > void f ( ) { }",
     "enum E { @ X A , @ Y @ Y B }",
+    "class A { @ interface B { int x ( ) default 1 ; } }",
+    "enum E implements I , J { A ( 1 ) , B ( 2 ) ; E ( int x ) { } }",
+    "class A { A ( ) throws java . io . IOException , RuntimeException { } }",
+    "< T extends Number & Comparable < T > > void f ( T t ) { }",
     # generics, lambdas, method references
     "void f ( ) { java . util . List < String > xs = new java . util . ArrayList < > ( ) ; }",
     "void f ( ) { java . util . Map < String , Integer > m = new java . util . HashMap < String , Integer > ( ) ; }",
@@ -363,6 +372,12 @@ INVALID_SNIPPETS = [
     "void f ( ) { try ( final final A a = b ) { } }",
     "< public T > void f ( ) { }",
     "enum E { @ X public A }",
+    "void f ( int x ) { switch ( x ) { @ interface A { } } }",  # no declaration in a switch block
+    # a for head that looks like a declaration up to where it fails
+    "void f ( ) { for ( a . b < 1 > x : y ) ; }",  # a literal as a type argument
+    "void f ( ) { for ( @ 1 x : y ) ; }",         # an annotation without a name
+    "void f ( ) { for ( @ A ( x : y ; }",         # an annotation left open
+    "void f ( ) { for ( A < B >>> x : y ) ; }",   # closes more '<' than are open
 ]
 
 
@@ -379,12 +394,44 @@ def test_broken_construct_is_flagged(code):
     assert verdict.error_count >= 1
 
 
+NESTED_CLOSERS = [
+    ([">>"], "java . util . Map < String , java . util . List < Integer >> m = null ;"),
+    ([">>"], "void f ( ) { java . util . Map < String , java . util . List < Integer >> m = null ; }"),
+    ([">>>"], "void f ( ) { A < B < C < D >>> x = null ; }"),
+    ([">", ">"], "java . util . Map < String , java . util . List < Integer > > m = null ;"),
+    ([">", ">"], "void f ( ) { java . util . Map < String , java . util . List < Integer > > m = null ; }"),
+    ([">", ">", ">"], "A < B < C < D > > > x = null ;"),
+]
+
+
 def test_nested_generic_closers_split_correctly():
-    # the >> in Map<String, List<Integer>> must close two type arguments
-    code = "java . util . Map < String , java . util . List < Integer > > m = null ;"
-    assert check_syntax(code).valid
-    code3 = "A < B < C < D > > > x = null ;"
-    assert check_syntax(code3).valid
+    # One `>>` or `>>>` token closes two or three type-argument lists, one
+    # `>` split off per list; the spaced form is one token per list. Either
+    # way the text declares a variable, not an expression.
+    for closers, code in NESTED_CLOSERS:
+        assert [t.text for t in tokenize(code) if t.text.startswith(">")] == closers
+        assert check_syntax(code).valid, code
+        kinds = {n.kind for n in parse_java(wrap_method(code)).walk()}
+        assert kinds & {"field_declaration", "local_variable_declaration"}, code
+
+
+def test_type_arguments_open_at_the_end_of_input_are_an_expression():
+    # The scan for a declaration runs out of tokens inside `< x`, so the
+    # for head is parsed as the expression `List < x`, with its closers missing.
+    tree = parse_java("class A { void f ( ) { for ( List < x")
+    assert "binary_expression" in {n.kind for n in tree.walk()}
+    assert error_nodes(tree)
+
+
+def test_nodes_are_equal_node_for_node_and_print_without_their_children():
+    tree = parse_java("class A { int x ; }")
+    assert tree == parse_java("class A { int x ; }")
+    assert tree != parse_java("class A { int y ; }")
+    assert tree.__eq__(tree.sexp()) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(tree)
+    assert repr(tree) == "Node('compilation_unit', 0, 19, 1 children)"
+    assert repr(Node(";", 3, 4, text=";")) == "Node(';', 3, 4, 0 children)"
 
 
 def test_dollar_signs_are_legal_identifier_characters():

@@ -324,6 +324,10 @@ def test_exact_match_outranks_copy_on_identity_pairs():
     assert classify_behavior("same", "same", "same") is BehaviorClass.EXACT_MATCH
 
 
+def test_a_behavior_class_prints_as_its_value():
+    assert [str(cls) for cls in BehaviorClass] == ["exact_match", "copy", "modification"]
+
+
 def test_classification_is_total_and_single_valued():
     rng = random.Random(3)
     texts = ["", "a", "b", "ab", "ba"]

@@ -230,7 +230,7 @@ def test_balanced_5000_deep_nest_stops_at_the_guard():
     assert verdict.error_count == 1 and verdict.limit_exceeded
 
 
-def test_pooled_and_serial_track_agree_on_cut_predictions(tmp_path, capsys):
+def test_track_counts_cut_predictions_per_checkpoint(tmp_path, capsys):
     deep = FAMILIES["parentheses"][0]
     corpus = [{"id": f"e{i}", "buggy": _ret("a"), "fixed": _ret("b")} for i in range(4)]
     texts = [deep(100), deep(2000), _ret("( " * 300 + "a" + " )" * 299), _ret("b")]

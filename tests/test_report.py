@@ -321,6 +321,23 @@ def test_extract_cases_validates_k():
         extract_cases(exs, preds, records, 99, seed=42)
 
 
+def test_extract_cases_names_an_example_or_prediction_it_lacks():
+    exs, preds, records = case_inputs()
+    with pytest.raises(InputError, match="record references unknown example 'bug-001'"):
+        extract_cases([ex for ex in exs if ex.id != "bug-001"], preds, records, 4, seed=42)
+    del preds["bug-001"]
+    with pytest.raises(InputError, match="no prediction available for case 'bug-001'"):
+        extract_cases(exs, preds, records, 4, seed=42)
+
+
+def test_build_report_needs_the_final_step_records():
+    series, records_by_step = tracked()
+    del records_by_step[series.final.step]
+    with pytest.raises(InputError,
+                       match=f"no per-example records for final step {series.final.step}"):
+        build_report(corpus_stats(examples()), series, records_by_step, Provenance(seed=42))
+
+
 def test_emit_cases_writes_json(tmp_path):
     exs, preds, records = case_inputs()
     bundle = extract_cases(exs, preds, records, 2, seed=42)

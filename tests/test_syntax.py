@@ -79,6 +79,12 @@ def test_valid_iff_zero_errors():
         assert v.valid == (v.error_count == 0)
 
 
+def test_a_verdict_is_true_iff_valid():
+    assert bool(SyntaxVerdict()) is True
+    assert bool(SyntaxVerdict(error_spans=((0, 1),))) is False
+    assert bool(check_syntax("int x ;")) and not check_syntax("int ;")
+
+
 def test_error_spans_fall_inside_the_snippet():
     for code in ("int f ( { return ; }", "} } }", "x = = 1 ;", "### garbage"):
         v = check_syntax(code)

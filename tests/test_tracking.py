@@ -482,6 +482,13 @@ def test_loss_log_rejects_bad_rows(tmp_path):
         load_loss_log(path2)
 
 
+@pytest.mark.parametrize("step", [-1, 1.5, "500", True], ids=["-1", "1.5", "str", "bool"])
+def test_loss_log_rejects_a_step_that_is_no_non_negative_int(tmp_path, step):
+    path = write_jsonl(tmp_path / "loss.jsonl", [{"step": step, "eval_loss": 1.0}])
+    with pytest.raises(InputError, match=r"loss\.jsonl:1: 'step' must be a non-negative int"):
+        load_loss_log(path)
+
+
 def test_loss_log_rejects_a_repeated_step_naming_both_lines(tmp_path):
     path = write_jsonl(tmp_path / "loss.jsonl", [
         {"step": 500, "eval_loss": 0.9},
