@@ -25,6 +25,7 @@ from ._record import SlottedRecord
 from .errors import InputError
 from .javaparse import IDENTIFIER, Node, parse_java, tokenize
 from .javaparse.lexer import BAD, IDENT
+from .javaparse.nodes import _ERROR_KINDS
 from .syntax import WRAP_PREFIX, SyntaxVerdict, _verdict, check_syntax, wrap_method
 
 _VARIABLE = "variable"
@@ -150,36 +151,36 @@ class AbstractionMapping(SlottedRecord):
         }
 
 
-def _identifier_occurrences(root: Node) -> list[tuple[int, int, str, str]]:
+def _identifier_occurrences(root: Node) -> tuple[list[tuple[int, int, str, str]], list[Node]]:
     """All identifier leaves under ``root`` as (start, end, text, category),
-    in no set order.
+    in source order, and its ERROR, MISSING and LIMIT nodes in the order
+    of :meth:`Node.error_nodes`, from one pre-order walk.
 
     A leaf's category is worked out while its parent's children are
     scanned: from the parent's kind and the leaf's siblings, or else from
     the nearest enclosing class literal. Only inner nodes go on the stack.
     """
     out: list[tuple[int, int, str, str]] = []
-    stack: list[tuple[Node, str]] = [(root, _VARIABLE)]
+    errors: list[Node] = []
+    # The root is scanned as the one child of a parent with no kind.
+    stack = [("", [root], enumerate([root]), _VARIABLE)]
     while stack:
-        node, deep = stack.pop()
-        kind = node.kind
-        if kind == "class_literal":
-            # The receiver of `Foo.Bar.class` names a type, however deep
-            # the dotted chain nests.
-            deep = _TYPE
-        children = node.children
-        named_by = _NAMED_BEFORE.get(kind)
-        for i, child in enumerate(children):
+        kind, children, scan, deep = stack[-1]
+        for i, child in scan:
+            if child.kind in _ERROR_KINDS:
+                errors.append(child)
             if child.children:
-                stack.append((child, deep))
-                continue
+                # Every name in the receiver of `Foo.Bar.class` is a type.
+                inner = _TYPE if child.kind == "class_literal" else deep
+                stack.append((child.kind, child.children, enumerate(child.children), inner))
+                break
             if child.kind != IDENTIFIER:
                 continue
             category = deep
             if kind in _TYPE_NAME_KINDS:
                 category = _TYPE
-            elif named_by is not None:
-                follower, role = named_by
+            elif kind in _NAMED_BEFORE:
+                follower, role = _NAMED_BEFORE[kind]
                 if i + 1 < len(children) and children[i + 1].kind == follower:
                     category = role
             elif kind == "method_reference" and i:
@@ -187,7 +188,9 @@ def _identifier_occurrences(root: Node) -> list[tuple[int, int, str, str]]:
                 # follows `::` and names the method.
                 category = _METHOD
             out.append((child.start, child.end, child.text, category))
-    return out
+        else:
+            stack.pop()
+    return out, errors
 
 
 def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
@@ -199,12 +202,14 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
     Already-abstracted code is renumbered into canonical first-occurrence
     order and otherwise left intact.
 
-    The fragment is parsed once: the same tree gives the verdict (the one
-    :func:`check_syntax` gives) and the identifier categories.
+    The fragment is parsed once and walked once: one walk of the tree
+    gives the error nodes for the verdict (the one :func:`check_syntax`
+    gives) and the identifier categories.
     """
     if code.strip():
         wrapped_root = parse_java(wrap_method(code))
-        verdict = _verdict(code, wrapped_root)
+        found, errors = _identifier_occurrences(wrapped_root)
+        verdict = _verdict(code, wrapped_root, errors)
     else:
         verdict = check_syntax(code)
     if verdict.limit_exceeded:
@@ -223,20 +228,15 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
     hi = lo + len(code)
     occurrences = [
         (s, e, text, cat)
-        for s, e, text, cat in _identifier_occurrences(wrapped_root)
+        for s, e, text, cat in found
         if lo <= s and e <= hi and text not in _NEVER_ABSTRACT
     ]
-    occurrences.sort(key=lambda o: o[0])
 
-    # Pass 1: one category per identifier (strongest role wins), plus the
-    # position where each identifier first appears.
+    # Pass 1: one category per identifier (strongest role wins). The
+    # occurrences are in source order, so keys go in first-occurrence order.
     category: dict[str, str] = {}
-    first_pos: dict[str, int] = {}
-    for start, _end, text, cat in occurrences:
-        if text not in first_pos:
-            first_pos[text] = start
-            category[text] = cat
-        elif _CATEGORY_PRIORITY[cat] > _CATEGORY_PRIORITY[category[text]]:
+    for _start, _end, text, cat in occurrences:
+        if text not in category or _CATEGORY_PRIORITY[cat] > _CATEGORY_PRIORITY[category[text]]:
             category[text] = cat
 
     # Pass 2: per-category numbering in first-occurrence order.
@@ -244,8 +244,7 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
     mapping = AbstractionMapping()
     buckets = {_VARIABLE: mapping.variables, _METHOD: mapping.methods, _TYPE: mapping.types}
     counters = {_VARIABLE: 0, _METHOD: 0, _TYPE: 0}
-    for text in sorted(first_pos, key=first_pos.__getitem__):
-        cat = category[text]
+    for text, cat in category.items():
         counters[cat] += 1
         ph = f"{_PLACEHOLDER_PREFIX[cat]}_{counters[cat]}"
         placeholder[text] = ph
@@ -287,7 +286,7 @@ def check_conformance(code: str, strict_gaps: bool = False) -> AbstractionReport
             continue
         match = PLACEHOLDER_RE.match(tok.text)
         if match is None:
-            if re.match(r"^(VAR|METHOD|TYPE)_", tok.text):
+            if tok.text.startswith(("VAR_", "METHOD_", "TYPE_")):
                 msg = f"malformed placeholder index in {tok.text!r}"
             else:
                 msg = f"concrete identifier {tok.text!r}"

@@ -68,19 +68,20 @@ def check_syntax(code: str) -> SyntaxVerdict:
         return SyntaxVerdict(error_spans=((0, 0),))
     # Looked up on the module at call time, so a wrapper installed there
     # (the benchmark's tracer) sees every verdict parse.
-    return _verdict(code, bindings.parse_java(wrap_method(code)))
+    root = bindings.parse_java(wrap_method(code))
+    return _verdict(code, root, root.error_nodes())
 
 
-def _verdict(code: str, root: Node) -> SyntaxVerdict:
-    """The verdict on ``code`` from the parse tree of it wrapped, with
-    error spans moved back to the fragment and clamped to it.
+def _verdict(code: str, root: Node, errors: list[Node]) -> SyntaxVerdict:
+    """The verdict on ``code`` from the parse tree of it wrapped and that
+    tree's ``errors``, with spans moved back to the fragment and clamped to it.
 
     A clean tree whose wrapper class ends early has one error: the
     fragment's ``}`` that closed the wrapper. A tree of one LIMIT node has
     one error, the place where the depth guard stopped the parse.
     """
     lo = len(WRAP_PREFIX)
-    raw_spans = sorted((n.start, n.end) for n in root.error_nodes())
+    raw_spans = sorted((n.start, n.end) for n in errors)
     if not raw_spans:
         wrapper = root.children[0]
         if len(root.children) == 1 and wrapper.end == lo + len(code) + len(WRAP_SUFFIX):

@@ -1,5 +1,6 @@
 """Identifier abstraction: placeholders, mapping invariants, conformance,
-and the occurrence walk against the one kept in ``reference_occurrences``."""
+and the occurrence walk against the one kept in ``reference_occurrences``
+and against ``Node.error_nodes``."""
 
 import re
 
@@ -19,7 +20,7 @@ from repairdx.abstraction import (
     check_conformance,
 )
 from repairdx.errors import InputError
-from repairdx.javaparse import parse_java
+from repairdx.javaparse import ERROR, LIMIT, Node, parse_java
 from repairdx.syntax import check_syntax, wrap_method
 
 from reference_occurrences import identifier_occurrences as reference_occurrences
@@ -146,6 +147,26 @@ def test_builtin_parser_runs_once_per_fragment(monkeypatch, valid_methods,
         calls.clear()
         _verdict_acted_on(code)
         assert len(calls) == (1 if code.strip() else 0), code
+
+
+def test_error_nodes_is_never_called_by_abstraction(monkeypatch, valid_methods,
+                                                   broken_methods, abstraction_methods):
+    # The walk that finds the identifiers collects the verdict's error
+    # nodes too, so abstraction never walks the tree a second time.
+    calls = []
+    original = Node.error_nodes
+
+    def error_nodes(node):
+        calls.append(node)
+        return original(node)
+
+    monkeypatch.setattr(Node, "error_nodes", error_nodes)
+    for code in _fragments(valid_methods, broken_methods, abstraction_methods):
+        calls.clear()
+        _verdict_acted_on(code)
+        assert calls == [], code
+    check_syntax("int x = 0 ;")
+    assert len(calls) == 1  # the counter sees the walk check_syntax makes
 
 
 def test_tokenize_runs_once_per_abstraction_and_per_conformance_check(
@@ -278,6 +299,18 @@ def test_malformed_placeholder_suffix_is_a_violation():
     assert len(report.violations) == 2
 
 
+@pytest.mark.parametrize("name, message", [
+    ("VAR_01", "malformed placeholder index in 'VAR_01'"),
+    ("TYPE_x", "malformed placeholder index in 'TYPE_x'"),
+    ("VAR_0", "placeholder 'VAR_0' has index 0; indices start at 1"),
+    ("Foo", "concrete identifier 'Foo'"),
+    ("VARx", "concrete identifier 'VARx'"),
+])
+def test_each_identifier_violation_has_its_message(name, message):
+    report = check_conformance(f"int {name} = 0 ;")
+    assert report.violations == [Violation((4, 4 + len(name)), message)]
+
+
 def test_unrecognized_text_is_a_violation_over_its_span():
     report = check_conformance("int VAR_1 = # ;")
     assert report.violations == [Violation((12, 13), "unrecognized text '#'")]
@@ -401,14 +434,23 @@ def test_strongest_role_wins_across_positions():
 
 
 # ----------------------------------------------------------------------
-# the occurrence walk against its frozen reference
+# the occurrence walk against its frozen reference and Node.error_nodes
+
+
+def _one_walk(tree):
+    """The walk's occurrences and error nodes, once it is checked that the
+    occurrences come in source order and the error nodes are exactly
+    ``tree.error_nodes()``, node for node and in order."""
+    occurrences, errors = _identifier_occurrences(tree)
+    starts = [start for start, _end, _text, _cat in occurrences]
+    assert all(a < b for a, b in zip(starts, starts[1:])), starts
+    assert [id(n) for n in errors] == [id(n) for n in tree.error_nodes()]
+    return occurrences, errors
 
 
 def _occurrences_both_ways(tree):
-    def by_start(occurrence):
-        return occurrence[0]
-    return (sorted(_identifier_occurrences(tree), key=by_start),
-            sorted(reference_occurrences(tree), key=by_start))
+    ours, _errors = _one_walk(tree)
+    return ours, sorted(reference_occurrences(tree), key=lambda occurrence: occurrence[0])
 
 
 def test_occurrences_match_the_frozen_walk_on_fixtures(
@@ -418,6 +460,27 @@ def test_occurrences_match_the_frozen_walk_on_fixtures(
         for src in (row["code"], wrap_method(row["code"])):
             ours, reference = _occurrences_both_ways(parse_java(src))
             assert ours == reference, (row["id"], src)
+
+
+def test_one_walk_gives_error_nodes_past_the_depth_guard():
+    nest = "Object f ( ) { return " + "( " * 300 + "a"
+    _, balanced = _one_walk(parse_java(wrap_method(nest + " )" * 300 + " ; }")))
+    _, unbalanced = _one_walk(parse_java(wrap_method(nest + " ; }")))
+    assert [n.kind for n in balanced] == [LIMIT]
+    assert [n.kind for n in unbalanced] == [ERROR]
+
+
+SOUP_ATOMS = ["{", "}", "(", ")", ";", ",", "=", ".", "::", "->", "<", ">", "[", "]",
+              "@", "#", "int", "class", "new", "return", "void", "a", "b", "Foo",
+              "f", "\"s\"", "0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_ATOMS), max_size=40))
+def test_one_walk_gives_error_nodes_and_source_order_on_token_soup(atoms):
+    soup = " ".join(atoms)
+    for src in (soup, wrap_method(soup)):
+        _one_walk(parse_java(src))
 
 
 # Statement and head templates of valid Java; each %v, %m and %t takes a
