@@ -20,6 +20,21 @@ character and the compiled `[\\w$]*` the rest), a text block, and a
 character that starts no token. The patterns are exact because `\\s` is
 `str.isspace()` and `\\w` is `str.isalnum()` or `_`.
 
+The master pattern is the one definition of a token. Corpus code and
+most model output are token texts joined by single spaces, so `tokenize`
+splits the source at each space (`str.split`, in C) and takes a piece in
+one step when only spaces lie between it and where the pattern would
+look next, and its text alone makes it one token: an operator or a
+keyword (the `_WHOLE` table), an ASCII identifier (`str.isidentifier()`)
+or an ASCII digit run (`str.isdigit()`). That is exact: the pattern
+there would skip the spaces and match exactly that piece, since an
+identifier, a number or an operator stops at the space or the end that
+ends the piece, no longer operator holds a space, and no such piece
+opens a comment. Every other piece (a literal or comment that holds a
+space, `a+b`, `$x`, `1L`, non-ASCII text, a tab or a line end) goes to
+the pattern, which runs until it has passed the piece's end, and the
+pieces it consumed on the way are skipped.
+
 A token's text decides whether it is punctuation or a keyword: a keyword
 text is only ever on a KEYWORD token, since a word is an identifier
 exactly when it is not in `KEYWORDS`, and an operator text only on a
@@ -113,6 +128,10 @@ _CLOSING = {STRING: "sq", CHAR: "cq"}
 _IDENT_REST = re.compile(r"[\w$]*")
 
 
+# A piece that is one of these texts is one whole token of this kind.
+_WHOLE = dict.fromkeys(_OPERATORS, PUNCT) | dict.fromkeys(KEYWORDS, KEYWORD)
+
+
 def _dispatch(src: str, i: int) -> Token:
     """The token at ``i``, where the master pattern matched none: an
     identifier with a non-ASCII start, a text block, or a BAD character.
@@ -138,27 +157,51 @@ def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     match = _MASTER.match
+    whole = _WHOLE.get
     new = tuple.__new__
     n = len(src)
-    i = 0
-    while True:
-        m = match(src, i)
-        kind = m.lastgroup
-        if kind is None:
-            i = m.end()
-            if i >= n:
-                break
-            tok = _dispatch(src, i)
-            append(tok)
-            i = tok.end
-            continue
-        start, i = m.span(kind)
-        text = src[start:i]
-        if kind == IDENT:
-            if text in KEYWORDS:
-                kind = KEYWORD
-        elif kind in _CLOSING and m.start(_CLOSING[kind]) < 0:
-            kind = BAD
-        append(new(Token, (kind, text, start, i)))
+    i = 0  # where the master pattern looks next
+    p = 0  # where the piece starts
+    for piece in src.split(" "):
+        e = p + len(piece)
+        # Every earlier piece ends at or before i, so when the piece starts
+        # at or after i, only spaces lie between.
+        if i <= p:
+            kind = whole(piece)
+            if kind is None and piece.isascii():
+                if piece.isidentifier():
+                    kind = IDENT
+                elif piece.isdigit():
+                    kind = NUMBER
+            if kind is not None:
+                append(new(Token, (kind, piece, p, e)))
+                i = e
+                p = e + 1
+                continue
+            if not piece:
+                p += 1
+                continue
+        # The pattern runs from i until it has passed the piece's end; a
+        # piece that it has passed already (e <= i) is skipped.
+        while i < e:
+            m = match(src, i)
+            kind = m.lastgroup
+            if kind is None:
+                i = m.end()
+                if i >= n:
+                    break
+                tok = _dispatch(src, i)
+                append(tok)
+                i = tok.end
+                continue
+            start, i = m.span(kind)
+            text = src[start:i]
+            if kind == IDENT:
+                if text in KEYWORDS:
+                    kind = KEYWORD
+            elif kind in _CLOSING and m.start(_CLOSING[kind]) < 0:
+                kind = BAD
+            append(new(Token, (kind, text, start, i)))
+        p = e + 1
     append(Token(EOF, "", n, n))
     return tokens

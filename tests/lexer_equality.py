@@ -26,7 +26,7 @@ from repairdx.javaparse.lexer import tokenize  # noqa: E402
 PIECES = _OPERATORS + [
     '"', "'", '""', '"""', '""""', '"""""', "\\", "\\\\", "\\\n", "\\\r",
     "\\'", '\\"', "\n", "\r", "\r\n", "//", "/*", "*/", " ", "\t",
-    "a", "x", "é", "0", "1", "int",
+    "a", "x", "é", "0", "1", "int", "$", "_", "  ", "return", "L",
 ]
 
 
