@@ -12,7 +12,8 @@ Subcommands:
 Every input file is read and validated by ``corpus`` before a command
 body judges, measures or writes anything, so a malformed input fails
 the command with no output. Exit status: 0 success, 1 input/usage error,
-2 environment failure.
+2 environment failure, a closed stdout included (say, one piped to
+``head``).
 All flags are long-form; ``--help`` on any subcommand documents the file
 schemas it consumes.
 """
@@ -21,8 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from functools import cache
+from functools import cache, partial
 from importlib import import_module
 from pathlib import Path
 
@@ -68,13 +70,6 @@ _LOSS_SCHEMA = (
 )
 
 
-_EM_NORMALIZE_HELP = (
-    "exact-match comparison mode for the records' 'exact' field and table1's "
-    "Exact Match row (default: none); the exact_match behavior class, as in "
-    "checkpoints.csv, behavior.csv and on stderr, always compares bytes"
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exceptions, not exits."""
 
@@ -82,19 +77,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_workers(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--workers", type=int, default=1,
-                     help="accepted and ignored (must be at least 1): every "
-                          "command runs in this one process")
-
-
-def _add_inputs(sub: argparse.ArgumentParser, out_help: str) -> None:
-    sub.add_argument("--corpus", required=True, type=Path, help="examples JSONL file")
-    sub.add_argument("--preds", required=True, type=Path, help="predictions JSONL file")
-    sub.add_argument("--out", dest="out_dir", required=True, type=Path, help=out_help)
-    sub.add_argument("--split", default=None, help="restrict corpus to one split")
-    sub.add_argument("--seed", type=int, default=42,
-                     help="seed for all deterministic sampling (default: 42)")
+def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parser holding one option, for subcommands to take in ``parents=``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def build_arg_parser() -> _Parser:
@@ -109,14 +96,37 @@ def build_arg_parser() -> _Parser:
     top.set_defaults(split=None, seed=42, em_normalize="none",
                      ned_tokens=False, step=None, loss_log=None, cases=0)
 
-    p = sub.add_parser("stats", help="summarize a corpus",
-                       description=f"Summarize corpus shape. {_EXAMPLES_SCHEMA}")
-    p.add_argument("--corpus", required=True, type=Path, help="examples JSONL file")
-    p.add_argument("--split", default=None, help="restrict to one split label")
-    _add_workers(p)
+    # Each option that several subcommands take is declared once, here;
+    # --out and --split say per subcommand what they hold.
+    corpus = _parent("--corpus", required=True, type=Path, help="examples JSONL file")
+    out = partial(_parent, "--out", dest="out_dir", required=True, type=Path)
+    split = partial(_parent, "--split", default=None)
+    workers = _parent("--workers", type=int, default=1,
+                      help="accepted and ignored (must be at least 1): every "
+                           "command runs in this one process")
+    inputs = [  # eval, track and inspect; each lists --out after them
+        corpus,
+        _parent("--preds", required=True, type=Path, help="predictions JSONL file"),
+        split(help="restrict corpus to one split"),
+        _parent("--seed", type=int, default=42,
+                help="seed for all deterministic sampling (default: 42)"),
+    ]
+    metrics = [
+        _parent("--em-normalize", choices=["none", "whitespace"], default="none",
+                help="exact-match comparison mode for the records' 'exact' field and "
+                     "table1's Exact Match row (default: none); the exact_match behavior "
+                     "class, as in checkpoints.csv, behavior.csv and on stderr, always "
+                     "compares bytes"),
+        _parent("--ned-tokens", action="store_true",
+                help="compute NED over whitespace tokens instead of characters"),
+    ]
+
+    sub.add_parser("stats", help="summarize a corpus",
+                   parents=[corpus, split(help="restrict to one split label"), workers],
+                   description=f"Summarize corpus shape. {_EXAMPLES_SCHEMA}")
 
     p = sub.add_parser(
-        "check", help="syntax-check a file of snippets",
+        "check", help="syntax-check a file of snippets", parents=[workers],
         description="Emit one syntax verdict per snippet as JSONL on stdout. "
                     'Input: JSON Lines {"id": str, "<field>": str}; choose the '
                     "text field with --field (default: code).")
@@ -124,43 +134,35 @@ def build_arg_parser() -> _Parser:
                    help="snippets JSONL file")
     p.add_argument("--field", dest="field_name", default="code",
                    help="name of the text field to check (default: code)")
-    _add_workers(p)
 
     p = sub.add_parser(
         "abstract", help="abstract identifiers in a corpus",
+        parents=[corpus, out(help="output directory"), workers],
         description="Rewrite identifiers to VAR_n/METHOD_n/TYPE_n placeholders. "
                     f"{_EXAMPLES_SCHEMA} Writes abstracted.jsonl plus "
                     "mappings.jsonl (one sidecar mapping per example) to --out. "
                     "With --verify-only, instead checks that the corpus is "
                     "already abstracted and writes conformance.jsonl.")
-    p.add_argument("--corpus", required=True, type=Path, help="examples JSONL file")
-    p.add_argument("--out", dest="out_dir", required=True, type=Path,
-                   help="output directory")
     p.add_argument("--verify-only", action="store_true",
                    help="check conformance instead of abstracting")
     p.add_argument("--strict-gaps", action="store_true",
                    help="flag placeholder index gaps (verify mode)")
-    _add_workers(p)
 
+    report_out = out(help="output directory for report files")
     p = sub.add_parser(
         "eval", help="evaluate one prediction set",
+        parents=[*inputs, report_out, *metrics, workers],
         description=f"Evaluate a single-checkpoint prediction set. "
                     f"{_EXAMPLES_SCHEMA} {_PREDICTIONS_SCHEMA}")
-    _add_inputs(p, "output directory for report files")
     p.add_argument("--cases", type=int, default=0,
                    help="also emit a case bundle of this size")
-    p.add_argument("--em-normalize", choices=["none", "whitespace"], default="none",
-                   help=_EM_NORMALIZE_HELP)
-    p.add_argument("--ned-tokens", action="store_true",
-                   help="compute NED over whitespace tokens instead of characters")
-    _add_workers(p)
 
     p = sub.add_parser(
         "track", help="evaluate a multi-checkpoint dump",
+        parents=[*inputs, report_out, *metrics, workers],
         description=f"Evaluate every training step in a prediction dump, "
                     f"sampling the validation set per checkpoint. "
                     f"{_EXAMPLES_SCHEMA} {_PREDICTIONS_SCHEMA} {_LOSS_SCHEMA}")
-    _add_inputs(p, "output directory for report files")
     p.add_argument("--sample", dest="sample_size", type=int, default=100,
                    help="validation examples per checkpoint (default: 100)")
     p.add_argument("--interval", dest="interval_steps", type=int, default=500,
@@ -175,22 +177,16 @@ def build_arg_parser() -> _Parser:
                    help="optional loss log to attach eval_loss by step")
     p.add_argument("--cases", type=int, default=0,
                    help="also emit a case bundle from the final checkpoint")
-    p.add_argument("--em-normalize", choices=["none", "whitespace"], default="none",
-                   help=_EM_NORMALIZE_HELP)
-    p.add_argument("--ned-tokens", action="store_true",
-                   help="compute NED over whitespace tokens instead of characters")
-    _add_workers(p)
 
     p = sub.add_parser(
         "inspect", help="emit a qualitative case bundle",
+        parents=[*inputs, out(help="output directory for cases.json"), workers],
         description=f"Sample cases with diffs for manual inspection. "
                     f"{_EXAMPLES_SCHEMA} {_PREDICTIONS_SCHEMA}")
-    _add_inputs(p, "output directory for cases.json")
     p.add_argument("--cases", type=int, default=10,
                    help="number of cases to sample (default: 10)")
     p.add_argument("--step", type=int, default=None,
                    help="checkpoint step to inspect (default: last step present)")
-    _add_workers(p)
     return top
 
 
@@ -208,7 +204,15 @@ def parse_args(argv=None) -> argparse.Namespace:
                 raise UsageError(f"{flag} must be positive, got {value}")
     if cfg.cases == 0 and cfg.command == "inspect":  # 0 means "no bundle" elsewhere
         raise UsageError("--cases must be positive for inspect, got 0")
+    if cfg.command == "abstract" and cfg.strict_gaps and not cfg.verify_only:
+        raise UsageError("--strict-gaps needs --verify-only")
     return cfg
+
+
+def _check_cases(cfg: argparse.Namespace, records: int) -> None:
+    """Refuse, before any prediction is evaluated, more cases than records."""
+    if cfg.cases > records:
+        raise InputError(f"asked for {cfg.cases} cases but only {records} records exist")
 
 
 # ----------------------------------------------------------------------
@@ -337,31 +341,27 @@ def _evaluate_one_step(cfg: argparse.Namespace):
     by_step = predictions_by_step(load_predictions(cfg.preds, corpus=examples))
     if not by_step:
         raise InputError("prediction set contains no rank-0 predictions")
+    steps = ", ".join(str(s) for s in sorted(by_step))
     if cfg.command == "eval" and len(by_step) > 1:
-        steps = ", ".join(str(s) for s in sorted(by_step))
         raise InputError(
             f"eval expects a single-checkpoint prediction set but found "
             f"steps {steps}; use the track command for multi-step dumps"
         )
     step = max(by_step) if cfg.step is None else cfg.step
     if step not in by_step:
-        have = ", ".join(str(s) for s in sorted(by_step))
-        raise InputError(f"no predictions at step {step}; steps present: {have}")
+        raise InputError(f"no predictions at step {step}; steps present: {steps}")
     step_preds = by_step[step]
     covered = [ex for ex in examples if ex.id in step_preds]
-    if cfg.cases > len(covered):  # one record per covered example
-        raise InputError(
-            f"asked for {cfg.cases} cases but only {len(covered)} records exist"
-        )
+    _check_cases(cfg, len(covered))  # one record per covered example
     records = evaluate_examples(
         covered, step_preds, step=step,
         em_normalize=cfg.em_normalize, ned_tokens=cfg.ned_tokens,
     )
-    return examples, step, step_preds, records
+    return examples, step, records
 
 
 def _write_report(cfg: argparse.Namespace, examples, series, records_by_step,
-                  final_preds, summary: str, **extra_config) -> int:
+                  summary: str, **extra_config) -> int:
     """Write the report of a run, with a case bundle from the final
     checkpoint under ``--cases``; then print ``summary`` to stderr and the
     written paths to stdout."""
@@ -373,7 +373,7 @@ def _write_report(cfg: argparse.Namespace, examples, series, records_by_step,
     bundle = None
     if cfg.cases:
         bundle = extract_cases(
-            examples, final_preds, records_by_step[series.final.step], cfg.cases, cfg.seed,
+            examples, records_by_step[series.final.step], cfg.cases, cfg.seed,
         )
     written = emit_report(report, cfg.out_dir, cases=bundle)
     print(summary, file=sys.stderr)
@@ -384,10 +384,10 @@ def _write_report(cfg: argparse.Namespace, examples, series, records_by_step,
 
 def _cmd_eval(cfg: argparse.Namespace) -> int:
     _bind("summarize_records", "build_series")
-    examples, step, step_preds, records = _evaluate_one_step(cfg)
+    examples, step, records = _evaluate_one_step(cfg)
     final = summarize_records(records, step=step)
     return _write_report(
-        cfg, examples, build_series([final]), {step: records}, step_preds,
+        cfg, examples, build_series([final]), {step: records},
         f"evaluated {final.n} example(s) at step {step}: "
         f"syntax validity {final.syntax_validity_pct:.1f}%, "
         f"exact match {final.exact_match_pct:.1f}%, "
@@ -396,21 +396,13 @@ def _cmd_eval(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_track(cfg: argparse.Namespace) -> int:
-    _bind("load_predictions", "TrackingConfig", "load_loss_log", "run_tracking",
-          "predictions_by_step")
+    _bind("load_predictions", "TrackingConfig", "load_loss_log", "run_tracking")
     examples = _load_corpus(cfg)
     predictions = load_predictions(cfg.preds, corpus=examples)
-    config = TrackingConfig(
-        sample_size=cfg.sample_size,
-        interval_steps=cfg.interval_steps,
-        seed=cfg.seed,
-        fixed_sample=cfg.fixed_sample,
-    )
-    final_sample = min(cfg.sample_size, len(examples))  # one record per sampled example
-    if cfg.cases > final_sample:
-        raise InputError(
-            f"asked for {cfg.cases} cases but only {final_sample} records exist"
-        )
+    # The sampling knobs; the report's provenance records them too.
+    knobs = {k: getattr(cfg, k) for k in ("sample_size", "interval_steps", "fixed_sample")}
+    config = TrackingConfig(seed=cfg.seed, **knobs)
+    _check_cases(cfg, min(cfg.sample_size, len(examples)))  # one record per sampled example
     loss_by_step = load_loss_log(cfg.loss_log) if cfg.loss_log else None
     series, records_by_step = run_tracking(
         examples, predictions, config, loss_by_step=loss_by_step,
@@ -423,21 +415,19 @@ def _cmd_track(cfg: argparse.Namespace) -> int:
     final = series.final
     return _write_report(
         cfg, examples, series, records_by_step,
-        predictions_by_step(predictions)[final.step],
         f"tracked {len(series.records)} checkpoint(s) "
         f"(steps {series.steps[0]}..{series.steps[-1]}): "
         f"final syntax validity {final.syntax_validity_pct:.1f}%, "
         f"final copy rate {final.copy_pct:.1f}%"
         f"{_past_limit(sum(r.limit_exceeded_count for r in series.records))}",
-        sample_size=cfg.sample_size, interval_steps=cfg.interval_steps,
-        fixed_sample=cfg.fixed_sample,
+        **knobs,
     )
 
 
 def _cmd_inspect(cfg: argparse.Namespace) -> int:
     _bind("extract_cases", "emit_cases")
-    examples, step, step_preds, records = _evaluate_one_step(cfg)
-    bundle = extract_cases(examples, step_preds, records, cfg.cases, cfg.seed)
+    examples, step, records = _evaluate_one_step(cfg)
+    bundle = extract_cases(examples, records, cfg.cases, cfg.seed)
     path = emit_cases(bundle, cfg.out_dir)
     print(f"sampled {len(bundle.cases)} case(s) at step {step}", file=sys.stderr)
     print(path)
@@ -457,7 +447,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         cfg = parse_args(argv)
-        return _COMMANDS[cfg.command](cfg)
+        code = _COMMANDS[cfg.command](cfg)
+        sys.stdout.flush()  # so that a closed stdout is reported here
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -467,10 +459,19 @@ def main(argv=None) -> int:
     except EnvironmentFailure as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader of stdout, say `head`, closed it
+        print("environment error: stdout closed before all output was written", file=sys.stderr)
+        return 2
 
 
 def main_entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Drop what no reader took (the Python signal docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

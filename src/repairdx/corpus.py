@@ -123,6 +123,16 @@ def _require(obj: dict, key: str, kind, path: str, lineno: int):
     return value
 
 
+def _first_seen(seen: dict, key: tuple, what: str, path: Path, lineno: int) -> None:
+    """Note that ``key`` is on line ``lineno``. A key already in ``seen``
+    is an input error naming both lines and the duplicate: ``what``, a
+    template that the parts of ``key`` fill only then."""
+    first = seen.setdefault(key, lineno)
+    if first != lineno:
+        raise InputError(f"{path}:{lineno}: duplicate {what.format(*key)} "
+                         f"(first seen on line {first})")
+
+
 def _iter_jsonl(path: Path):
     try:
         text = path.read_text(encoding="utf-8")
@@ -159,36 +169,23 @@ def load_examples(path) -> list[RepairExample]:
     """Read and validate an examples JSONL file."""
     path = Path(path)
     examples: list[RepairExample] = []
-    seen: dict[str, int] = {}
+    seen: dict[tuple[str], int] = {}
     for lineno, obj in _iter_jsonl(path):
         ex_id = _require(obj, "id", str, str(path), lineno)
         if not ex_id:
             raise InputError(f"{path}:{lineno}: field 'id' must be non-empty")
-        buggy = _require(obj, "buggy", str, str(path), lineno)
-        if not buggy.strip():
-            raise InputError(
-                f"{path}:{lineno}: field 'buggy' must contain code, "
-                f"got {buggy!r}"
-            )
-        fixed = _require(obj, "fixed", str, str(path), lineno)
-        if not fixed.strip():
-            raise InputError(
-                f"{path}:{lineno}: field 'fixed' must contain code, "
-                f"got {fixed!r}"
-            )
+        for side in ("buggy", "fixed"):
+            if not _require(obj, side, str, str(path), lineno).strip():
+                raise InputError(f"{path}:{lineno}: field {side!r} must contain code, "
+                                 f"got {obj[side]!r}")
         split = obj.get("split", "test")
         if not isinstance(split, str) or not split:
             raise InputError(
                 f"{path}:{lineno}: field 'split' must be a non-empty str, "
                 f"got {split!r}"
             )
-        if ex_id in seen:
-            raise InputError(
-                f"{path}:{lineno}: duplicate example id {ex_id!r} "
-                f"(first seen on line {seen[ex_id]})"
-            )
-        seen[ex_id] = lineno
-        examples.append(RepairExample(id=ex_id, buggy=buggy, fixed=fixed, split=split))
+        _first_seen(seen, (ex_id,), "example id {!r}", path, lineno)
+        examples.append(RepairExample(ex_id, obj["buggy"], obj["fixed"], split))
     if not examples:
         raise InputError(f"{path}: no examples found")
     return examples
@@ -223,13 +220,8 @@ def load_predictions(path, corpus=None) -> list[Prediction]:
             raise InputError(
                 f"{path}:{lineno}: prediction references unknown example id {pid!r}"
             )
-        key = (pid, step, rank)
-        if key in seen:
-            raise InputError(
-                f"{path}:{lineno}: duplicate prediction for id={pid!r} "
-                f"step={step} rank={rank} (first seen on line {seen[key]})"
-            )
-        seen[key] = lineno
+        _first_seen(seen, (pid, step, rank), "prediction for id={!r} step={} rank={}",
+                    path, lineno)
         preds.append(Prediction(id=pid, step=step, prediction=text, rank=rank))
     if not preds:
         raise InputError(f"{path}: no predictions found")
@@ -242,7 +234,7 @@ def load_loss_log(path) -> dict[int, float]:
     repeated or non-finite eval_loss is an input error naming the line."""
     path = Path(path)
     losses: dict[int, float] = {}
-    seen: dict[int, int] = {}
+    seen: dict[tuple[int], int] = {}
     for lineno, obj in _iter_jsonl(path):
         if "step" not in obj:
             raise InputError(f"{path}:{lineno}: expected an object with a 'step' field")
@@ -256,10 +248,7 @@ def load_loss_log(path) -> dict[int, float]:
             raise InputError(f"{path}:{lineno}: 'eval_loss' must be a number")
         if not abs(loss) <= sys.float_info.max:  # NaN, infinities, ints past float range
             raise InputError(f"{path}:{lineno}: 'eval_loss' must be finite, got {loss!r}")
-        if step in seen:
-            raise InputError(f"{path}:{lineno}: duplicate eval_loss for step={step} "
-                             f"(first seen on line {seen[step]})")
-        seen[step] = lineno
+        _first_seen(seen, (step,), "eval_loss for step={}", path, lineno)
         losses[step] = float(loss)
     return losses
 

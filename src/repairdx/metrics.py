@@ -190,5 +190,7 @@ class EvalRecord(NamedTuple):
     ned: float
     syntax_valid: bool
     near_copy: bool
-    pred_len: int = 0  # characters in the prediction text
+    prediction: str = ""  # the text measured
     limit_exceeded: bool = False  # not valid: nested past the parser's depth guard
+
+    pred_len = property(lambda self: len(self.prediction))  # characters in the prediction

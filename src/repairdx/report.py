@@ -24,7 +24,7 @@ from .metrics import aggregate
 from .syntax import check_syntax
 
 if TYPE_CHECKING:
-    from .corpus import CorpusStats, Prediction, RepairExample
+    from .corpus import CorpusStats, RepairExample
     from .metrics import BehaviorClass, EvalRecord, SummaryStats
     from .syntax import SyntaxVerdict
     from .tracking import CheckpointRecord, CheckpointSeries
@@ -112,7 +112,6 @@ def _unified(a: str, b: str, a_name: str, b_name: str) -> str:
 
 def extract_cases(
     examples: list[RepairExample],
-    predictions: dict[str, Prediction],
     records: list[EvalRecord],
     k: int,
     seed: int,
@@ -120,11 +119,9 @@ def extract_cases(
     """Seeded deterministic sample of k cases, with both diffs rendered.
 
     The k records with the lowest ``corpus.seeded_rank(seed, "case", id)``
-    are chosen, and come back in example-id order.
-
-    ``predictions`` maps example id to the rank-0 prediction the records
-    were computed from; diffs are recomputed here from the stored texts,
-    never copied from elsewhere.
+    are chosen, and come back in example-id order. Each case's text is
+    the prediction its record measured; diffs are recomputed here from
+    that text, never copied from elsewhere.
     """
     if k <= 0:
         raise InputError(f"case count must be positive, got {k}")
@@ -138,10 +135,7 @@ def extract_cases(
         ex = by_id.get(record.example_id)
         if ex is None:
             raise InputError(f"record references unknown example {record.example_id!r}")
-        pred = predictions.get(record.example_id)
-        if pred is None:
-            raise InputError(f"no prediction available for case {record.example_id!r}")
-        text = pred.prediction
+        text = record.prediction
         cases.append(
             Case(
                 example_id=ex.id,

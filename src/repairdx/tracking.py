@@ -180,7 +180,7 @@ def _evaluate(groups: list[list[tuple[RepairExample, Prediction]]],
             ned=ned,
             syntax_valid=verdict.valid,
             near_copy=is_near_copy(text, ex.buggy),
-            pred_len=len(text),
+            prediction=text,
             limit_exceeded=verdict.limit_exceeded,
         )
 

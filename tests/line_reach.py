@@ -39,9 +39,8 @@ ALLOWED = {
     ("corpus.py", "from hashlib import sha256"): _FALLBACK_IMPORT,
     ("cli.py", "_bind(name)"): _FRESH_IMPORT,
     ("cli.py", "return globals()[name]"): _FRESH_IMPORT,
-    ("cli.py", "raise SystemExit(main())"): _MAIN,
     ("cli.py", "main_entry()"): _MAIN,
-    ("report.py", "from .corpus import CorpusStats, Prediction, RepairExample"): _TYPE_CHECKING,
+    ("report.py", "from .corpus import CorpusStats, RepairExample"): _TYPE_CHECKING,
     ("report.py", "from .metrics import BehaviorClass, EvalRecord, SummaryStats"): _TYPE_CHECKING,
     ("report.py", "from .syntax import SyntaxVerdict"): _TYPE_CHECKING,
     ("report.py", "from .tracking import CheckpointRecord, CheckpointSeries"): _TYPE_CHECKING,

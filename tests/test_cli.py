@@ -5,15 +5,19 @@ asserting on exit codes, stdout/stderr text, and the files each
 subcommand writes.
 """
 
+import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repairdx import cli, tracking
 from repairdx import report as report_module
-from repairdx.cli import main, parse_args
+from repairdx.cli import build_arg_parser, main, parse_args
 from repairdx.errors import UsageError
 
 from conftest import SMALL_PREDICTIONS, load_jsonl, write_jsonl
@@ -91,6 +95,103 @@ def test_parse_args_rejects_negative_case_count(command):
     with pytest.raises(UsageError, match="--cases must be non-negative, got -3"):
         parse_args([command, "--corpus", "c.jsonl", "--preds", "p.jsonl",
                     "--out", "r", "--cases", "-3"])
+
+
+_HELP = ("-h", "--help"), "help", None, argparse.SUPPRESS, False, None, \
+    "show this help message and exit"
+_WORKERS = ("--workers",), "workers", "int", 1, False, None, \
+    "accepted and ignored (must be at least 1): every command runs in this one process"
+_CORPUS = ("--corpus",), "corpus", "Path", None, True, None, "examples JSONL file"
+_INPUTS = {
+    (("--preds",), "preds", "Path", None, True, None, "predictions JSONL file"),
+    (("--split",), "split", None, None, False, None, "restrict corpus to one split"),
+    (("--seed",), "seed", "int", 42, False, None,
+     "seed for all deterministic sampling (default: 42)"),
+}
+_REPORT_OUT = ("--out",), "out_dir", "Path", None, True, None, "output directory for report files"
+_METRICS = {
+    (("--em-normalize",), "em_normalize", None, "none", False, ("none", "whitespace"),
+     "exact-match comparison mode for the records' 'exact' field and table1's Exact "
+     "Match row (default: none); the exact_match behavior class, as in checkpoints.csv, "
+     "behavior.csv and on stderr, always compares bytes"),
+    (("--ned-tokens",), "ned_tokens", None, False, False, None,
+     "compute NED over whitespace tokens instead of characters"),
+}
+
+# Each subcommand's options as (flags, dest, type, default, required,
+# choices, help), frozen from the parser before its shared options moved
+# to parent parsers.
+OPTION_TABLE = {
+    "stats": {_HELP, _CORPUS, _WORKERS,
+              (("--split",), "split", None, None, False, None, "restrict to one split label")},
+    "check": {_HELP, _WORKERS,
+              (("--in",), "snippets", "Path", None, True, None, "snippets JSONL file"),
+              (("--field",), "field_name", None, "code", False, None,
+               "name of the text field to check (default: code)")},
+    "abstract": {_HELP, _CORPUS, _WORKERS,
+                 (("--out",), "out_dir", "Path", None, True, None, "output directory"),
+                 (("--verify-only",), "verify_only", None, False, False, None,
+                  "check conformance instead of abstracting"),
+                 (("--strict-gaps",), "strict_gaps", None, False, False, None,
+                  "flag placeholder index gaps (verify mode)")},
+    "eval": {_HELP, _CORPUS, _WORKERS, _REPORT_OUT, *_INPUTS, *_METRICS,
+             (("--cases",), "cases", "int", 0, False, None,
+              "also emit a case bundle of this size")},
+    "track": {_HELP, _CORPUS, _WORKERS, _REPORT_OUT, *_INPUTS, *_METRICS,
+              (("--sample",), "sample_size", "int", 100, False, None,
+               "validation examples per checkpoint (default: 100)"),
+              (("--interval",), "interval_steps", "int", 500, False, None,
+               "checkpoint step cadence: every step in the dump must be a multiple of "
+               "it, else the run fails with an input error; also recorded in "
+               "provenance (default: 500)"),
+              (("--fixed-sample",), "fixed_sample", None, False, False, None,
+               "reuse one sample across checkpoints instead of re-drawing per step"),
+              (("--loss-log",), "loss_log", "Path", None, False, None,
+               "optional loss log to attach eval_loss by step"),
+              (("--cases",), "cases", "int", 0, False, None,
+               "also emit a case bundle from the final checkpoint")},
+    "inspect": {_HELP, _CORPUS, _WORKERS, *_INPUTS,
+                (("--out",), "out_dir", "Path", None, True, None,
+                 "output directory for cases.json"),
+                (("--cases",), "cases", "int", 10, False, None,
+                 "number of cases to sample (default: 10)"),
+                (("--step",), "step", "int", None, False, None,
+                 "checkpoint step to inspect (default: last step present)")},
+}
+
+
+def test_each_subcommand_keeps_its_option_table():
+    [subparsers] = [a for a in build_arg_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    table = {
+        name: {(tuple(a.option_strings), a.dest, getattr(a.type, "__name__", None),
+                a.default, a.required, a.choices and tuple(a.choices), a.help)
+               for a in parser._actions}
+        for name, parser in subparsers.choices.items()
+    }
+    assert table == OPTION_TABLE
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["stats"], "--corpus"),
+    (["check"], "--in"),
+    (["abstract"], "--corpus, --out"),
+    (["eval"], "--corpus, --preds, --out"),
+    (["track", "--cases", "1"], "--corpus, --preds, --out"),
+    (["inspect", "--seed", "3"], "--corpus, --preds, --out"),
+])
+def test_missing_required_options_are_named_in_declaration_order(argv, missing, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: the following arguments are required: {missing}\n")
+
+
+def test_strict_gaps_without_verify_only_is_a_usage_error(tmp_path, capsys):
+    # The corpus does not exist: the flag is refused before it is read.
+    assert main(["abstract", "--corpus", str(tmp_path / "missing.jsonl"),
+                 "--out", str(tmp_path / "out"), "--strict-gaps"]) == 1
+    assert capsys.readouterr().err == "usage error: --strict-gaps needs --verify-only\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_without_subcommand_is_usage_error(capsys):
@@ -859,6 +960,8 @@ def test_track_emits_case_bundle_from_final_step(corpus_file, predictions_file,
     assert len(bundle["cases"]) == 2
     # Final checkpoint is step 1000 where every prediction is an exact fix.
     assert all(c["behavior"] == "exact_match" for c in bundle["cases"])
+    final = {p["id"]: p["prediction"] for p in SMALL_PREDICTIONS if p["step"] == 1000}
+    assert all(c["prediction"] == final[c["id"]] for c in bundle["cases"])
 
 
 def _four_step_dump(tmp_path):
@@ -1136,3 +1239,71 @@ def test_blocked_output_directory_is_environment_failure(corpus_file,
                  "--out", str(blocker / "results")])
     assert code == 2
     assert "environment error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# a closed stdout
+# ---------------------------------------------------------------------------
+
+_CLOSED = "environment error: stdout closed before all output was written\n"
+
+
+def _snippets(tmp_path, count):
+    return write_jsonl(tmp_path / "snippets.jsonl",
+                       [{"id": f"s{i}", "code": "int f ( ) { return 1 ; }"}
+                        for i in range(count)])
+
+
+def test_a_reader_that_stops_early_gets_exit_2_and_one_line(tmp_path):
+    # 3000 verdict lines, about 270 KB, fill a 64 KiB pipe buffer many times.
+    root = Path(__file__).resolve().parent.parent
+    with subprocess.Popen(
+        [sys.executable, "-m", "repairdx.cli", "check", "--in", str(_snippets(tmp_path, 3000))],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()  # until the child exits
+    assert first.startswith(b'{"id": "s0", "valid": true')
+    assert proc.returncode == 2
+    assert err.decode() == _CLOSED
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write and flush fails."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, *_text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+def test_main_reports_a_closed_stdout_as_an_environment_error(tmp_path, capsys,
+                                                             monkeypatch):
+    snippets = _snippets(tmp_path, 2)
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout(-1))
+    assert main(["check", "--in", str(snippets)]) == 2
+    assert capsys.readouterr().err == _CLOSED
+
+
+def test_main_entry_points_a_closed_stdout_at_devnull(tmp_path, capsys, monkeypatch):
+    snippets = _snippets(tmp_path, 2)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fd))
+        monkeypatch.setattr(sys, "argv", ["repairdx", "check", "--in", str(snippets)])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main_entry()
+        assert exit_.value.code == 2
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == _CLOSED

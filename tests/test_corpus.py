@@ -78,8 +78,16 @@ def test_blank_code_is_rejected_with_line_number(tmp_path, field):
     row = {"id": "a", "buggy": "int x ;", "fixed": "int y ;"}
     row[field] = "   \t"
     path = write_jsonl(tmp_path / "c.jsonl", [row])
-    with pytest.raises(InputError, match=rf"c\.jsonl:1.*{field}"):
+    with pytest.raises(InputError) as exc:
         load_examples(path)
+    assert str(exc.value) == f"{path}:1: field {field!r} must contain code, got '   \\t'"
+
+
+def test_a_blank_buggy_side_is_reported_before_a_missing_fixed_one(tmp_path):
+    path = write_jsonl(tmp_path / "c.jsonl", [{"id": "a", "buggy": " "}])
+    with pytest.raises(InputError) as exc:
+        load_examples(path)
+    assert str(exc.value) == f"{path}:1: field 'buggy' must contain code, got ' '"
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -95,11 +103,13 @@ def test_empty_id_or_split_is_rejected_with_line_number(tmp_path, field, value, 
 
 def test_duplicate_ids_are_rejected(tmp_path):
     path = write_jsonl(tmp_path / "c.jsonl", [
-        {"id": "a", "buggy": "x", "fixed": "y"},
-        {"id": "a", "buggy": "x", "fixed": "z"},
+        {"id": "a{}", "buggy": "x", "fixed": "y"},  # braces stay as they are
+        {"id": "b", "buggy": "x", "fixed": "y"},
+        {"id": "a{}", "buggy": "x", "fixed": "z"},
     ])
-    with pytest.raises(InputError, match="duplicate example id 'a'"):
+    with pytest.raises(InputError) as exc:
         load_examples(path)
+    assert str(exc.value) == f"{path}:3: duplicate example id 'a{{}}' (first seen on line 1)"
 
 
 def test_invalid_json_line_is_reported(tmp_path):
@@ -185,11 +195,14 @@ def test_bad_rank_is_rejected(tmp_path):
 
 def test_duplicate_id_step_rank_is_rejected(tmp_path):
     path = write_jsonl(tmp_path / "p.jsonl", [
+        {"id": "a", "step": 0, "prediction": "x", "rank": 1},
         {"id": "a", "step": 0, "prediction": "x"},
-        {"id": "a", "step": 0, "prediction": "y"},
+        {"id": "a", "step": 0, "prediction": "y", "rank": 1},
     ])
-    with pytest.raises(InputError, match="duplicate prediction"):
+    with pytest.raises(InputError) as exc:
         load_predictions(path)
+    assert str(exc.value) == (f"{path}:3: duplicate prediction for id='a' step=0 rank=1 "
+                              "(first seen on line 1)")
 
 
 def test_predictions_file_of_blank_lines_is_an_input_error(tmp_path):

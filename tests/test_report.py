@@ -270,8 +270,7 @@ def test_file_digest_equals_hashlib_across_read_blocks(tmp_path):
 
 def case_inputs(step=500):
     series, records_by_step = tracked()
-    preds = {p.id: p for p in predictions() if p.step == step}
-    return examples(), preds, records_by_step[step]
+    return examples(), records_by_step[step]
 
 
 def test_provenance_prints_its_fields():
@@ -283,9 +282,9 @@ def test_provenance_prints_its_fields():
 
 
 def test_extract_cases_is_deterministic_and_sorted():
-    exs, preds, records = case_inputs()
-    one = extract_cases(exs, preds, records, 3, seed=42)
-    two = extract_cases(exs, preds, records, 3, seed=42)
+    exs, records = case_inputs()
+    one = extract_cases(exs, records, 3, seed=42)
+    two = extract_cases(exs, records, 3, seed=42)
     assert one == two
     ids = [c.example_id for c in one.cases]
     assert ids == sorted(ids)
@@ -293,17 +292,17 @@ def test_extract_cases_is_deterministic_and_sorted():
 
 
 def test_extract_cases_seed_changes_the_draw():
-    exs, preds, records = case_inputs()
+    exs, records = case_inputs()
     draws = {
-        tuple(c.example_id for c in extract_cases(exs, preds, records, 2, seed=s).cases)
+        tuple(c.example_id for c in extract_cases(exs, records, 2, seed=s).cases)
         for s in range(12)
     }
     assert len(draws) > 1
 
 
 def test_case_carries_recomputed_diffs():
-    exs, preds, records = case_inputs()
-    bundle = extract_cases(exs, preds, records, 4, seed=42)
+    exs, records = case_inputs()
+    bundle = extract_cases(exs, records, 4, seed=42)
     by_id = {c.example_id: c for c in bundle.cases}
     copy_case = by_id["bug-001"]
     assert copy_case.diff_vs_buggy == ""  # prediction equals input
@@ -314,20 +313,29 @@ def test_case_carries_recomputed_diffs():
 
 
 def test_extract_cases_validates_k():
-    exs, preds, records = case_inputs()
+    exs, records = case_inputs()
     with pytest.raises(InputError):
-        extract_cases(exs, preds, records, 0, seed=42)
+        extract_cases(exs, records, 0, seed=42)
     with pytest.raises(InputError):
-        extract_cases(exs, preds, records, 99, seed=42)
+        extract_cases(exs, records, 99, seed=42)
 
 
-def test_extract_cases_names_an_example_or_prediction_it_lacks():
-    exs, preds, records = case_inputs()
+def test_extract_cases_names_an_example_it_lacks():
+    exs, records = case_inputs()
     with pytest.raises(InputError, match="record references unknown example 'bug-001'"):
-        extract_cases([ex for ex in exs if ex.id != "bug-001"], preds, records, 4, seed=42)
-    del preds["bug-001"]
-    with pytest.raises(InputError, match="no prediction available for case 'bug-001'"):
-        extract_cases(exs, preds, records, 4, seed=42)
+        extract_cases([ex for ex in exs if ex.id != "bug-001"], records, 4, seed=42)
+
+
+def test_case_text_is_the_prediction_its_record_measured():
+    exs, records = case_inputs()
+    assert [r.prediction for r in records] == [
+        p.prediction for p in sorted(predictions(), key=lambda p: p.id) if p.step == 500]
+    records = [r._replace(prediction=r.prediction.replace("count", "total"))
+               if r.example_id == "bug-002" else r for r in records]
+    case = extract_cases(exs, records, 4, seed=42).cases[1]
+    assert case.example_id == "bug-002"
+    assert case.prediction == "void reset ( ) { total = 2 ; }"
+    assert "+void reset ( ) { total = 2 ; }" in case.diff_vs_buggy
 
 
 def test_build_report_needs_the_final_step_records():
@@ -339,8 +347,8 @@ def test_build_report_needs_the_final_step_records():
 
 
 def test_emit_cases_writes_json(tmp_path):
-    exs, preds, records = case_inputs()
-    bundle = extract_cases(exs, preds, records, 2, seed=42)
+    exs, records = case_inputs()
+    bundle = extract_cases(exs, records, 2, seed=42)
     path = emit_cases(bundle, tmp_path)
     obj = json.loads(path.read_text())
     assert obj["seed"] == 42

@@ -164,6 +164,7 @@ def test_expected_measurements_at_step_500():
     assert by_example["bug-004"].behavior is BehaviorClass.COPY
     assert not by_example["bug-003"].syntax_valid  # truncated brace
     assert by_example["bug-001"].syntax_valid
+    assert by_example["bug-001"].prediction == SMALL_PREDICTIONS[0]["prediction"]
     assert by_example["bug-001"].pred_len == len(SMALL_PREDICTIONS[0]["prediction"])
 
 
@@ -248,7 +249,7 @@ def _record(behavior, i=0):
     return EvalRecord(
         example_id=f"e{i}", step=0, behavior=behavior, exact=False,
         edit_distance=1, ned=0.5, syntax_valid=True, near_copy=False,
-        pred_len=1,
+        prediction="x",
     )
 
 
