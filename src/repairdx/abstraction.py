@@ -25,7 +25,6 @@ from ._record import SlottedRecord
 from .errors import InputError
 from .javaparse import IDENTIFIER, Node, parse_java, tokenize
 from .javaparse.lexer import BAD, IDENT
-from .javaparse.nodes import _ERROR_KINDS
 from .syntax import WRAP_PREFIX, SyntaxVerdict, _verdict, check_syntax, wrap_method
 
 _VARIABLE = "variable"
@@ -151,24 +150,20 @@ class AbstractionMapping(SlottedRecord):
         }
 
 
-def _identifier_occurrences(root: Node) -> tuple[list[tuple[int, int, str, str]], list[Node]]:
+def _identifier_occurrences(root: Node) -> list[tuple[int, int, str, str]]:
     """All identifier leaves under ``root`` as (start, end, text, category),
-    in source order, and its ERROR, MISSING and LIMIT nodes in the order
-    of :meth:`Node.error_nodes`, from one pre-order walk.
+    in source order, from one pre-order walk.
 
     A leaf's category is worked out while its parent's children are
     scanned: from the parent's kind and the leaf's siblings, or else from
     the nearest enclosing class literal. Only inner nodes go on the stack.
     """
     out: list[tuple[int, int, str, str]] = []
-    errors: list[Node] = []
     # The root is scanned as the one child of a parent with no kind.
     stack = [("", [root], enumerate([root]), _VARIABLE)]
     while stack:
         kind, children, scan, deep = stack[-1]
         for i, child in scan:
-            if child.kind in _ERROR_KINDS:
-                errors.append(child)
             if child.children:
                 # Every name in the receiver of `Foo.Bar.class` is a type.
                 inner = _TYPE if child.kind == "class_literal" else deep
@@ -190,7 +185,7 @@ def _identifier_occurrences(root: Node) -> tuple[list[tuple[int, int, str, str]]
             out.append((child.start, child.end, child.text, category))
         else:
             stack.pop()
-    return out, errors
+    return out
 
 
 def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
@@ -202,13 +197,13 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
     Already-abstracted code is renumbered into canonical first-occurrence
     order and otherwise left intact.
 
-    The fragment is parsed once and walked once: one walk of the tree
-    gives the error nodes for the verdict (the one :func:`check_syntax`
-    gives) and the identifier categories.
+    The fragment is parsed once: the parse records the error nodes for
+    the verdict (the one :func:`check_syntax` gives), and only a valid
+    tree is walked, for the identifier categories.
     """
     if code.strip():
-        wrapped_root = parse_java(wrap_method(code))
-        found, errors = _identifier_occurrences(wrapped_root)
+        errors: list[Node] = []
+        wrapped_root = parse_java(wrap_method(code), errors)
         verdict = _verdict(code, wrapped_root, errors)
     else:
         verdict = check_syntax(code)
@@ -228,7 +223,7 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
     hi = lo + len(code)
     occurrences = [
         (s, e, text, cat)
-        for s, e, text, cat in found
+        for s, e, text, cat in _identifier_occurrences(wrapped_root)
         if lo <= s and e <= hi and text not in _NEVER_ABSTRACT
     ]
 

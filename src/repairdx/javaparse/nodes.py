@@ -56,20 +56,7 @@ class Node:
 
     def error_nodes(self) -> list["Node"]:
         """ERROR, MISSING and LIMIT nodes, in the pre-order of `walk`."""
-        found = [self] if self.kind in _ERROR_KINDS else []
-        # One iterator per open inner node: a leaf is looked at where its
-        # parent's children are scanned, and never pushed.
-        stack = [iter(self.children)]
-        while stack:
-            for node in stack[-1]:
-                if node.kind in _ERROR_KINDS:
-                    found.append(node)
-                if node.children:
-                    stack.append(iter(node.children))
-                    break
-            else:
-                stack.pop()
-        return found
+        return [n for n in self.walk() if n.kind in _ERROR_KINDS]
 
     def sexp(self) -> str:
         """Compact s-expression form, used for golden comparisons."""

@@ -14,11 +14,13 @@ int y ) { }` parses clean: as a method whose return type is named
 `record`.
 
 The parser is deterministic: equal inputs yield equal trees. Instances are
-single-use; `parse_java` constructs a fresh one per call. Parse time is
-linear in nesting depth: lookahead builds no nodes, the lambda and
-declaration-head scans skip a parenthesized list through a paren-match
-table built once per parse, and binary operators are parsed by precedence
-climbing.
+single-use; `parse_java` constructs a fresh one per call. Each ERROR,
+MISSING and LIMIT node is recorded in `errors` where it is made, so no
+caller walks a tree to find them. Lookahead builds no nodes, and a cut
+(below) clears the record with the tree, so no recorded node is dropped.
+Parse time is linear in nesting depth: the lambda and declaration-head
+scans skip a parenthesized list through a paren-match table built once
+per parse, and binary operators are parsed by precedence climbing.
 
 Recursion is bounded by a depth guard, not by the interpreter. Every
 recursive cycle of the grammar passes through a guarded method
@@ -75,6 +77,9 @@ _PARAMETER_MODIFIERS = frozenset(["final"])
 _ASSIGN_OPS = frozenset(
     ["=", "+=", "-=", "*=", "/=", "&=", "|=", "^=", "%=", "<<=", ">>=", ">>>="]
 )
+# What the left side of an assignment may be once its parentheses are
+# removed (JLS 15.26, 15.8.5), besides a node that is an error already.
+_ASSIGNABLE = frozenset([IDENTIFIER, "field_access", "array_access", ERROR, MISSING])
 
 # Binary operator precedence, loosest first. Only instanceof gets dedicated
 # handling inside _parse_binary: its right side is a type, not an operand.
@@ -95,7 +100,7 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in
 _LITERAL_KINDS = frozenset([NUMBER, STRING, CHAR])
 _OPERAND_KINDS = _LITERAL_KINDS | {IDENT}
 # Node kind of a leaf by token kind; other leaves take their lexeme.
-_LEAF_KIND = {IDENT: IDENTIFIER, NUMBER: LITERAL, STRING: LITERAL, CHAR: LITERAL, BAD: ERROR}
+_LEAF_KIND = {IDENT: IDENTIFIER, NUMBER: LITERAL, STRING: LITERAL, CHAR: LITERAL}
 _LITERAL_KEYWORDS = frozenset(["true", "false", "null"])
 
 # The prefix operators (JLS 15.15), and those of them that a cast to a
@@ -171,7 +176,7 @@ def _first_unmatched_bracket(toks: list[Token]) -> Token | None:
 class JavaParser:
     """One-shot parser instance over a fixed token list."""
 
-    def __init__(self, src: str):
+    def __init__(self, src: str, errors: list[Node] | None = None):
         self.src = src
         # A copy padded with a second EOF, so that the token after the
         # current one needs no bounds check (`i` never moves past the first
@@ -181,6 +186,8 @@ class JavaParser:
         self.i = 0
         self.depth = 0
         self._paren_match: dict[int, int] | None = None
+        # The tree's error nodes, in the order `_error` makes them.
+        self.errors: list[Node] = [] if errors is None else errors
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -199,10 +206,12 @@ class JavaParser:
 
     def take(self) -> Node:
         """The current token as a leaf node; its kind is its lexeme unless
-        the token kind names one."""
+        the token kind names one. A BAD token is an ERROR leaf."""
         kind, text, start, end = self.toks[self.i]
         if kind != EOF:
             self.i += 1
+            if kind == BAD:
+                return self._error(ERROR, start, end, text)
         return Node(_LEAF_KIND.get(kind, text), start, end, [], text)
 
     def expect(self, text: str) -> Node:
@@ -221,7 +230,12 @@ class JavaParser:
 
     def missing(self, what: str) -> Node:
         p = self.toks[self.i].start
-        return Node(MISSING, p, p, [], what)
+        return self._error(MISSING, p, p, what)
+
+    def _error(self, kind: str, start: int, end: int, text: str = "") -> Node:
+        """A new ERROR, MISSING or LIMIT leaf, recorded in `errors`."""
+        self.errors.append(node := Node(kind, start, end, [], text))
+        return node
 
     def _node(self, kind: str, children: list[Node]) -> Node:
         """A node over ``children``, a non-empty list it takes ownership
@@ -245,13 +259,14 @@ class JavaParser:
             first = False
             if t.text == ";":
                 break
-        return Node(ERROR, start, end)
+        return self._error(ERROR, start, end)
 
     # ------------------------------------------------------------------
     # entry point
 
     def parse(self) -> Node:
         children: list[Node] = []
+        mark = len(self.errors)
         try:
             while not self.at_eof():
                 before = self.i
@@ -265,6 +280,7 @@ class JavaParser:
                         self._error_until(frozenset(["class", "interface", "enum", "@"]))
                     )
         except _NestingLimit:
+            del self.errors[mark:]  # the tree built so far is thrown away
             return self._node("compilation_unit", [self._cut()])
         return self._node("compilation_unit", children) if children else Node(
             "compilation_unit", 0, len(self.src)
@@ -275,9 +291,9 @@ class JavaParser:
         fired, or ERROR over the first unmatched bracket."""
         bad = _first_unmatched_bracket(self.toks)
         if bad is not None:
-            return Node(ERROR, bad.start, bad.end)
+            return self._error(ERROR, bad.start, bad.end)
         p = self.toks[self.i].start
-        return Node(LIMIT, p, p)
+        return self._error(LIMIT, p, p)
 
     # ------------------------------------------------------------------
     # declarations
@@ -291,12 +307,9 @@ class JavaParser:
             t = self.toks[self.i]
             text = t.text
             if text in allowed:
-                if text in seen:
-                    self.i += 1
-                    mods.append(Node(ERROR, t.start, t.end, [], text))
-                else:
-                    seen.add(text)
-                    mods.append(self.take())
+                leaf = self.take()
+                mods.append(self._error(ERROR, t.start, t.end, text) if text in seen else leaf)
+                seen.add(text)
             elif text == "@" and self.toks[self.i + 1].text != "interface":
                 mods.append(self._parse_annotation())
             else:
@@ -839,7 +852,7 @@ class JavaParser:
         kids = self._parse_modifiers(_LOCAL_CLASS_MODIFIERS)
         if self.at("class"):
             return self._parse_type_declaration(kids)
-        kids = [Node(ERROR, k.start, k.end, [], k.text)
+        kids = [self._error(ERROR, k.start, k.end, k.text)
                 if k.kind in _LOCAL_CLASS_MODIFIERS and k.kind != "final" else k
                 for k in kids]
         kids.append(self.parse_type())
@@ -1040,7 +1053,16 @@ class JavaParser:
                 kids.append(self.parse_expression())
                 left = self._node("ternary", kids)
             if self.at_any(_ASSIGN_OPS):
-                kids = [left, self.take(), self.parse_expression()]
+                target = left
+                while target.kind == "parenthesized_expression":
+                    target = target.children[1]
+                op = self.take()
+                # `x . this` is a field access by kind, but no variable (JLS 15.8.4).
+                if target.kind not in _ASSIGNABLE or target.kind == "field_access" and (
+                    target.children[-1].kind in ("this", "super")
+                ):
+                    op = self._error(ERROR, op.start, op.end, op.text)
+                kids = [left, op, self.parse_expression()]
                 return self._node("assignment", kids)
             return left
         finally:
@@ -1302,10 +1324,13 @@ _STATEMENT_DISPATCH = {
 _STATEMENT_START = frozenset(_STATEMENT_DISPATCH) | PRIMITIVE_TYPES
 
 
-def parse_java(src: str) -> Node:
+def parse_java(src: str, errors: list[Node] | None = None) -> Node:
     """Parse a sequence of type declarations; never raises on malformed
     input. A `package` or `import` declaration is out of scope, and is an
     error like any other text that starts no type declaration.
+
+    ``errors``, when given, is an output: the parser appends to it the
+    nodes of the tree's `Node.error_nodes`, in the order it makes them.
 
     Input nested past the depth guard stops the parse there: its tree is a
     compilation unit with one LIMIT node where the guard fired, or with one
@@ -1314,4 +1339,4 @@ def parse_java(src: str) -> Node:
     runs at the interpreter's default recursion limit, which it leaves
     alone.
     """
-    return JavaParser(src).parse()
+    return JavaParser(src, errors).parse()

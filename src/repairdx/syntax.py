@@ -68,13 +68,14 @@ def check_syntax(code: str) -> SyntaxVerdict:
         return SyntaxVerdict(error_spans=((0, 0),))
     # Looked up on the module at call time, so a wrapper installed there
     # (the benchmark's tracer) sees every verdict parse.
-    root = bindings.parse_java(wrap_method(code))
-    return _verdict(code, root, root.error_nodes())
+    errors: list[Node] = []
+    root = bindings.parse_java(wrap_method(code), errors)
+    return _verdict(code, root, errors)
 
 
 def _verdict(code: str, root: Node, errors: list[Node]) -> SyntaxVerdict:
-    """The verdict on ``code`` from the parse tree of it wrapped and that
-    tree's ``errors``, with spans moved back to the fragment and clamped to it.
+    """The verdict on ``code`` from the tree and recorded ``errors`` of its
+    wrapped parse, with spans moved back to the fragment and clamped to it.
 
     A clean tree whose wrapper class ends early has one error: the
     fragment's ``}`` that closed the wrapper. A tree of one LIMIT node has

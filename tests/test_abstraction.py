@@ -1,6 +1,6 @@
 """Identifier abstraction: placeholders, mapping invariants, conformance,
-and the occurrence walk against the one kept in ``reference_occurrences``
-and against ``Node.error_nodes``."""
+the occurrence walk against the one kept in ``reference_occurrences``,
+and the parse's recorded error nodes against ``Node.error_nodes``."""
 
 import re
 
@@ -135,9 +135,9 @@ def test_builtin_parser_runs_once_per_fragment(monkeypatch, valid_methods,
     calls = []
 
     def counting(original):
-        def parse_java(text):
+        def parse_java(text, errors=None):
             calls.append(text)
-            return original(text)
+            return original(text, errors)
         return parse_java
 
     for module in (repairdx.abstraction, repairdx.bindings):
@@ -149,24 +149,30 @@ def test_builtin_parser_runs_once_per_fragment(monkeypatch, valid_methods,
         assert len(calls) == (1 if code.strip() else 0), code
 
 
-def test_error_nodes_is_never_called_by_abstraction(monkeypatch, valid_methods,
-                                                   broken_methods, abstraction_methods):
-    # The walk that finds the identifiers collects the verdict's error
-    # nodes too, so abstraction never walks the tree a second time.
+def test_error_nodes_is_never_called_by_abstraction(
+        monkeypatch, valid_methods, broken_methods, flagged_constructs, abstraction_methods):
+    # The parse records the verdict's error nodes as it makes them, so
+    # neither verdict walks the tree to find them again.
     calls = []
-    original = Node.error_nodes
 
-    def error_nodes(node):
-        calls.append(node)
-        return original(node)
+    def counted(name):
+        original = getattr(Node, name)
 
-    monkeypatch.setattr(Node, "error_nodes", error_nodes)
-    for code in _fragments(valid_methods, broken_methods, abstraction_methods):
-        calls.clear()
+        def method(node):
+            calls.append((name, node))
+            return original(node)
+        return method
+
+    for name in ("error_nodes", "walk"):
+        monkeypatch.setattr(Node, name, counted(name))
+    codes = _fragments(valid_methods, broken_methods, flagged_constructs, abstraction_methods)
+    for code in codes:
         _verdict_acted_on(code)
+        check_syntax(code)
         assert calls == [], code
-    check_syntax("int x = 0 ;")
-    assert len(calls) == 1  # the counter sees the walk check_syntax makes
+    parse_java("class A { int x = ; }").error_nodes()
+    # the counter sees a walk when one is made
+    assert [name for name, _node in calls] == ["error_nodes", "walk"]
 
 
 def test_tokenize_runs_once_per_abstraction_and_per_conformance_check(
@@ -434,22 +440,27 @@ def test_strongest_role_wins_across_positions():
 
 
 # ----------------------------------------------------------------------
-# the occurrence walk against its frozen reference and Node.error_nodes
+# the occurrence walk against its frozen reference, and the parse's
+# recorded error nodes against Node.error_nodes
 
 
-def _one_walk(tree):
-    """The walk's occurrences and error nodes, once it is checked that the
-    occurrences come in source order and the error nodes are exactly
-    ``tree.error_nodes()``, node for node and in order."""
-    occurrences, errors = _identifier_occurrences(tree)
+def _one_walk(src):
+    """The tree of ``src``, its walk's occurrences and the error nodes its
+    parse recorded, once it is checked that the occurrences come in source
+    order, that the record holds exactly the nodes of ``tree.error_nodes()``,
+    and that asking for the record changes no tree."""
+    errors = []
+    tree = parse_java(src, errors)
+    assert tree == parse_java(src)
+    occurrences = _identifier_occurrences(tree)
     starts = [start for start, _end, _text, _cat in occurrences]
     assert all(a < b for a, b in zip(starts, starts[1:])), starts
-    assert [id(n) for n in errors] == [id(n) for n in tree.error_nodes()]
-    return occurrences, errors
+    assert sorted(map(id, errors)) == sorted(map(id, tree.error_nodes())), src
+    return tree, occurrences, errors
 
 
-def _occurrences_both_ways(tree):
-    ours, _errors = _one_walk(tree)
+def _occurrences_both_ways(src):
+    tree, ours, _errors = _one_walk(src)
     return ours, sorted(reference_occurrences(tree), key=lambda occurrence: occurrence[0])
 
 
@@ -458,29 +469,30 @@ def test_occurrences_match_the_frozen_walk_on_fixtures(
     rows = [*valid_methods, *broken_methods, *flagged_constructs, *abstraction_methods]
     for row in rows:
         for src in (row["code"], wrap_method(row["code"])):
-            ours, reference = _occurrences_both_ways(parse_java(src))
+            ours, reference = _occurrences_both_ways(src)
             assert ours == reference, (row["id"], src)
 
 
-def test_one_walk_gives_error_nodes_past_the_depth_guard():
+def test_recorded_errors_are_error_nodes_past_the_depth_guard():
     nest = "Object f ( ) { return " + "( " * 300 + "a"
-    _, balanced = _one_walk(parse_java(wrap_method(nest + " )" * 300 + " ; }")))
-    _, unbalanced = _one_walk(parse_java(wrap_method(nest + " ; }")))
-    assert [n.kind for n in balanced] == [LIMIT]
-    assert [n.kind for n in unbalanced] == [ERROR]
+    # balanced, then unbalanced
+    for tail, kind in ((" )" * 300 + " ; }", LIMIT), (" ; }", ERROR)):
+        _one_walk(nest + tail)
+        _, _, errors = _one_walk(wrap_method(nest + tail))
+        assert [n.kind for n in errors] == [kind]
 
 
 SOUP_ATOMS = ["{", "}", "(", ")", ";", ",", "=", ".", "::", "->", "<", ">", "[", "]",
               "@", "#", "int", "class", "new", "return", "void", "a", "b", "Foo",
-              "f", "\"s\"", "0"]
+              "f", "\"s\"", "0", "+", "++", "final", "abstract"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(SOUP_ATOMS), max_size=40))
-def test_one_walk_gives_error_nodes_and_source_order_on_token_soup(atoms):
+def test_recorded_errors_and_source_order_on_token_soup(atoms):
     soup = " ".join(atoms)
     for src in (soup, wrap_method(soup)):
-        _one_walk(parse_java(src))
+        _one_walk(src)
 
 
 # Statement and head templates of valid Java; each %v, %m and %t takes a
@@ -524,5 +536,5 @@ def generated_fragments(draw):
 @given(generated_fragments())
 def test_occurrences_match_the_frozen_walk_on_generated_fragments(code):
     assert check_syntax(code).valid, code
-    ours, reference = _occurrences_both_ways(parse_java(wrap_method(code)))
+    ours, reference = _occurrences_both_ways(wrap_method(code))
     assert ours == reference, code

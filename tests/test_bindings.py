@@ -63,9 +63,9 @@ def test_treesitter_binding_unavailable_here():
 def test_check_syntax_parses_through_this_module(monkeypatch):
     parsed = []
 
-    def counting(text):
+    def counting(text, errors=None):
         parsed.append(text)
-        return parse_java(text)
+        return parse_java(text, errors)
 
     monkeypatch.setattr(repairdx.bindings, "parse_java", counting)
     assert check_syntax("int f ( ) { return 1 ; }").valid

@@ -332,6 +332,15 @@ VALID_SNIPPETS = [
     "java . util . function . Supplier < Object > f ( ) { return Object :: new ; }",
     "void f ( java . util . List < String > xs ) { xs . sort ( String :: compareTo ) ; }",
     "Comparable < String > f ( ) { return new Comparable < String > ( ) { public int compareTo ( String o ) { return 0 ; } } ; }",
+    # an assignment to a name, a field access or an array access, in
+    # parentheses or not (JLS 15.26, 15.8.5)
+    "void f ( ) { x = y = 1 ; }",
+    "void f ( ) { a [ 0 ] += 1 ; }",
+    "void f ( ) { this . x = 1 ; }",
+    "void f ( ) { A . this . x = 1 ; super . x = 1 ; }",
+    "void f ( ) { ( a ) = 1 ; }",
+    "void f ( ) { ( ( a . b [ 0 ] ) ) >>>= 2 ; }",
+    "void f ( ) { for ( i = 0 , j = 1 ; ; i += 1 ) { } }",
 ]
 
 INVALID_SNIPPETS = [
@@ -380,6 +389,21 @@ INVALID_SNIPPETS = [
     "void f ( ) { for ( A < B >>> x : y ) ; }",   # closes more '<' than are open
 ]
 
+# Assignments to what is no variable (JLS 15.26): each is one error, on
+# its operator.
+ASSIGNMENTS_TO_NON_VARIABLES = [
+    "1 = 2 ;",
+    "a + b = c ;",
+    "f ( ) = 2 ;",
+    "x ++ = 1 ;",
+    "A < B >>> x = null ;",
+    "( a + b ) = 1 ;",
+    "a = b + c -= 1 ;",
+    "x . this = 1 ;",
+    "A . super = 1 ;",
+]
+INVALID_SNIPPETS += [f"void f ( ) {{ {stmt} }}" for stmt in ASSIGNMENTS_TO_NON_VARIABLES]
+
 
 @pytest.mark.parametrize("code", VALID_SNIPPETS)
 def test_valid_construct_parses_clean(code):
@@ -392,6 +416,13 @@ def test_broken_construct_is_flagged(code):
     verdict = check_syntax(code)
     assert not verdict.valid, code
     assert verdict.error_count >= 1
+
+
+@pytest.mark.parametrize("stmt", ASSIGNMENTS_TO_NON_VARIABLES)
+def test_an_assignment_to_no_variable_is_one_error_on_its_operator(stmt):
+    code = f"void f ( ) {{ {stmt} }}"
+    op = [t for t in tokenize(code) if t.text.endswith("=")][-1]
+    assert check_syntax(code).error_spans == ((op.start, op.end),), code
 
 
 NESTED_CLOSERS = [
@@ -463,6 +494,64 @@ def test_error_nodes_are_the_error_kinds_of_walk_in_order(valid_methods, broken_
             assert tree.error_nodes() == [n for n in tree.walk() if n.is_error], src
     leaf = next(n for n in parse_java("#").walk() if n.is_error)
     assert leaf.error_nodes() == [leaf]
+
+
+# A local declaration's `abstract` or `strictfp` is made an ERROR leaf
+# only once no `class` follows: after the errors inside the modifiers
+# behind it were recorded.
+LATE_MODIFIER_ERRORS = [
+    wrap_method(f"void f ( ) {{ {stmt} }}")
+    for stmt in ("final abstract abstract int x ;",
+                 "final abstract @ A ( x , ) int x ;",
+                 "@ A ( # ) strictfp abstract strictfp int x = 1 ;",
+                 "final strictfp @ [ int x ;")
+]
+
+
+def test_parse_java_appends_to_the_errors_it_is_given():
+    # A cut drops only what this parse recorded, and the record changes no
+    # tree. The record holds the nodes of error_nodes(), in the order made.
+    for src in (*CUT_INPUTS, *LATE_MODIFIER_ERRORS,
+                "class A { int f ( ) { final abstract int x ; }"):
+        earlier = Node(ERROR, 0, 0)
+        errors = [earlier]
+        tree = parse_java(src, errors)
+        assert errors[0] is earlier, src
+        assert sorted(map(id, errors[1:])) == sorted(map(id, tree.error_nodes())), src
+        assert tree == parse_java(src)
+
+
+LOOKAHEADS = ["_declaration_ahead", "_cast_ahead", "_lambda_ahead", "_yield_statement_ahead"]
+
+
+def test_lookahead_builds_no_node(monkeypatch, valid_methods, broken_methods,
+                                  flagged_constructs, abstraction_methods):
+    # The parser's error record is the tree's own only because no rewind
+    # drops a node it built: each lookahead is a scan over tokens.
+    made = []
+    init = Node.__init__
+
+    def counting(node, *args, **kwargs):
+        made.append(args)
+        init(node, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "__init__", counting)
+    codes = fixture_codes(valid_methods, broken_methods, flagged_constructs,
+                          abstraction_methods)
+    for code in codes:
+        for src in (code, wrap_method(code)):
+            parser = JavaParser(src)
+            parser.parse()
+            errors = list(parser.errors)
+            made.clear()
+            # Every token; the last two are the EOF and its padding copy.
+            for i in range(len(parser.toks) - 2):
+                for name in LOOKAHEADS:
+                    parser.i = i
+                    getattr(parser, name)()
+                    assert (made, parser.errors, parser.i) == ([], errors, i), (name, i, src)
+    Node("x", 0, 0)
+    assert made == [("x", 0, 0)]  # the counter sees a node when one is made
 
 
 def test_missing_nodes_are_zero_width():
@@ -678,3 +767,19 @@ def test_runaway_modifiers_are_one_error_each_in_linear_time():
     assert time.monotonic() - start < 2.0
     assert not verdict.valid
     assert verdict.error_count == 9_999
+
+
+def test_record_equality_script_passes_and_names_a_difference(monkeypatch, capsys):
+    import parse_record_equality as script
+
+    assert script.main(["--count", "300", "--seed", "3"]) == 0
+    real = script.parse_java
+
+    def lossy(src, errors):  # a record that loses its last node
+        tree = real(src, errors)
+        del errors[-1:]
+        return tree
+
+    monkeypatch.setattr(script, "parse_java", lossy)
+    assert script.main(["--count", "300", "--seed", "3"]) == 1
+    assert "differs on" in capsys.readouterr().out
