@@ -38,6 +38,21 @@ is a zero-width LIMIT node at the token where the guard fired. When they
 do not, the input is plainly invalid, and that child is an ERROR node
 over the first unmatched bracket.
 
+Every bracketed list is one rule, `_more`: the opener, then an element,
+and another only after a separator, then the closer, which is MISSING
+when absent. So a dropped separator is an error, and a list cannot loop
+on an element that takes no token. Each list gives only its JLS facts:
+
+| list | closer | separator | may be empty | trailing separator |
+|---|---|---|---|---|
+| annotation arguments (9.7.1) | `)` | `,` | yes | no |
+| array initializer (10.6, 9.7.1) | `}` | `,` | yes | yes, even alone: `{ , }` |
+| formal parameters (8.4.1) | `)` | `,` | yes | no |
+| type parameters (8.1.2) | `>` | `,` | no | no |
+| resources (14.20.3) | `)` | `;` | no | yes |
+| arguments (15.12) | `)` | `,` | yes | no |
+| lambda parameters (15.27.1) | `)` | `,` | yes | no |
+
 A token's text decides what it is. The lexer gives an operator text only
 to a PUNCT token and a keyword text only to a KEYWORD token, and no
 identifier, literal, BAD or EOF token has such a text. So the rules test
@@ -261,6 +276,32 @@ class JavaParser:
                 break
         return self._error(ERROR, start, end)
 
+    def _more(self, kids: list[Node], closer: str, sep: str = ",",
+              empty: bool = True, trailing: bool = False) -> bool:
+        """Is an element of the bracketed list in ``kids`` due? If not,
+        append its closer, MISSING when absent.
+
+        ``kids`` holds the list so far, its opener first; the caller parses
+        each element into it, one node at least, in its own frame, so that
+        no recursion cycle gains a frame here. After the opener an element is due unless the
+        list may be ``empty`` and is, or the input ends. After an element,
+        another is due only once its separator is taken, and not if a
+        ``trailing`` separator may end the list there. An empty list with a
+        trailing separator may be that separator alone.
+        """
+        text = self.toks[self.i].text
+        if len(kids) == 1:
+            if empty and trailing and text == sep:
+                kids.append(self.take())
+            elif not (self.at_eof() or empty and text == closer):
+                return True
+        elif text == sep:
+            kids.append(self.take())
+            if not (trailing and self.at(closer)):
+                return True
+        kids.append(self._expect_gt() if closer == ">" else self.expect(closer))
+        return False
+
     # ------------------------------------------------------------------
     # entry point
 
@@ -326,21 +367,13 @@ class JavaParser:
                 kids.append(self.take())
             if self.at("("):
                 args = [self.take()]
-                if not self.at(")") and not self.at_eof():
-                    while True:
-                        before = self.i
-                        if self.at_ident() and self.toks[self.i + 1].text == "=":
-                            # An element-value pair, as an assignment node.
-                            pair = [self.take(), self.take(), self._parse_annotation_value()]
-                            args.append(self._node("assignment", pair))
-                        else:
-                            args.append(self._parse_annotation_value())
-                        if self.at(","):
-                            args.append(self.take())
-                            continue  # a comma demands another value
-                        if self.at(")") or self.at_eof() or self.i == before:
-                            break
-                args.append(self.expect(")"))
+                while self._more(args, ")"):
+                    if self.at_ident() and self.toks[self.i + 1].text == "=":
+                        # An element-value pair, as an assignment node.
+                        pair = [self.take(), self.take(), self._parse_annotation_value()]
+                        args.append(self._node("assignment", pair))
+                    else:
+                        args.append(self._parse_annotation_value())
                 kids.append(self._node("annotation_arguments", args))
             return self._node("annotation", kids)
         finally:
@@ -348,12 +381,12 @@ class JavaParser:
 
     def _parse_annotation_value(self) -> Node:
         """An element value (JLS 9.7.1): an array of element values, an
-        annotation, or an expression."""
+        annotation, or a conditional expression."""
         if self.at("{"):
             return self._parse_array_initializer(element_values=True)
         if self.at("@"):
             return self._parse_annotation()
-        return self.parse_expression()
+        return self.parse_expression(conditional=True)
 
     def _parse_type_declaration(self, mods: list[Node] | None = None) -> Node:
         """A class, interface, enum or annotation type: head, then body.
@@ -501,17 +534,21 @@ class JavaParser:
             declarator = self._parse_dims([self.expect_ident() if name is None else name])
             if self.at("="):
                 declarator.append(self.take())
-                declarator.append(
-                    self._parse_array_initializer() if self.at("{") else self.parse_expression()
-                )
+                declarator.append(self._variable_initializer()())
             kids.append(self._node("variable_declarator", declarator))
             if not self.at(","):
                 return
             kids.append(self.take())
             name = None
 
+    def _variable_initializer(self):
+        """The rule of the variable initializer here (JLS 8.3): an array
+        initializer at `{`, else an expression. The caller calls the rule,
+        so that choosing it costs no frame."""
+        return self._parse_array_initializer if self.at("{") else self.parse_expression
+
     def _parse_array_initializer(self, element_values: bool = False) -> Node:
-        """`{ ... }` of expressions, or of annotation element values.
+        """`{ ... }` of variable initializers, or of annotation element values.
 
         Element values recurse through this guard (nested arrays) or the
         annotation guard (annotations), so their cycles are bounded too.
@@ -520,37 +557,18 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
-            kids = [self.take()]  # {
-            while not self.at("}") and not self.at_eof():
-                before = self.i
-                if element_values:
-                    kids.append(self._parse_annotation_value())
-                elif self.at("{"):
-                    kids.append(self._parse_array_initializer())
-                else:
-                    kids.append(self.parse_expression())
-                if self.at(","):
-                    kids.append(self.take())
-                elif not self.at("}"):
-                    if self.i == before:
-                        kids.append(self._error_until(frozenset(["}", ","])))
-            kids.append(self.expect("}"))
+            kids = [self.take()]
+            while self._more(kids, "}", trailing=True):
+                kids.append(self._parse_annotation_value() if element_values
+                            else self._variable_initializer()())
             return self._node("array_initializer", kids)
         finally:
             self.depth -= 1
 
     def _parse_formal_parameters(self) -> Node:
-        kids = [self.expect("(")]
-        if not self.at(")") and not self.at_eof():
-            while True:
-                before = self.i
-                kids.append(self._parse_formal_parameter())
-                if self.at(","):
-                    kids.append(self.take())
-                    continue  # a comma demands another parameter
-                if self.at(")") or self.at_eof() or self.i == before:
-                    break
-        kids.append(self.expect(")"))
+        kids = [self.take()]
+        while self._more(kids, ")"):
+            kids.append(self._parse_formal_parameter())
         return self._node("formal_parameters", kids)
 
     def _parse_formal_parameter(self) -> Node:
@@ -569,9 +587,8 @@ class JavaParser:
     # types
 
     def _parse_type_parameters(self) -> Node:
-        kids = [self.take()]  # <
-        while not self._at_gt() and not self.at_eof():
-            before = self.i
+        kids = [self.take()]
+        while self._more(kids, ">", empty=False):
             tp = self._parse_modifiers(frozenset())  # annotations
             tp.append(self.expect_ident())
             if self.at("extends"):
@@ -581,12 +598,6 @@ class JavaParser:
                     tp.append(self.take())
                     tp.append(self.parse_type())
             kids.append(self._node("type_parameter", tp))
-            if self.at(","):
-                kids.append(self.take())
-            elif not self._at_gt():
-                if self.i == before:
-                    break
-        kids.append(self._expect_gt())
         return self._node("type_parameters", kids)
 
     def _at_gt(self) -> bool:
@@ -1016,9 +1027,8 @@ class JavaParser:
         return self._node("try_statement", kids)
 
     def _parse_resources(self) -> Node:
-        kids = [self.take()]  # (
-        while not self.at(")") and not self.at_eof():
-            before = self.i
+        kids = [self.take()]
+        while self._more(kids, ")", ";", empty=False, trailing=True):
             if self._declaration_ahead():
                 res = self._parse_modifiers(_PARAMETER_MODIFIERS)
                 res.append(self.parse_type())
@@ -1028,31 +1038,28 @@ class JavaParser:
                 res = []
             res.append(self.parse_expression())
             kids.append(self._node("resource", res))
-            if self.at(";"):
-                kids.append(self.take())
-            elif not self.at(")"):
-                if self.i == before:
-                    break
-        kids.append(self.expect(")"))
         return self._node("resource_list", kids)
 
     # ------------------------------------------------------------------
     # expressions
 
-    def parse_expression(self) -> Node:
+    def parse_expression(self, conditional: bool = False) -> Node:
+        """An expression (JLS 15.27); with ``conditional``, a conditional
+        expression (15.25): no lambda, and no assignment at its top."""
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
-            if self._lambda_ahead():
+            if not conditional and self._lambda_ahead():
                 return self._parse_lambda()
             left = self._parse_binary(0)
             if self.at("?"):
-                kids = [left, self.take(), self.parse_expression()]
-                kids.append(self.expect(":"))
-                kids.append(self.parse_expression())
+                kids = [left, self.take(), self.parse_expression(), self.expect(":")]
+                # The third operand is a conditional or a lambda expression.
+                kids.append(self._parse_lambda() if self._lambda_ahead()
+                            else self.parse_expression(conditional=True))
                 left = self._node("ternary", kids)
-            if self.at_any(_ASSIGN_OPS):
+            if not conditional and self.at_any(_ASSIGN_OPS):
                 target = left
                 while target.kind == "parenthesized_expression":
                     target = target.children[1]
@@ -1173,23 +1180,9 @@ class JavaParser:
         return self._node("class_literal", kids)
 
     def _parse_arguments(self) -> Node:
-        kids = [self.expect("(")]
-        if not self.at(")") and not self.at_eof():
-            while True:
-                before = self.i
-                kids.append(self.parse_expression())
-                if self.at(","):
-                    kids.append(self.take())
-                    continue  # a comma demands another argument
-                if self.at(")") or self.at_eof():
-                    break
-                if self.i == before:
-                    kids.append(self._error_until(frozenset([")", ","])))
-                    if self.at(","):
-                        kids.append(self.take())
-                        continue
-                    break
-        kids.append(self.expect(")"))
+        kids = [self.take()]
+        while self._more(kids, ")"):
+            kids.append(self.parse_expression())
         return self._node("argument_list", kids)
 
     def _parse_lambda(self) -> Node:
@@ -1197,24 +1190,16 @@ class JavaParser:
         if self.at_ident():
             kids.append(self._node("lambda_parameters", [self.take()]))
         else:
-            params = [self.expect("(")]
-            if not self.at(")") and not self.at_eof():
-                while True:
-                    before = self.i
-                    params.extend(self._parse_modifiers(_PARAMETER_MODIFIERS))
-                    if self.at_ident() and self.toks[self.i + 1].text in (",", ")"):
-                        params.append(self.take())
-                    elif self.at_ident() or self.at_any(PRIMITIVE_TYPES):
-                        params.append(self.parse_type())
-                        params.append(self.expect_ident())
-                    else:
-                        params.append(self.missing("parameter"))
-                    if self.at(","):
-                        params.append(self.take())
-                        continue  # a comma demands another parameter
-                    if self.at(")") or self.at_eof() or self.i == before:
-                        break
-            params.append(self.expect(")"))
+            params = [self.take()]
+            while self._more(params, ")"):
+                params.extend(self._parse_modifiers(_PARAMETER_MODIFIERS))
+                if self.at_ident() and self.toks[self.i + 1].text in (",", ")"):
+                    params.append(self.take())
+                elif self.at_ident() or self.at_any(PRIMITIVE_TYPES):
+                    params.append(self.parse_type())
+                    params.append(self.expect_ident())
+                else:
+                    params.append(self.missing("parameter"))
             kids.append(self._node("lambda_parameters", params))
         kids.append(self.expect("->"))
         if self.at("{"):

@@ -692,10 +692,34 @@ def test_resource_that_is_no_declaration_holds_its_modifier_once():
     assert [n.kind for n in spans] == ["final"]
 
 
+# Deleting one `,` from a list of a grammatical row leaves legal Java only
+# where the two elements read as one: a lambda parameter `b` of type `a`.
+LEGAL_AFTER_A_DELETED_COMMA = {"ok-026": "return ( a  b ) -> a + b"}
+
+
+def test_deleting_a_separator_from_a_valid_row_makes_it_invalid(valid_methods,
+                                                                 abstraction_methods):
+    mutants = 0
+    legal = {}
+    for row in valid_methods + abstraction_methods:
+        code = row["code"]
+        toks = tokenize(code)
+        for tok, nxt in zip(toks, toks[1:]):
+            if tok.text == "," and nxt.text not in ("}", ";"):
+                mutant = code[:tok.start] + code[tok.end:]
+                mutants += 1
+                if check_syntax(mutant).valid:
+                    legal[row["id"]] = mutant
+    assert mutants == 25
+    assert legal.keys() == LEGAL_AFTER_A_DELETED_COMMA.keys()
+    for row_id, text in LEGAL_AFTER_A_DELETED_COMMA.items():
+        assert text in legal[row_id]
+
+
 def test_nested_annotated_resources_parse_in_linear_time():
     # The head is probed by tokens only. Parsing its annotation to probe it,
     # then again, would double the work at every level of this nest.
-    code = "void f ( ) { " + "try ( @ A ( ( ) -> { " * 40 + "} ) R r = g ( ) ) { } " * 40 + "}"
+    code = "void f ( ) { " + "try ( @ A ( ( R ) ( ) -> { " * 40 + "} ) R r = g ( ) ) { } " * 40 + "}"
     start = time.monotonic()
     assert check_syntax(code).valid
     assert time.monotonic() - start < 2.0

@@ -21,7 +21,7 @@ FIXTURES = [
     "valid_methods.jsonl",
 ]
 ROWS = 127
-EXPECTED_SHA256 = "e81529ad86d19cb18f8916b92af0d9ba24978420cd6499324e01ebebe0689651"
+EXPECTED_SHA256 = "be44745dc5dbc85b5420d073c513d0af1193788e779255e54e9ba1c4c2fd475b"
 
 
 def test_every_fixture_tree_and_verdict_is_pinned():

@@ -173,6 +173,53 @@ def test_annotation_element_value_arrays(code, valid):
     assert check_syntax(code).valid is valid
 
 
+# A bracketed list goes on only after its separator (JLS 8.4.1, 8.1.2,
+# 9.7.1, 10.6, 14.20.3, 15.12, 15.27.1): a dropped separator is an error.
+# Type parameters and resources are never empty; an array initializer
+# and resources may end in their separator, and `{ , }` is an array.
+@pytest.mark.parametrize("code,valid", [
+    ("void f ( int a int b ) { }", False),
+    ("void f ( ) { g ( a b ) ; }", False),
+    ("@ A ( x y ) void f ( ) { }", False),
+    ("Object f ( ) { return ( int a int b ) -> a ; }", False),
+    ("int [ ] x = { 1 2 } ;", False),
+    ("void f ( ) { try ( A a = b C c = d ) { } }", False),
+    ("< A B > void f ( ) { }", False),
+    ("< A extends B C > void f ( ) { }", False),
+    ("< A , > void f ( ) { }", False),
+    ("< > void f ( ) { }", False),
+    ("void f ( ) { try ( ) { } }", False),
+    ("int [ ] x = { , } ;", True),
+    ("@ A ( { , } ) void f ( ) { }", True),
+    ("int [ ] x = { 1 , } ;", True),
+    ("void f ( ) { try ( A a = b ; ) { } }", True),
+    ("@ A ( ) void f ( ) { }", True),
+    # A parameter `b` of type `a`.
+    ("Object f ( ) { return ( a b ) -> a ; }", True),
+])
+def test_a_list_goes_on_only_after_its_separator(code, valid):
+    assert check_syntax(code).valid is valid
+
+
+# One conditional-expression rule (JLS 15.25) serves an annotation element
+# value (9.7.1), which is no assignment and no lambda, and the third
+# operand of `?:`, which is a conditional or a lambda expression.
+@pytest.mark.parametrize("code,valid", [
+    ("@ A ( x = y = 1 ) void f ( ) { }", False),
+    ("@ A ( ( ) -> 1 ) void f ( ) { }", False),
+    ("@ A ( { x = 1 } ) void f ( ) { }", False),
+    ("int f ( ) { return c ? a : b = 1 ; }", False),
+    ("@ A ( c ? 1 : 2 ) void f ( ) { }", True),
+    ("@ A ( x = ( R ) ( ) -> 1 ) void f ( ) { }", True),
+    ("int f ( ) { return c ? a : d ? b : e ; }", True),
+    ("int f ( ) { return c ? x = 1 : y ; }", True),
+    ("Object f ( ) { return c ? a : x -> x ; }", True),
+    ("void f ( ) { x = c ? a : b ; }", True),
+])
+def test_a_conditional_expression_takes_no_assignment_or_bare_lambda(code, valid):
+    assert check_syntax(code).valid is valid
+
+
 # ----------------------------------------------------------------------
 # validity arithmetic: a checkpoint's share of valid predictions, which
 # summarize_records alone computes
