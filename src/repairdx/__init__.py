@@ -67,7 +67,6 @@ _EXPORTS = {
     "run_tracking": "tracking",
     "sample_validation": "corpus",
     "summarize_records": "tracking",
-    "wrap_method": "syntax",
 }
 
 __all__ = list(_EXPORTS)

@@ -25,7 +25,7 @@ from ._record import SlottedRecord
 from .errors import InputError
 from .javaparse import IDENTIFIER, Node, parse_java, tokenize
 from .javaparse.lexer import BAD, IDENT
-from .syntax import WRAP_PREFIX, SyntaxVerdict, _verdict, check_syntax, wrap_method
+from .syntax import SyntaxVerdict, _verdict, check_syntax
 
 _VARIABLE = "variable"
 _METHOD = "method"
@@ -203,8 +203,8 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
     """
     if code.strip():
         errors: list[Node] = []
-        wrapped_root = parse_java(wrap_method(code), errors)
-        verdict = _verdict(code, wrapped_root, errors)
+        root = parse_java(code, errors)
+        verdict = _verdict(root, errors)
     else:
         verdict = check_syntax(code)
     if verdict.limit_exceeded:
@@ -219,12 +219,9 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
             f"({verdict.error_count} error region(s))",
             verdict,
         )
-    lo = len(WRAP_PREFIX)
-    hi = lo + len(code)
     occurrences = [
-        (s, e, text, cat)
-        for s, e, text, cat in _identifier_occurrences(wrapped_root)
-        if lo <= s and e <= hi and text not in _NEVER_ABSTRACT
+        (s, e, text, cat) for s, e, text, cat in _identifier_occurrences(root)
+        if text not in _NEVER_ABSTRACT
     ]
 
     # Pass 1: one category per identifier (strongest role wins). The
@@ -249,10 +246,9 @@ def abstract_identifiers(code: str) -> tuple[str, AbstractionMapping]:
     pieces: list[str] = []
     cursor = 0
     for start, end, text, _cat in occurrences:
-        s, e = start - lo, end - lo
-        pieces.append(code[cursor:s])
+        pieces.append(code[cursor:start])
         pieces.append(placeholder[text])
-        cursor = e
+        cursor = end
     pieces.append(code[cursor:])
     return "".join(pieces), mapping
 

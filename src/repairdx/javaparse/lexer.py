@@ -2,9 +2,11 @@
 
 Total over arbitrary input: characters that cannot start a token, and
 unterminated string/char literals, become BAD tokens instead of raising.
-Comments and whitespace are skipped. Offsets index into the source string.
-A line ends at `\\n` or `\\r` (JLS §3.4), which ends a `//` comment and
-leaves a string or char literal on it unterminated.
+Comments and whitespace are skipped, but a `/*` with no `*/` after it is
+no comment (JLS §3.7): it is one BAD token over the rest of the text.
+Offsets index into the source string. A line ends at `\\n` or `\\r`
+(JLS §3.4), which ends a `//` comment and leaves a string or char
+literal on it unterminated.
 
 One compiled master pattern (the "Writing a Tokenizer" recipe of the `re`
 documentation) skips the whitespace and comments before a token and
@@ -98,12 +100,14 @@ class Token(NamedTuple):
 # before the '.' operator. A string or char literal ends at its closing
 # quote (group `sq` or `cq`), at a line end or the end, where it is BAD,
 # or at a backslash that escapes neither, which the BAD token keeps.
-# `"""` starts a text block, which the dispatch scans.
+# `"""` starts a text block, which the dispatch scans. A `/*` that the
+# skip could not close as a comment is BAD to the end.
 _MASTER = re.compile(
     r"""
-    (?:\s+|//[^\r\n]*|/\*(?:[\s\S]*?\*/|[\s\S]*))*
+    (?:\s+|//[^\r\n]*|/\*[\s\S]*?\*/)*
     (?:
-        (?P<ident>[A-Za-z_$][\w$]*)
+        (?P<bad>/\*[\s\S]*)
+      | (?P<ident>[A-Za-z_$][\w$]*)
       | (?P<number>\.?
             (?:0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?[0-9]*)?
               |0[bB][01_]*

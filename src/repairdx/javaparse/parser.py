@@ -5,13 +5,14 @@ nodes, required-but-absent tokens become zero-width MISSING nodes, and
 every call yields a tree. Coverage targets method-level Java up to roughly
 version 14: generics, lambdas, method references, anonymous classes,
 try-with-resources, multi-catch, and both colon and arrow switch forms.
-A compilation unit here is a sequence of type declarations: `package`
-and `import` declarations are out of scope, since every caller parses a
-fragment inside a class. Also out of scope: module declarations, sealed
-types, and pattern matching in switch labels (see the flagged-constructs
-fixture). Records have no rule of their own, yet `record Point ( int x ,
-int y ) { }` parses clean: as a method whose return type is named
-`record`.
+A compilation unit here is what a fragment is: a sequence of class-body
+members (JLS 8.1.6), of which a type declaration is one kind. So a `}`
+that closes nothing is an error where it stands. `package` and `import`
+declarations are out of scope, and are errors. Also out of scope: module
+declarations, sealed types, and pattern matching in switch labels (see
+the flagged-constructs fixture). Records have no rule of their own, yet
+`record Point ( int x , int y ) { }` parses clean: as a method whose
+return type is named `record`.
 
 The parser is deterministic: equal inputs yield equal trees. Instances are
 single-use; `parse_java` constructs a fresh one per call. Each ERROR,
@@ -45,13 +46,13 @@ on an element that takes no token. Each list gives only its JLS facts:
 
 | list | closer | separator | may be empty | trailing separator |
 |---|---|---|---|---|
-| annotation arguments (9.7.1) | `)` | `,` | yes | no |
+| annotation arguments, all pairs or one value (9.7.1) | `)` | `,` | yes | no |
 | array initializer (10.6, 9.7.1) | `}` | `,` | yes | yes, even alone: `{ , }` |
-| formal parameters (8.4.1) | `)` | `,` | yes | no |
+| formal parameters, a variable-arity one last (8.4.1) | `)` | `,` | yes | no |
 | type parameters (8.1.2) | `>` | `,` | no | no |
 | resources (14.20.3) | `)` | `;` | no | yes |
 | arguments (15.12) | `)` | `,` | yes | no |
-| lambda parameters (15.27.1) | `)` | `,` | yes | no |
+| lambda parameters, all inferred or all declared (15.27.1) | `)` | `,` | yes | no |
 
 A token's text decides what it is. The lexer gives an operator text only
 to a PUNCT token and a keyword text only to a KEYWORD token, and no
@@ -310,16 +311,7 @@ class JavaParser:
         mark = len(self.errors)
         try:
             while not self.at_eof():
-                before = self.i
-                if self.at(";"):
-                    children.append(self.take())
-                    continue
-                mods = self._parse_modifiers(_MODIFIERS)
-                children.append(self._parse_type_declaration(mods))
-                if self.i == before:
-                    children.append(
-                        self._error_until(frozenset(["class", "interface", "enum", "@"]))
-                    )
+                children.append(self._parse_member())
         except _NestingLimit:
             del self.errors[mark:]  # the tree built so far is thrown away
             return self._node("compilation_unit", [self._cut()])
@@ -366,14 +358,17 @@ class JavaParser:
                 kids.append(self.take())
                 kids.append(self.take())
             if self.at("("):
+                # Element-value pairs, each an assignment node, or one
+                # element value alone (JLS 9.7.1).
                 args = [self.take()]
-                while self._more(args, ")"):
-                    if self.at_ident() and self.toks[self.i + 1].text == "=":
-                        # An element-value pair, as an assignment node.
-                        pair = [self.take(), self.take(), self._parse_annotation_value()]
+                if self.at_ident() and self.toks[self.i + 1].text == "=":
+                    while self._more(args, ")"):
+                        pair = [self.expect_ident(), self.expect("="),
+                                self._parse_annotation_value()]
                         args.append(self._node("assignment", pair))
-                    else:
-                        args.append(self._parse_annotation_value())
+                elif self._more(args, ")"):
+                    args.append(self._parse_annotation_value())
+                    args.append(self.expect(")"))
                 kids.append(self._node("annotation_arguments", args))
             return self._node("annotation", kids)
         finally:
@@ -393,10 +388,11 @@ class JavaParser:
 
         The four share this one frame, and the enum body is parsed here
         too, so that each level of nested declarations costs three frames
-        (member, declaration, class body). With no ``mods`` passed in, it
-        is a local class declaration (JLS 14.3), reached from a statement:
-        it parses the local-class modifiers itself, and then requires
-        ``class``.
+        (member, declaration, class body). A caller that passes ``mods``
+        stands at `class`, `interface`, `enum` or `@ interface`. With no
+        ``mods`` passed in, it is a local class declaration (JLS 14.3),
+        reached from a statement: it parses the local-class modifiers
+        itself, and then requires ``class``.
         """
         if mods is None:
             mods = self._parse_modifiers(_LOCAL_CLASS_MODIFIERS)
@@ -411,9 +407,6 @@ class JavaParser:
             kids.append(self.expect_ident())
             kids.append(self._parse_class_body())
             return self._node("annotation_declaration", kids)
-        if word not in ("class", "interface", "enum"):
-            kids.append(self.missing("type declaration"))
-            return self._node("type_declaration", kids)
         kids.append(self.take())
         kids.append(self.expect_ident())
         if word != "enum" and self.at("<"):
@@ -462,14 +455,13 @@ class JavaParser:
         if kids is None:
             kids = [self.expect("{")]
         while not self.at("}") and not self.at_eof():
-            before = self.i
             kids.append(self._parse_member())
-            if self.i == before:
-                kids.append(self._error_until(_MEMBER_SYNC))
         kids.append(self.expect("}"))
         return self._node(kind, kids)
 
     def _parse_member(self) -> Node:
+        """One class-body member (JLS 8.1.6). It takes at least one token
+        from any position but the end, so a member loop needs no guard."""
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
@@ -566,22 +558,25 @@ class JavaParser:
             self.depth -= 1
 
     def _parse_formal_parameters(self) -> Node:
+        """The parameters of a method or constructor (JLS 8.4.1), of which
+        a variable-arity one comes last."""
         kids = [self.take()]
         while self._more(kids, ")"):
-            kids.append(self._parse_formal_parameter())
+            param = self._parse_modifiers(_PARAMETER_MODIFIERS)
+            if not (self.at_ident() or self.at_any(PRIMITIVE_TYPES)):
+                param.append(self.missing("parameter"))
+                kids.append(self._node("formal_parameter", param))
+                continue
+            param.append(self.parse_type())
+            last = self.at("...")
+            if last:
+                param.append(self.take())
+            param.append(self.expect_ident())
+            kids.append(self._node("formal_parameter", self._parse_dims(param)))
+            if last:
+                kids.append(self.expect(")"))
+                break
         return self._node("formal_parameters", kids)
-
-    def _parse_formal_parameter(self) -> Node:
-        kids = self._parse_modifiers(_PARAMETER_MODIFIERS)
-        if not (self.at_ident() or self.at_any(PRIMITIVE_TYPES)):
-            kids.append(self.missing("parameter"))
-            return self._node("formal_parameter", kids)
-        kids.append(self.parse_type())
-        if self.at("..."):
-            kids.append(self.take())
-        kids.append(self.expect_ident())
-        self._parse_dims(kids)
-        return self._node("formal_parameter", kids)
 
     # ------------------------------------------------------------------
     # types
@@ -1190,12 +1185,16 @@ class JavaParser:
         if self.at_ident():
             kids.append(self._node("lambda_parameters", [self.take()]))
         else:
+            # The parameters are all inferred, bare identifiers, or all
+            # declared, each with a type (JLS 15.27.1); the first decides.
             params = [self.take()]
+            inferred = self.at_ident() and self.toks[self.i + 1].text in (",", ")")
             while self._more(params, ")"):
+                if inferred:
+                    params.append(self.expect_ident())
+                    continue
                 params.extend(self._parse_modifiers(_PARAMETER_MODIFIERS))
-                if self.at_ident() and self.toks[self.i + 1].text in (",", ")"):
-                    params.append(self.take())
-                elif self.at_ident() or self.at_any(PRIMITIVE_TYPES):
+                if self.at_ident() or self.at_any(PRIMITIVE_TYPES):
                     params.append(self.parse_type())
                     params.append(self.expect_ident())
                 else:
@@ -1310,9 +1309,9 @@ _STATEMENT_START = frozenset(_STATEMENT_DISPATCH) | PRIMITIVE_TYPES
 
 
 def parse_java(src: str, errors: list[Node] | None = None) -> Node:
-    """Parse a sequence of type declarations; never raises on malformed
+    """Parse a sequence of class-body members; never raises on malformed
     input. A `package` or `import` declaration is out of scope, and is an
-    error like any other text that starts no type declaration.
+    error like any other text that starts no member.
 
     ``errors``, when given, is an output: the parser appends to it the
     nodes of the tree's `Node.error_nodes`, in the order it makes them.

@@ -1,18 +1,11 @@
 """Grammatical validity of Java method bodies.
 
-A method fragment is not a compilation unit, so it is wrapped in a
-minimal synthetic class before parsing. The fragment is valid when the
-parse tree of the wrapped text holds no ERROR or MISSING node and is
-exactly one type declaration, the wrapper's, ending at the wrapper's last
-brace. A clean tree alone does not certify the fragment: `} class X {`
-closes the synthetic class early and opens a second one, which the
-wrapper's brace then closes. Any error originates in (or is induced by)
-the fragment, since the wrapper is fixed and itself well-formed.
-
-The parser is the in-tree error-recovering one. Spans reported in a
-verdict are translated back into the coordinate system of the original
-fragment and clamped to its bounds, so callers can highlight offending
-regions without knowing about the wrapper.
+A fragment is what a model writes for a method: one or more class-body
+members (JLS 8.1.6), which the parser takes as they stand. The fragment
+is valid when its parse records no ERROR or MISSING node. A verdict's
+spans are those of the recorded nodes, sorted, so each lies inside the
+fragment: a stray `}` after a method is an error where it stands, and an
+unclosed `{` shows as a MISSING `}` at the fragment's end.
 
 A fragment nested past the parser's depth guard, with balanced brackets,
 cannot be judged: its verdict is not valid, has one error span where the
@@ -26,11 +19,6 @@ from typing import NamedTuple
 
 from . import bindings
 from .javaparse import LIMIT, Node
-
-WRAP_PREFIX = "class __W { "
-# The closing brace goes on a line of its own, so a fragment that ends in
-# a ``//`` comment cannot comment it out.
-WRAP_SUFFIX = "\n}"
 
 
 class SyntaxVerdict(NamedTuple):
@@ -52,11 +40,6 @@ class SyntaxVerdict(NamedTuple):
         return self.valid
 
 
-def wrap_method(code: str) -> str:
-    """Embed a member-level fragment in a minimal class declaration."""
-    return WRAP_PREFIX + code + WRAP_SUFFIX
-
-
 def check_syntax(code: str) -> SyntaxVerdict:
     """Judge one fragment. Total: never raises on malformed input.
 
@@ -69,27 +52,15 @@ def check_syntax(code: str) -> SyntaxVerdict:
     # Looked up on the module at call time, so a wrapper installed there
     # (the benchmark's tracer) sees every verdict parse.
     errors: list[Node] = []
-    root = bindings.parse_java(wrap_method(code), errors)
-    return _verdict(code, root, errors)
+    root = bindings.parse_java(code, errors)
+    return _verdict(root, errors)
 
 
-def _verdict(code: str, root: Node, errors: list[Node]) -> SyntaxVerdict:
-    """The verdict on ``code`` from the tree and recorded ``errors`` of its
-    wrapped parse, with spans moved back to the fragment and clamped to it.
-
-    A clean tree whose wrapper class ends early has one error: the
-    fragment's ``}`` that closed the wrapper. A tree of one LIMIT node has
-    one error, the place where the depth guard stopped the parse.
-    """
-    lo = len(WRAP_PREFIX)
-    raw_spans = sorted((n.start, n.end) for n in errors)
-    if not raw_spans:
-        wrapper = root.children[0]
-        if len(root.children) == 1 and wrapper.end == lo + len(code) + len(WRAP_SUFFIX):
-            return SyntaxVerdict()
-        raw_spans = [(wrapper.end - 1, wrapper.end)]
-    spans = tuple(
-        (max(0, min(s - lo, len(code))), max(0, min(e - lo, len(code))))
-        for s, e in raw_spans
-    )
+def _verdict(root: Node, errors: list[Node]) -> SyntaxVerdict:
+    """The verdict on a fragment from the tree and recorded ``errors`` of
+    its parse: the sorted spans of the errors. A tree of one LIMIT node
+    has one error, the place where the depth guard stopped the parse."""
+    spans = tuple(sorted((n.start, n.end) for n in errors))
+    if not spans:
+        return SyntaxVerdict()
     return SyntaxVerdict(spans, limit_exceeded=root.children[0].kind == LIMIT)

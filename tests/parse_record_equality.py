@@ -2,8 +2,8 @@
 
 Builds ``--count`` random token soups, some of them inside a nest of `(`,
 `[` or `{` up to 300 deep, balanced or left open so that the depth guard
-cuts some of them. Parses each raw and wrapped in the checker's synthetic
-class, and exits 1 on the first parse whose recorded error nodes
+cuts some of them. Parses each as the checker does, as class-body
+members, and exits 1 on the first parse whose recorded error nodes
 (``parse_java(src, errors)``) are not the nodes of ``tree.error_nodes()``,
 each once, in any order. Stdlib only; run from the repository root:
 
@@ -17,7 +17,6 @@ import random
 import sys
 
 from repairdx.javaparse import parse_java
-from repairdx.syntax import wrap_method
 
 ATOMS = [
     "{", "}", "(", ")", "[", "]", ";", ",", ".", "::", "->", "<", ">", ">>", ">>>",
@@ -61,12 +60,11 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     for _ in range(args.count):
         text = soup(rng)
-        for src in (text, wrap_method(text)):
-            problem = differs(src)
-            if problem is not None:
-                print(f"differs on {src!r}:\n  {problem}")
-                return 1
-    print(f"{args.count} soups, parsed raw and wrapped (seed {args.seed}): "
+        problem = differs(text)
+        if problem is not None:
+            print(f"differs on {text!r}:\n  {problem}")
+            return 1
+    print(f"{args.count} soups (seed {args.seed}): "
           f"recorded error nodes are those of error_nodes()")
     return 0
 

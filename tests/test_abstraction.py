@@ -21,7 +21,7 @@ from repairdx.abstraction import (
 )
 from repairdx.errors import InputError
 from repairdx.javaparse import ERROR, LIMIT, Node, parse_java
-from repairdx.syntax import check_syntax, wrap_method
+from repairdx.syntax import check_syntax
 
 from reference_occurrences import identifier_occurrences as reference_occurrences
 
@@ -322,6 +322,14 @@ def test_unrecognized_text_is_a_violation_over_its_span():
     assert report.violations == [Violation((12, 13), "unrecognized text '#'")]
 
 
+def test_an_unterminated_comment_is_unrecognized_text():
+    # With no `*/` after it, a `/*` is no comment (JLS 3.7): it would
+    # hide the rest of the fragment, concrete names included.
+    report = check_conformance("int VAR_1 ; /* name")
+    assert report.violations == [Violation((12, 19), "unrecognized text '/* name'")]
+    assert check_conformance("int VAR_1 ; /* name */").conformant
+
+
 def test_keywords_and_literals_are_not_violations():
     report = check_conformance("if ( true ) { return 0 ; }")
     assert report.conformant
@@ -468,17 +476,15 @@ def test_occurrences_match_the_frozen_walk_on_fixtures(
         valid_methods, broken_methods, flagged_constructs, abstraction_methods):
     rows = [*valid_methods, *broken_methods, *flagged_constructs, *abstraction_methods]
     for row in rows:
-        for src in (row["code"], wrap_method(row["code"])):
-            ours, reference = _occurrences_both_ways(src)
-            assert ours == reference, (row["id"], src)
+        ours, reference = _occurrences_both_ways(row["code"])
+        assert ours == reference, row["id"]
 
 
 def test_recorded_errors_are_error_nodes_past_the_depth_guard():
     nest = "Object f ( ) { return " + "( " * 300 + "a"
     # balanced, then unbalanced
     for tail, kind in ((" )" * 300 + " ; }", LIMIT), (" ; }", ERROR)):
-        _one_walk(nest + tail)
-        _, _, errors = _one_walk(wrap_method(nest + tail))
+        _, _, errors = _one_walk(nest + tail)
         assert [n.kind for n in errors] == [kind]
 
 
@@ -490,9 +496,7 @@ SOUP_ATOMS = ["{", "}", "(", ")", ";", ",", "=", ".", "::", "->", "<", ">", "[",
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(SOUP_ATOMS), max_size=40))
 def test_recorded_errors_and_source_order_on_token_soup(atoms):
-    soup = " ".join(atoms)
-    for src in (soup, wrap_method(soup)):
-        _one_walk(src)
+    _one_walk(" ".join(atoms))
 
 
 # Statement and head templates of valid Java; each %v, %m and %t takes a
@@ -536,5 +540,5 @@ def generated_fragments(draw):
 @given(generated_fragments())
 def test_occurrences_match_the_frozen_walk_on_generated_fragments(code):
     assert check_syntax(code).valid, code
-    ours, reference = _occurrences_both_ways(wrap_method(code))
+    ours, reference = _occurrences_both_ways(code)
     assert ours == reference, code

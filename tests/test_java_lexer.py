@@ -261,6 +261,7 @@ MEGABYTE_INPUTS = {
     "unterminated char": "'" + "a" * 999_999,
     "escape-dense string": '"' + "\\a" * 499_999,
     "unterminated text block": '"""' + "a" * 999_997,
+    "unterminated comment": "/*" + " a" * 499_999,
     **SPACED_MEGABYTE_INPUTS,
 }
 
@@ -296,6 +297,12 @@ def test_trap_inputs_keep_their_scanner_tokens():
     assert kinds_and_texts("1e²") == [(NUMBER, "1"), (IDENT, "e²")]
     assert kinds_and_texts(".²") == [(PUNCT, "."), (BAD, "²")]
     assert kinds_and_texts("1.x") == [(NUMBER, "1"), (PUNCT, "."), (IDENT, "x")]
+    # A traditional comment ends only at `*/` (JLS 3.7), and `/*/` holds
+    # none: with no `*/` after it, a `/*` is one BAD token to the end.
+    assert kinds_and_texts("/*/ x") == [(BAD, "/*/ x")]
+    assert kinds_and_texts("x ; /* a */ y /* b") == [
+        (IDENT, "x"), (PUNCT, ";"), (IDENT, "y"), (BAD, "/* b"),
+    ]
 
 
 def test_fixture_tokens_match_the_reference_scanner(valid_methods, broken_methods,

@@ -2,8 +2,8 @@
 
 The parser must produce a tree for every input (garbage included), mark
 broken regions with error or missing nodes, and parse the same input to
-the same tree every time. Construct coverage runs through the member
-wrapper so each snippet is judged in the same context the checker uses.
+the same tree every time. Construct coverage parses each snippet as the
+checker does: as the class-body members it is.
 """
 
 import random
@@ -21,7 +21,7 @@ from repairdx.javaparse.parser import (
     _OPERAND_KINDS,
     JavaParser,
 )
-from repairdx.syntax import check_syntax, wrap_method
+from repairdx.syntax import check_syntax
 
 
 def error_nodes(tree):
@@ -96,8 +96,7 @@ def test_node_spans_nest_within_parents(valid_methods, broken_methods,
     codes += fixture_codes(valid_methods, broken_methods, flagged_constructs,
                            abstraction_methods)
     for code in codes:
-        for src in (code, wrap_method(code)):
-            assert_tree_shape(parse_java(src))
+        assert_tree_shape(parse_java(code))
 
 
 SOUP_ATOMS = ["{", "}", "(", ")", ";", ",", "int", "if", "else", "x", "y", "0", "+",
@@ -111,8 +110,8 @@ SOUP_ATOMS = ["{", "}", "(", ")", ";", ",", "int", "if", "else", "x", "y", "0", 
 def test_token_soup_trees_keep_their_shape(atoms, depth):
     soup = " ".join(atoms)
     # Past about 70 open parentheses in a method body the depth guard cuts.
-    nest = wrap_method("void f ( ) { " + "( " * depth + soup)
-    for src in (soup, wrap_method(soup), nest):
+    nest = "void f ( ) { " + "( " * depth + soup
+    for src in (soup, nest):
         assert_tree_shape(parse_java(src))
 
 
@@ -120,7 +119,7 @@ def test_deep_nesting_is_bounded_in_time_and_never_crashes():
     start = time.monotonic()
     parse_java("(" * 3000)
     parse_java("{" * 3000)
-    deep_ifs = wrap_method("void f ( ) { " + "if ( x ) { " * 500 + "}" * 500 + " }")
+    deep_ifs = "void f ( ) { " + "if ( x ) { " * 500 + "}" * 500 + " }"
     parse_java(deep_ifs)
     assert time.monotonic() - start < 20.0
 
@@ -168,7 +167,7 @@ class LevelByLevelParser(JavaParser):
 
 
 def returning(expr: str) -> str:
-    return wrap_method("Object f ( ) { return " + expr + " ; }")
+    return "Object f ( ) { return " + expr + " ; }"
 
 
 def first_node(tree, kind):
@@ -191,20 +190,20 @@ def test_precedence_climbing_matches_level_by_level_descent(atoms):
 # Trees pinned from the level-by-level parser.
 BINARY_GOLDEN = {
     "a - b - c": (
-        "(binary_expression (binary_expression (identifier 'a' 34:35) (- '-' 36:37) "
-        "(identifier 'b' 38:39) ) (- '-' 40:41) (identifier 'c' 42:43) )"
+        "(binary_expression (binary_expression (identifier 'a' 22:23) (- '-' 24:25) "
+        "(identifier 'b' 26:27) ) (- '-' 28:29) (identifier 'c' 30:31) )"
     ),
     # all ten levels, loosest to tightest in mixed order
     "a * b + c || d << e & f == g ^ h < i | j && k - l": (
-        "(binary_expression (binary_expression (binary_expression (identifier 'a' 34:35) "
-        "(* '*' 36:37) (identifier 'b' 38:39) ) (+ '+' 40:41) (identifier 'c' 42:43) ) "
-        "(|| '||' 44:46) (binary_expression (binary_expression (binary_expression "
-        "(binary_expression (binary_expression (identifier 'd' 47:48) (<< '<<' 49:51) "
-        "(identifier 'e' 52:53) ) (& '&' 54:55) (binary_expression (identifier 'f' 56:57) "
-        "(== '==' 58:60) (identifier 'g' 61:62) ) ) (^ '^' 63:64) (binary_expression "
-        "(identifier 'h' 65:66) (< '<' 67:68) (identifier 'i' 69:70) ) ) (| '|' 71:72) "
-        "(identifier 'j' 73:74) ) (&& '&&' 75:77) (binary_expression (identifier 'k' 78:79) "
-        "(- '-' 80:81) (identifier 'l' 82:83) ) ) )"
+        "(binary_expression (binary_expression (binary_expression (identifier 'a' 22:23) "
+        "(* '*' 24:25) (identifier 'b' 26:27) ) (+ '+' 28:29) (identifier 'c' 30:31) ) "
+        "(|| '||' 32:34) (binary_expression (binary_expression (binary_expression "
+        "(binary_expression (binary_expression (identifier 'd' 35:36) (<< '<<' 37:39) "
+        "(identifier 'e' 40:41) ) (& '&' 42:43) (binary_expression (identifier 'f' 44:45) "
+        "(== '==' 46:48) (identifier 'g' 49:50) ) ) (^ '^' 51:52) (binary_expression "
+        "(identifier 'h' 53:54) (< '<' 55:56) (identifier 'i' 57:58) ) ) (| '|' 59:60) "
+        "(identifier 'j' 61:62) ) (&& '&&' 63:65) (binary_expression (identifier 'k' 66:67) "
+        "(- '-' 68:69) (identifier 'l' 70:71) ) ) )"
     ),
 }
 
@@ -220,11 +219,11 @@ def test_operator_after_instanceof_is_left_to_the_caller():
     # `+` binds tighter than instanceof, but a type cannot be its left
     # operand: the return statement ends after T and `+ 1 ;` follows.
     golden = (
-        "(block ({ '{' 25:26) (return_statement (return 'return' 27:33) "
-        "(instanceof_expression (identifier 'x' 34:35) (instanceof 'instanceof' 36:46) "
-        "(named_type (identifier 'T' 47:48) ) ) (MISSING ';' 49:49) ) "
-        "(expression_statement (unary_expression (+ '+' 49:50) (literal '1' 51:52) ) "
-        "(; ';' 53:54) ) (} '}' 55:56) )"
+        "(block ({ '{' 13:14) (return_statement (return 'return' 15:21) "
+        "(instanceof_expression (identifier 'x' 22:23) (instanceof 'instanceof' 24:34) "
+        "(named_type (identifier 'T' 35:36) ) ) (MISSING ';' 37:37) ) "
+        "(expression_statement (unary_expression (+ '+' 37:38) (literal '1' 39:40) ) "
+        "(; ';' 41:42) ) (} '}' 43:44) )"
     )
     for parser_cls in (JavaParser, LevelByLevelParser):
         block = first_node(parser_cls(returning("x instanceof T + 1")).parse(), "block")
@@ -232,7 +231,7 @@ def test_operator_after_instanceof_is_left_to_the_caller():
 
 
 # ----------------------------------------------------------------------
-# construct coverage (wrapped like the checker wraps predictions)
+# construct coverage
 
 VALID_SNIPPETS = [
     # expressions
@@ -382,6 +381,7 @@ INVALID_SNIPPETS = [
     "< public T > void f ( ) { }",
     "enum E { @ X public A }",
     "void f ( int x ) { switch ( x ) { @ interface A { } } }",  # no declaration in a switch block
+    "void f ( int x ) { switch ( x ) { @ interface ; } }",  # its recovery ends at the `;`
     # a for head that looks like a declaration up to where it fails
     "void f ( ) { for ( a . b < 1 > x : y ) ; }",  # a literal as a type argument
     "void f ( ) { for ( @ 1 x : y ) ; }",         # an annotation without a name
@@ -442,7 +442,7 @@ def test_nested_generic_closers_split_correctly():
     for closers, code in NESTED_CLOSERS:
         assert [t.text for t in tokenize(code) if t.text.startswith(">")] == closers
         assert check_syntax(code).valid, code
-        kinds = {n.kind for n in parse_java(wrap_method(code)).walk()}
+        kinds = {n.kind for n in parse_java(code).walk()}
         assert kinds & {"field_declaration", "local_variable_declaration"}, code
 
 
@@ -471,7 +471,7 @@ def test_dollar_signs_are_legal_identifier_characters():
 
 
 def test_error_nodes_cover_the_broken_region():
-    src = wrap_method("int f ( ) { return ### ; }")
+    src = "int f ( ) { return ### ; }"
     tree = parse_java(src)
     spans = [(n.start, n.end) for n in error_nodes(tree)]
     assert spans, "expected at least one error node"
@@ -489,9 +489,8 @@ def test_error_nodes_are_the_error_kinds_of_walk_in_order(valid_methods, broken_
     codes += [" ".join(rng.choice(SOUP_ATOMS) for _ in range(rng.randint(0, 40)))
               for _ in range(300)]
     for code in codes:
-        for src in (code, wrap_method(code)):
-            tree = parse_java(src)
-            assert tree.error_nodes() == [n for n in tree.walk() if n.is_error], src
+        tree = parse_java(code)
+        assert tree.error_nodes() == [n for n in tree.walk() if n.is_error], code
     leaf = next(n for n in parse_java("#").walk() if n.is_error)
     assert leaf.error_nodes() == [leaf]
 
@@ -500,7 +499,7 @@ def test_error_nodes_are_the_error_kinds_of_walk_in_order(valid_methods, broken_
 # only once no `class` follows: after the errors inside the modifiers
 # behind it were recorded.
 LATE_MODIFIER_ERRORS = [
-    wrap_method(f"void f ( ) {{ {stmt} }}")
+    f"void f ( ) {{ {stmt} }}"
     for stmt in ("final abstract abstract int x ;",
                  "final abstract @ A ( x , ) int x ;",
                  "@ A ( # ) strictfp abstract strictfp int x = 1 ;",
@@ -539,23 +538,43 @@ def test_lookahead_builds_no_node(monkeypatch, valid_methods, broken_methods,
     codes = fixture_codes(valid_methods, broken_methods, flagged_constructs,
                           abstraction_methods)
     for code in codes:
-        for src in (code, wrap_method(code)):
-            parser = JavaParser(src)
-            parser.parse()
-            errors = list(parser.errors)
-            made.clear()
-            # Every token; the last two are the EOF and its padding copy.
-            for i in range(len(parser.toks) - 2):
-                for name in LOOKAHEADS:
-                    parser.i = i
-                    getattr(parser, name)()
-                    assert (made, parser.errors, parser.i) == ([], errors, i), (name, i, src)
+        parser = JavaParser(code)
+        parser.parse()
+        errors = list(parser.errors)
+        made.clear()
+        # Every token; the last two are the EOF and its padding copy.
+        for i in range(len(parser.toks) - 2):
+            for name in LOOKAHEADS:
+                parser.i = i
+                getattr(parser, name)()
+                assert (made, parser.errors, parser.i) == ([], errors, i), (name, i, code)
     Node("x", 0, 0)
     assert made == [("x", 0, 0)]  # the counter sees a node when one is made
 
 
+def test_a_member_takes_a_token_wherever_it_starts(valid_methods, broken_methods,
+                                                   flagged_constructs, abstraction_methods):
+    # The top level and a class body loop on `_parse_member` with no guard
+    # of their own, so a member must take at least one token from any
+    # position but the end, whatever stands there.
+    rng = random.Random(35)
+    codes = fixture_codes(valid_methods, broken_methods, flagged_constructs,
+                          abstraction_methods)
+    codes += [" ".join(rng.choice(SOUP_ATOMS) for _ in range(rng.randint(1, 40)))
+              for _ in range(300)]
+    for code in codes:
+        parser = JavaParser(code)
+        toks = list(parser.toks)
+        # Every token but the EOF and its padding copy.
+        for i in range(len(toks) - 2):
+            # A member may split a `>>` token; each start sees the lexer's.
+            parser.toks, parser.i = list(toks), i
+            parser._parse_member()
+            assert parser.i > i, (code, i)
+
+
 def test_missing_nodes_are_zero_width():
-    src = wrap_method("int f ( ) { return 1 }")  # missing semicolon
+    src = "int f ( ) { return 1 }"  # missing semicolon
     tree = parse_java(src)
     missing = [n for n in tree.walk() if n.kind == MISSING]
     assert missing
@@ -686,7 +705,7 @@ def test_parameter_takes_final_and_annotations(code):
 
 
 def test_resource_that_is_no_declaration_holds_its_modifier_once():
-    src = wrap_method("void f ( ) { try ( final r ) { } }")
+    src = "void f ( ) { try ( final r ) { } }"
     start = src.index("final")
     spans = [n for n in parse_java(src).walk() if (n.start, n.end) == (start, start + 5)]
     assert [n.kind for n in spans] == ["final"]
@@ -739,7 +758,7 @@ def test_nested_annotated_resources_parse_in_linear_time():
 def test_only_a_primitive_cast_takes_a_sign(code):
     # `( a ) + b` is a sum: a reference type takes no sign operator
     # before its operand (JLS 15.16).
-    tree = parse_java(wrap_method(code))
+    tree = parse_java(code)
     casts = [n for n in tree.walk() if n.kind == "cast_expression"]
     assert check_syntax(code).valid
     assert len(casts) == ("( int )" in code)
@@ -749,7 +768,7 @@ def test_only_a_primitive_cast_takes_a_sign(code):
 def test_yield_before_a_semicolon_is_the_variable(op):
     # As in javac, `yield ++ ;` updates a variable named `yield`.
     code = f"void f ( ) {{ yield {op} ; }}"
-    tree = parse_java(wrap_method(code))
+    tree = parse_java(code)
     assert check_syntax(code).valid
     assert "yield_statement" not in {n.kind for n in tree.walk()}
 

@@ -2,7 +2,7 @@
 
 The CLI goldens pin output bytes, but a front-end change can move a tree
 without moving any output byte. This hash covers ``Node.sexp()`` of each
-wrapped fixture row and its ``check_syntax`` verdict, so it moves only
+fixture row and its ``check_syntax`` verdict, so it moves only
 when a tree or a verdict moves; a change that moves one must say which
 rows moved and why.
 """
@@ -10,7 +10,7 @@ rows moved and why.
 import hashlib
 
 from repairdx.javaparse import parse_java
-from repairdx.syntax import check_syntax, wrap_method
+from repairdx.syntax import check_syntax
 
 from conftest import DATA, load_jsonl
 
@@ -21,7 +21,7 @@ FIXTURES = [
     "valid_methods.jsonl",
 ]
 ROWS = 127
-EXPECTED_SHA256 = "be44745dc5dbc85b5420d073c513d0af1193788e779255e54e9ba1c4c2fd475b"
+EXPECTED_SHA256 = "9b6eb5ada6454d833bf9b0d45fa179f5df54ec91dec4a401d1bcca05cbf01718"
 
 
 def test_every_fixture_tree_and_verdict_is_pinned():
@@ -32,7 +32,7 @@ def test_every_fixture_tree_and_verdict_is_pinned():
             code = row["code"]
             verdict = check_syntax(code)
             line = "\t".join([
-                name, row["id"], parse_java(wrap_method(code)).sexp(),
+                name, row["id"], parse_java(code).sexp(),
                 str(verdict.valid), str(verdict.error_count), repr(verdict.error_spans),
             ])
             digest.update(line.encode("utf-8") + b"\n")

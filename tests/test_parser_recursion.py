@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repairdx.cli import main
 from repairdx.javaparse import LIMIT, JavaParser, parse_java
-from repairdx.syntax import check_syntax, wrap_method
+from repairdx.syntax import check_syntax
 
 from conftest import write_jsonl
 
@@ -153,7 +153,7 @@ def default_recursion_limit():
 def test_frames_stay_within_budget_at_any_depth(family):
     build, boundary = FAMILIES[family]
     for depth in (1, 10, boundary - 1, boundary, boundary + 1, 2 * boundary, 5000):
-        frames = peak_frames(wrap_method(build(depth)))
+        frames = peak_frames(build(depth))
         assert frames <= FRAME_BUDGET, (family, depth, frames)
 
 
@@ -176,7 +176,7 @@ def test_parsing_never_sets_the_recursion_limit(monkeypatch):
     before = sys.getrecursionlimit()
     for build, boundary in FAMILIES.values():
         code = build(boundary + 1)
-        parse_java(wrap_method(code))
+        parse_java(code)
         check_syntax(code)
         assert sys.getrecursionlimit() == before
     assert calls == []
@@ -189,7 +189,7 @@ def test_concurrent_deep_parses_leave_the_limit_alone():
 
     def work():
         for _ in range(200):
-            parse_java(wrap_method(code))
+            parse_java(code)
             seen.append(sys.getrecursionlimit())
 
     threads = [threading.Thread(target=work) for _ in range(4)]
@@ -222,7 +222,7 @@ def test_unbalanced_deep_nest_is_plainly_invalid():
 
 def test_balanced_5000_deep_nest_stops_at_the_guard():
     code = FAMILIES["parentheses"][0](5000)
-    root = parse_java(wrap_method(code))
+    root = parse_java(code)
     # One LIMIT node and nothing else: no recovery ran after the cut.
     assert [n.kind for n in root.error_nodes()] == [LIMIT]
     assert [n.kind for n in root.children] == [LIMIT]

@@ -1,39 +1,13 @@
-"""Syntax checking: wrapping, verdicts, validity arithmetic, fixtures."""
+"""Syntax checking: verdicts and their spans, validity arithmetic, fixtures."""
 
 import random
 
 import pytest
 
+from repairdx.javaparse import LIMIT, parse_java, tokenize
 from repairdx.metrics import BehaviorClass, EvalRecord
-from repairdx.syntax import (
-    WRAP_PREFIX,
-    WRAP_SUFFIX,
-    SyntaxVerdict,
-    check_syntax,
-    wrap_method,
-)
+from repairdx.syntax import SyntaxVerdict, check_syntax
 from repairdx.tracking import summarize_records
-
-
-# ----------------------------------------------------------------------
-# wrap_method
-
-
-def test_wrap_embeds_the_fragment_verbatim():
-    assert wrap_method("int METHOD_1 ( ) { return 0 ; }") == (
-        "class __W { int METHOD_1 ( ) { return 0 ; }\n}"
-    )
-
-
-def test_wrap_of_empty_string():
-    assert wrap_method("") == "class __W { \n}"
-
-
-def test_wrap_never_alters_the_fragment():
-    snippet = "}"
-    wrapped = wrap_method(snippet)
-    assert wrapped == WRAP_PREFIX + snippet + WRAP_SUFFIX
-    assert snippet in wrapped
 
 
 def test_wrapper_alone_is_neutral():
@@ -51,7 +25,6 @@ def test_valid_method_fragment():
 
 
 def test_fragment_ending_in_a_line_comment_is_valid():
-    # The comment must not swallow the wrapper's closing brace.
     code = "void f ( ) { } // done"
     assert check_syntax(code).valid
     assert check_syntax(code) == check_syntax(code + "\n")
@@ -109,21 +82,43 @@ def test_check_syntax_is_deterministic():
         assert check_syntax(code) == check_syntax(code)
 
 
-# A fragment that closes the wrapper class early and opens a second class
-# parses clean; the wrapper's own brace then closes the second class.
-WRAPPER_ESCAPES = [
+# A fragment is class-body members, so a `}` that closes no brace of its
+# own is an error where it stands, and the class opened after it is never
+# closed: its `}` is MISSING at the end.
+STRAY_CLOSING_BRACES = [
     ("} class X {", 0),
     ("int f ( ) { return 1 ; } } class Z { void h ( ) { }", 25),
 ]
 
 
-@pytest.mark.parametrize("code,brace", WRAPPER_ESCAPES)
+@pytest.mark.parametrize("code,brace", STRAY_CLOSING_BRACES)
 def test_fragment_that_closes_the_wrapper_is_invalid(code, brace):
     assert code[brace] == "}"
     v = check_syntax(code)
     assert not v.valid
-    assert v.error_count == 1
-    assert v.error_spans == ((brace, brace + 1),)
+    assert v.error_spans == ((brace, brace + 1), (len(code), len(code)))
+
+
+# Each span lies on the text where the fragment stops being Java.
+@pytest.mark.parametrize("code,spans", [
+    ("int f ( ) { return 1 ; } }", ((25, 26),)),
+    ("} class X {", ((0, 1), (11, 11))),
+    # Cut by the depth guard, with the brackets unbalanced: the span is
+    # the first unmatched bracket, the method's `{`.
+    ("void f ( ) { " + "( " * 300, ((11, 12),)),
+    # A `/*` with no `*/` is no comment (JLS 3.7), but unrecognized text.
+    ("int x ; /* tail", ((8, 15),)),
+    ("/* note", ((0, 7),)),
+    ("package a ;", ((0, 9),)),
+])
+def test_error_spans_lie_where_the_fragment_goes_wrong(code, spans):
+    v = check_syntax(code)
+    assert v.error_spans == spans
+    assert not v.limit_exceeded
+
+
+def test_a_comment_alone_is_valid():
+    assert check_syntax("// note").valid and check_syntax("/* note */").valid
 
 
 def test_appending_unmatched_brace_turns_valid_into_invalid():
@@ -170,6 +165,38 @@ def test_a_carriage_return_ends_a_line(code, valid):
     ("@ A ( x = ) void f ( ) { }", False),
 ])
 def test_annotation_element_value_arrays(code, valid):
+    assert check_syntax(code).valid is valid
+
+
+# An annotation's arguments are element-value pairs only, or one element
+# value alone (JLS 9.7.1).
+@pytest.mark.parametrize("code,valid", [
+    ("@ A ( 1 , 2 ) void f ( ) { }", False),
+    ("@ A ( x = 1 , 2 ) void f ( ) { }", False),
+    ("@ A ( 1 , x = 2 ) void f ( ) { }", False),
+    ("@ A ( x = 1 , y = 2 ) void f ( ) { }", True),
+    ("@ A ( { 1 , 2 } ) void f ( ) { }", True),
+    ("@ A ( 1 ) void f ( ) { }", True),
+])
+def test_annotation_arguments_are_pairs_or_one_value(code, valid):
+    assert check_syntax(code).valid is valid
+
+
+# A lambda's parameters are all inferred, bare identifiers with no
+# modifier, or all declared (JLS 15.27.1); a variable-arity formal
+# parameter comes last (JLS 8.4.1).
+@pytest.mark.parametrize("code,valid", [
+    ("Object f ( ) { return ( a , int b ) -> a ; }", False),
+    ("Object f ( ) { return ( int a , b ) -> a ; }", False),
+    ("Object f ( ) { return ( final a ) -> a ; }", False),
+    ("Object f ( ) { return ( @ A a ) -> a ; }", False),
+    ("void f ( int ... a , int b ) { }", False),
+    ("Object f ( ) { return ( final var a ) -> a ; }", True),
+    ("Object f ( ) { return ( a , b ) -> a ; }", True),
+    ("Object f ( ) { return ( int a , final int b ) -> a ; }", True),
+    ("void f ( int a , int ... b ) { }", True),
+])
+def test_lambda_parameters_are_one_form_and_varargs_come_last(code, valid):
     assert check_syntax(code).valid is valid
 
 
@@ -279,3 +306,63 @@ def test_flagged_constructs_match_their_documented_verdicts(flagged_constructs):
     # fixture records that limitation so a behavior change is noticed
     for row in flagged_constructs:
         assert check_syntax(row["code"]).valid == (not row["flagged"]), row["id"]
+
+
+# ----------------------------------------------------------------------
+# the validity rule of the synthetic wrapper class, kept as an oracle
+
+
+def _wrapped_verdict(code: str) -> tuple[bool, bool]:
+    """``(valid, limit_exceeded)`` by the rule the checker used before it
+    parsed a fragment as class-body members: the fragment goes inside
+    ``class W { ... \\n}``, and it is valid when the parse is clean and is
+    one class that ends at the last brace. The class is one more level of
+    nesting, so the rule agrees only on input well inside the depth guard.
+    """
+    if not code.strip():
+        return False, False
+    src = "class W { " + code + "\n}"
+    errors = []
+    root = parse_java(src, errors)
+    if errors:
+        return False, root.children[0].kind == LIMIT
+    return len(root.children) == 1 and root.children[0].end == len(src), False
+
+
+MUTANT_ATOMS = ["{", "}", "(", ")", "[", "]", ";", ",", ".", "=", "<", ">", "->", "::",
+                "@", "int", "class", "return", "x", "1", "/*", "//", "#", "}"]
+
+
+def _single_token_mutants(code: str, rng: random.Random, count: int) -> list[str]:
+    """``count`` texts that differ from ``code`` in one token: deleted,
+    replaced, or with an atom inserted before it."""
+    toks = tokenize(code)[:-1]
+    mutants = []
+    for _ in range(count):
+        tok = rng.choice(toks)
+        atom = rng.choice(MUTANT_ATOMS)
+        head, tail = code[:tok.start], code[tok.end:]
+        mutants.append(rng.choice([
+            head + tail,
+            head + atom + tail,
+            head + atom + " " + code[tok.start:],
+        ]))
+    return mutants
+
+
+def test_validity_is_that_of_the_synthetic_wrapper(valid_methods, broken_methods,
+                                                   flagged_constructs, abstraction_methods):
+    rng = random.Random(35)
+    codes = []
+    for rows in (valid_methods, broken_methods, flagged_constructs, abstraction_methods):
+        for row in rows:
+            code = row["code"]
+            codes.append(code)
+            codes += [code[:tok.end] for tok in tokenize(code)[:-1]]
+            codes += _single_token_mutants(code, rng, 20)
+    assert len(codes) > 5000
+    for code in codes:
+        v = check_syntax(code)
+        assert (v.valid, v.limit_exceeded) == _wrapped_verdict(code), code
+        for start, end in v.error_spans:
+            assert 0 <= start <= end <= len(code), (code, v.error_spans)
