@@ -17,11 +17,18 @@ return type is named `record`.
 The parser is deterministic: equal inputs yield equal trees. Instances are
 single-use; `parse_java` constructs a fresh one per call. Each ERROR,
 MISSING and LIMIT node is recorded in `errors` where it is made, so no
-caller walks a tree to find them. Lookahead builds no nodes, and a cut
-(below) clears the record with the tree, so no recorded node is dropped.
-Parse time is linear in nesting depth: the lambda and declaration-head
-scans skip a parenthesized list through a paren-match table built once
-per parse, and binary operators are parsed by precedence climbing.
+caller walks a tree to find them.
+
+Where a choice needs tokens ahead, the real rule runs as a trial: a
+declaration's type must be followed by a name, a cast's `( Type )` by an
+operand, and a lambda's parameters by `->` or by the end of the text. A
+trial that fits is kept. One that does not is rewound: the position,
+the errors it recorded and each `>` it split off a composite token are
+put back, so the record stays the tree's own, as it does when a cut
+(below) clears it with the tree. A trial skips an annotation's
+arguments through a paren-match table built once per parse, so it holds
+no expression and no other trial. With binary operators parsed by
+precedence climbing, parse time stays linear in nesting depth.
 
 Recursion is bounded by a depth guard, not by the interpreter. Every
 recursive cycle of the grammar passes through a guarded method
@@ -48,11 +55,11 @@ on an element that takes no token. Each list gives only its JLS facts:
 |---|---|---|---|---|
 | annotation arguments, all pairs or one value (9.7.1) | `)` | `,` | yes | no |
 | array initializer (10.6, 9.7.1) | `}` | `,` | yes | yes, even alone: `{ , }` |
-| formal parameters, a variable-arity one last (8.4.1) | `)` | `,` | yes | no |
+| formal parameters, also a lambda's declared ones; varargs last (8.4.1) | `)` | `,` | yes | no |
 | type parameters (8.1.2) | `>` | `,` | no | no |
 | resources (14.20.3) | `)` | `;` | no | yes |
 | arguments (15.12) | `)` | `,` | yes | no |
-| lambda parameters, all inferred or all declared (15.27.1) | `)` | `,` | yes | no |
+| inferred lambda parameters (15.27.1) | `)` | `,` | yes | no |
 
 A token's text decides what it is. The lexer gives an operator text only
 to a PUNCT token and a keyword text only to a KEYWORD token, and no
@@ -135,10 +142,6 @@ _EXPRESSION_START = PRIMITIVE_TYPES | _LITERAL_KEYWORDS | _PREFIX_OPS | {
 _MEMBER_SYNC = frozenset(["}", ";", "class", "interface", "enum"])
 _BLOCK_SYNC = frozenset(["}"])
 
-# Besides identifiers, `<` and the `>` tokens, the texts a type-argument
-# list may hold.
-_TYPE_ARGUMENT_TEXTS = PRIMITIVE_TYPES | {",", ".", "?", "[", "]", "@", "extends", "super"}
-
 # Tokens that may close one or more type-argument lists.
 _GT_TOKENS = frozenset([">", ">>", ">>>", ">=", ">>=", ">>>="])
 
@@ -204,6 +207,12 @@ class JavaParser:
         self._paren_match: dict[int, int] | None = None
         # The tree's error nodes, in the order `_error` makes them.
         self.errors: list[Node] = [] if errors is None else errors
+        # Each composite `>` token that `_expect_gt` split, as (index, the
+        # token before the split), so that a trial can put it back.
+        self._splits: list[tuple[int, Token]] = []
+        # While a trial runs, whether it skipped an annotation's arguments;
+        # None when no trial runs.
+        self._skipped: bool | None = None
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -357,7 +366,13 @@ class JavaParser:
             while self.at(".") and self.toks[self.i + 1].kind == IDENT:
                 kids.append(self.take())
                 kids.append(self.take())
-            if self.at("("):
+            if self.at("(") and self._skipped is not None:
+                # In a trial the arguments are skipped whole; an unmatched
+                # `(` runs to the end of the text.
+                close = self._close_paren(self.i)
+                self.i = len(self.toks) - 2 if close is None else close + 1
+                self._skipped = True
+            elif self.at("("):
                 # Element-value pairs, each an assignment node, or one
                 # element value alone (JLS 9.7.1).
                 args = [self.take()]
@@ -443,9 +458,7 @@ class JavaParser:
 
     def _parse_type_list(self) -> Node:
         kids = [self.parse_type()]
-        while self.at(","):
-            kids.append(self.take())
-            kids.append(self.parse_type())
+        self._parse_more_types(kids, ",")
         return self._node("type_list", kids)
 
     def _parse_class_body(self, kids: list[Node] | None = None,
@@ -558,8 +571,9 @@ class JavaParser:
             self.depth -= 1
 
     def _parse_formal_parameters(self) -> Node:
-        """The parameters of a method or constructor (JLS 8.4.1), of which
-        a variable-arity one comes last."""
+        """The parameters of a method, a constructor or a lambda with
+        declared parameters (JLS 8.4.1, 15.27.1). A variable-arity one
+        comes last and takes no `[ ]` after its name."""
         kids = [self.take()]
         while self._more(kids, ")"):
             param = self._parse_modifiers(_PARAMETER_MODIFIERS)
@@ -572,7 +586,7 @@ class JavaParser:
             if last:
                 param.append(self.take())
             param.append(self.expect_ident())
-            kids.append(self._node("formal_parameter", self._parse_dims(param)))
+            kids.append(self._node("formal_parameter", param if last else self._parse_dims(param)))
             if last:
                 kids.append(self.expect(")"))
                 break
@@ -589,11 +603,18 @@ class JavaParser:
             if self.at("extends"):
                 tp.append(self.take())
                 tp.append(self.parse_type())
-                while self.at("&"):
-                    tp.append(self.take())
-                    tp.append(self.parse_type())
+                self._parse_more_types(tp, "&")
             kids.append(self._node("type_parameter", tp))
         return self._node("type_parameters", kids)
+
+    def _parse_more_types(self, kids: list[Node], sep: str) -> None:
+        """Append to ``kids`` each `sep Type` ahead: the types of a list
+        (`,`), the alternatives of a catch parameter (`|`, JLS 14.20), or
+        the additional bounds of a type parameter or an intersection cast
+        (`&`, JLS 4.4, 15.16)."""
+        while self.at(sep):
+            kids.append(self.take())
+            kids.append(self.parse_type())
 
     def _at_gt(self) -> bool:
         return self.toks[self.i].text in _GT_TOKENS
@@ -604,19 +625,24 @@ class JavaParser:
             return self.take()
         if t.text in _GT_TOKENS:
             # Split one '>' off a composite token (closes nested generics).
+            self._splits.append((self.i, t))
             self.toks[self.i] = Token(PUNCT, t.text[1:], t.start + 1, t.end)
             return Node(">", t.start, t.start + 1, text=">")
         return self.missing(">")
 
     def parse_type(self) -> Node:
+        """A type, after its type-use annotations (JLS 4.11), which become
+        the first children of its primitive or named type."""
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
+            kids = self._parse_modifiers(frozenset())  # annotations
             if self.at_any(PRIMITIVE_TYPES):
-                base = self._node("primitive_type", [self.take()])
+                kids.append(self.take())
+                base = self._node("primitive_type", kids)
             else:
-                base = self._parse_named_type()
+                base = self._parse_named_type(kids)
             kids = self._parse_dims([base])
             if len(kids) > 1:
                 return self._node("array_type", kids)
@@ -624,9 +650,10 @@ class JavaParser:
         finally:
             self.depth -= 1
 
-    def _parse_named_type(self) -> Node:
-        """A class type, `A<B>.C<D>`, without array dims."""
-        kids = [self.expect_ident()]
+    def _parse_named_type(self, kids: list[Node]) -> Node:
+        """A class type, `A<B>.C<D>`, without array dims, after the
+        annotations in ``kids``."""
+        kids.append(self.expect_ident())
         if self.at("<"):
             kids.append(self._parse_type_arguments())
         while self.at(".") and self.toks[self.i + 1].kind == IDENT:
@@ -664,49 +691,32 @@ class JavaParser:
         return self._node("type_arguments", kids)
 
     # ------------------------------------------------------------------
-    # speculative scanning (index-only, no node construction)
+    # trials: the real rule, kept when it fits, else undone
 
-    def _scan_type(self) -> bool:
-        t = self.toks[self.i]
-        if t.text in PRIMITIVE_TYPES:
-            self.i += 1
-            self._scan_dims()
-            return True
-        if t.kind != IDENT:
-            return False
-        self.i += 1
-        if self.at("<") and not self._scan_type_args():
-            return False
-        while self.at(".") and self.toks[self.i + 1].kind == IDENT:
-            self.i += 2
-            if self.at("<") and not self._scan_type_args():
-                return False
-        self._scan_dims()
-        return True
+    def _trial(self, rule, fits):
+        """``rule``'s result here, if it records no error or runs to the
+        end of the text, and ``fits()`` holds after it. Else None, and the
+        trial leaves no trace: its position, its recorded errors and each
+        `>` it split off a composite token are put back.
 
-    def _scan_dims(self) -> None:
-        while self.at("[") and self.toks[self.i + 1].text == "]":
-            self.i += 2
-
-    def _scan_type_args(self) -> bool:
-        depth = 0
-        while not self.at_eof():
-            t = self.toks[self.i]
-            if t.text == "<":
-                depth += 1
-            elif t.text in _GT_TOKENS:
-                closes = len(t.text) if t.text in (">", ">>", ">>>") else None
-                if closes is None or closes > depth:
-                    return False
-                depth -= closes
-                self.i += 1
-                if depth == 0:
-                    return True
-                continue
-            elif t.kind != IDENT and t.text not in _TYPE_ARGUMENT_TEXTS:
-                return False
-            self.i += 1
-        return False
+        A trial skips an annotation's arguments, so it parses no expression
+        and holds no other trial, and it costs the tokens it spans. An
+        accepted trial that skipped arguments is parsed again to build
+        them; any other keeps its nodes.
+        """
+        i, mark, splits = self.i, len(self.errors), len(self._splits)
+        self._skipped = False
+        result = rule()
+        ok = fits() and (len(self.errors) == mark or self.at_eof())
+        skipped, self._skipped = self._skipped, None
+        if ok and not skipped:
+            return result
+        self.i = i
+        del self.errors[mark:]
+        while len(self._splits) > splits:
+            j, tok = self._splits.pop()
+            self.toks[j] = tok
+        return rule() if ok else None
 
     def _close_paren(self, i: int) -> int | None:
         """Index of the ')' that matches the '(' at token ``i``, if any.
@@ -726,64 +736,60 @@ class JavaParser:
             self._paren_match = match
         return self._paren_match.get(i)
 
-    def _declaration_ahead(self) -> int:
-        """Does `{final | annotation} Type name` start here? The index just
-        past the name if so, else 0.
+    def _declaration_head(self) -> list[Node] | None:
+        """`{final | annotation} Type`, if a name follows it: the head of a
+        local variable declaration (JLS 14.4), of an enhanced for (14.14.2)
+        or of a resource (14.20.3)."""
+        return self._trial(self._parse_declaration_head, self.at_ident)
 
-        This is the head of a local variable declaration (JLS 14.4), of an
-        enhanced for (14.14.2) and of a resource (14.20.3). An annotation is
-        skipped whole, its argument list by the paren-match table.
-        """
-        mark = self.i
-        try:
-            while True:
-                text = self.toks[self.i].text
-                if text in _PARAMETER_MODIFIERS:
-                    self.i += 1
-                elif text == "@":
-                    self.i += 1
-                    if not self.at_ident():
-                        return 0
-                    self.i += 1
-                    while self.at(".") and self.toks[self.i + 1].kind == IDENT:
-                        self.i += 2
-                    if self.at("("):
-                        close = self._close_paren(self.i)
-                        if close is None:
-                            return 0
-                        self.i = close + 1
-                else:
-                    break
-            if self._scan_type() and self.at_ident():
-                return self.i + 1
-            return 0
-        finally:
-            self.i = mark
+    def _parse_declaration_head(self) -> list[Node]:
+        kids = self._parse_modifiers(_PARAMETER_MODIFIERS)
+        kids.append(self.parse_type())
+        return kids
 
-    def _lambda_ahead(self) -> bool:
+    def _parse_cast_head(self) -> list[Node]:
+        """`( Type )`, or `( Type & Bound ... )` of an intersection cast
+        (JLS 15.16)."""
+        kids = [self.take(), self.parse_type()]
+        if kids[1].kind != "primitive_type":
+            self._parse_more_types(kids, "&")
+        kids.append(self.expect(")"))
+        return kids
+
+    def _cast_operand_ahead(self) -> bool:
+        """After a cast's `)`: does an operand start here? A reference type
+        takes no sign operator before it: `( a ) - b` is a difference."""
         t = self.toks[self.i]
-        if t.kind == IDENT:
-            return self.toks[self.i + 1].text == "->"
-        if t.text == "(":
-            close = self._close_paren(self.i)  # EOF follows every ')'
-            return close is not None and self.toks[close + 1].text == "->"
-        return False
+        if t.kind in _OPERAND_KINDS:
+            return True
+        # A type ends in a primitive keyword exactly when it is primitive.
+        primitive = self.toks[self.i - 2].text in PRIMITIVE_TYPES
+        return t.text in _EXPRESSION_START and (primitive or t.text not in _SIGN_OPS)
 
-    def _cast_ahead(self) -> bool:
-        """At '(': does a cast `(Type) operand` start here?"""
-        mark = self.i
-        try:
-            self.i += 1  # (
-            if not self._scan_type() or not self.at(")"):
-                return False
-            nxt = self.toks[self.i + 1]
-            if nxt.kind in _OPERAND_KINDS:
-                return True
-            # A type ends in a primitive keyword exactly when it is primitive.
-            primitive = self.toks[self.i - 1].text in PRIMITIVE_TYPES
-            return nxt.text in _EXPRESSION_START and (primitive or nxt.text not in _SIGN_OPS)
-        finally:
-            self.i = mark
+    def _lambda_head(self) -> Node | None:
+        """The parameters of a lambda expression, if one starts here: a
+        name before `->`, or a parenthesized list before `->` or before
+        the end of a text that stops there."""
+        if self.at_ident() and self.toks[self.i + 1].text == "->":
+            return self._node("lambda_parameters", [self.take()])
+        if self.at("("):
+            return self._trial(self._parse_lambda_parameters, self._arrow_ahead)
+        return None
+
+    def _arrow_ahead(self) -> bool:
+        return self.at("->") or self.at_eof()
+
+    def _parse_lambda_parameters(self) -> Node:
+        """Lambda parameters (JLS 15.27.1): all declared, which are formal
+        parameters, or all inferred, bare names; the first decides."""
+        nxt = self.toks[self.i + 1]
+        inferred = nxt.kind == IDENT and self.toks[self.i + 2].text in (",", ")")
+        if not (inferred or nxt.text == ")"):
+            return self._parse_formal_parameters()
+        kids = [self.take()]
+        while self._more(kids, ")"):
+            kids.append(self.expect_ident())
+        return self._node("lambda_parameters", kids)
 
     # ------------------------------------------------------------------
     # statements
@@ -822,8 +828,9 @@ class JavaParser:
                 if t.text == "yield" and self._yield_statement_ahead():
                     kids = [self.take(), self.parse_expression(), self.expect(";")]
                     return self._node("yield_statement", kids)
-                if self._declaration_ahead():
-                    return self._parse_local_declaration()
+                head = self._declaration_head()
+                if head is not None:
+                    return self._parse_local_declaration(head)
                 return self._parse_expression_statement()
             if t.kind in _LITERAL_KINDS:
                 return self._parse_expression_statement()
@@ -850,18 +857,23 @@ class JavaParser:
         kids = [self.parse_expression(), self.expect(";")]
         return self._node("expression_statement", kids)
 
-    def _parse_local_declaration(self) -> Node:
+    def _parse_local_declaration(self, head: list[Node] | None = None) -> Node:
         """A local variable declaration (JLS 14.4), or a local class
         (JLS 14.3) after `final` or an annotation. Besides annotations, a
         class takes the local-class modifiers and a variable `final`
-        alone: before a type, `abstract` and `strictfp` are error leaves."""
-        kids = self._parse_modifiers(_LOCAL_CLASS_MODIFIERS)
-        if self.at("class"):
-            return self._parse_type_declaration(kids)
-        kids = [self._error(ERROR, k.start, k.end, k.text)
-                if k.kind in _LOCAL_CLASS_MODIFIERS and k.kind != "final" else k
-                for k in kids]
-        kids.append(self.parse_type())
+        alone: before a type, `abstract` and `strictfp` are error leaves.
+        A ``head`` that a trial took is the declaration's type and all
+        before it."""
+        if head is not None:
+            kids = head
+        else:
+            kids = self._parse_modifiers(_LOCAL_CLASS_MODIFIERS)
+            if self.at("class"):
+                return self._parse_type_declaration(kids)
+            kids = [self._error(ERROR, k.start, k.end, k.text)
+                    if k.kind in _LOCAL_CLASS_MODIFIERS and k.kind != "final" else k
+                    for k in kids]
+            kids.append(self.parse_type())
         self._parse_declarators(kids)
         kids.append(self.expect(";"))
         return self._node("local_variable_declaration", kids)
@@ -889,23 +901,20 @@ class JavaParser:
 
     def _parse_for(self) -> Node:
         kids = [self.take(), self.expect("(")]
-        end = self._declaration_ahead()
-        if end and self.toks[end].text == ":":
-            kids.extend(self._parse_modifiers(_PARAMETER_MODIFIERS))
-            kids.append(self.parse_type())
-            kids.append(self.expect_ident())
-            kids.append(self.expect(":"))
+        head = self._declaration_head()
+        if head is not None and self.toks[self.i + 1].text == ":":
+            kids.extend(head)
+            kids.append(self.take())  # the name
+            kids.append(self.take())  # :
             kids.append(self.parse_expression())
             kids.append(self.expect(")"))
             kids.append(self.parse_statement())
             return self._node("enhanced_for_statement", kids)
-        if end:
+        if head is not None:
             # A local declaration without its ';', parsed in this frame so
             # that an initializer sits no deeper than in a statement.
-            init = self._parse_modifiers(_PARAMETER_MODIFIERS)
-            init.append(self.parse_type())
-            self._parse_declarators(init)
-            kids.append(self._node("local_variable_declaration", init))
+            self._parse_declarators(head)
+            kids.append(self._node("local_variable_declaration", head))
         elif not self.at(";"):
             kids.append(self._parse_expression_list())
         kids.append(self.expect(";"))
@@ -1006,9 +1015,7 @@ class JavaParser:
             catch = [self.take(), self.expect("(")]
             catch.extend(self._parse_modifiers(_PARAMETER_MODIFIERS))
             catch.append(self.parse_type())
-            while self.at("|"):
-                catch.append(self.take())
-                catch.append(self.parse_type())
+            self._parse_more_types(catch, "|")
             catch.append(self.expect_ident())
             catch.append(self.expect(")"))
             catch.append(self.parse_block() if self.at("{") else self.missing("{"))
@@ -1024,10 +1031,9 @@ class JavaParser:
     def _parse_resources(self) -> Node:
         kids = [self.take()]
         while self._more(kids, ")", ";", empty=False, trailing=True):
-            if self._declaration_ahead():
-                res = self._parse_modifiers(_PARAMETER_MODIFIERS)
-                res.append(self.parse_type())
-                res.append(self.expect_ident())
+            res = self._declaration_head()
+            if res is not None:
+                res.append(self.take())  # the name
                 res.append(self.expect("="))
             else:
                 res = []
@@ -1045,14 +1051,17 @@ class JavaParser:
         try:
             if self.depth > _MAX_DEPTH:
                 raise _NestingLimit
-            if not conditional and self._lambda_ahead():
-                return self._parse_lambda()
+            if not conditional:
+                head = self._lambda_head()
+                if head is not None:
+                    return self._parse_lambda(head)
             left = self._parse_binary(0)
             if self.at("?"):
                 kids = [left, self.take(), self.parse_expression(), self.expect(":")]
                 # The third operand is a conditional or a lambda expression.
-                kids.append(self._parse_lambda() if self._lambda_ahead()
-                            else self.parse_expression(conditional=True))
+                head = self._lambda_head()
+                kids.append(self.parse_expression(conditional=True) if head is None
+                            else self._parse_lambda(head))
                 left = self._node("ternary", kids)
             if not conditional and self.at_any(_ASSIGN_OPS):
                 target = left
@@ -1112,13 +1121,13 @@ class JavaParser:
             if t.text in _PREFIX_OPS:
                 kids = [self.take(), self._parse_unary()]
                 return self._node("unary_expression", kids)
-            if t.text == "(" and self._cast_ahead():
-                kids = [self.take(), self.parse_type(), self.expect(")")]
-                if kids[1].kind != "primitive_type" and self._lambda_ahead():
-                    kids.append(self._parse_lambda())
-                else:
-                    kids.append(self._parse_unary())
-                return self._node("cast_expression", kids)
+            if t.text == "(":
+                kids = self._trial(self._parse_cast_head, self._cast_operand_ahead)
+                if kids is not None:
+                    # Only a reference type may cast a lambda (JLS 15.16).
+                    head = None if kids[1].kind == "primitive_type" else self._lambda_head()
+                    kids.append(self._parse_unary() if head is None else self._parse_lambda(head))
+                    return self._node("cast_expression", kids)
             return self._parse_postfix()
         finally:
             self.depth -= 1
@@ -1180,27 +1189,9 @@ class JavaParser:
             kids.append(self.parse_expression())
         return self._node("argument_list", kids)
 
-    def _parse_lambda(self) -> Node:
-        kids: list[Node] = []
-        if self.at_ident():
-            kids.append(self._node("lambda_parameters", [self.take()]))
-        else:
-            # The parameters are all inferred, bare identifiers, or all
-            # declared, each with a type (JLS 15.27.1); the first decides.
-            params = [self.take()]
-            inferred = self.at_ident() and self.toks[self.i + 1].text in (",", ")")
-            while self._more(params, ")"):
-                if inferred:
-                    params.append(self.expect_ident())
-                    continue
-                params.extend(self._parse_modifiers(_PARAMETER_MODIFIERS))
-                if self.at_ident() or self.at_any(PRIMITIVE_TYPES):
-                    params.append(self.parse_type())
-                    params.append(self.expect_ident())
-                else:
-                    params.append(self.missing("parameter"))
-            kids.append(self._node("lambda_parameters", params))
-        kids.append(self.expect("->"))
+    def _parse_lambda(self, head: Node) -> Node:
+        """The rest of a lambda expression after its parameters, ``head``."""
+        kids = [head, self.expect("->")]
         if self.at("{"):
             kids.append(self.parse_block())
         else:
@@ -1218,7 +1209,7 @@ class JavaParser:
         if self.at_any(PRIMITIVE_TYPES):
             kids.append(self._node("primitive_type", [self.take()]))
             return self._parse_array_creation_rest(kids)
-        kids.append(self._parse_named_type())
+        kids.append(self._parse_named_type([]))
         if self.at("["):
             return self._parse_array_creation_rest(kids)
         if self.at("("):

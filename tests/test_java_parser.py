@@ -340,6 +340,15 @@ VALID_SNIPPETS = [
     "void f ( ) { ( a ) = 1 ; }",
     "void f ( ) { ( ( a . b [ 0 ] ) ) >>>= 2 ; }",
     "void f ( ) { for ( i = 0 , j = 1 ; ; i += 1 ) { } }",
+    # type-use annotations (JLS 4.11), intersection casts (15.16) and a
+    # variable-arity lambda parameter (15.27.1)
+    "void f ( ) { List < @ A String > x = y ; }",
+    "void f ( ) { Object o = ( @ A String ) x ; }",
+    "int f ( ) { return ( @ A int ) - x ; }",
+    "Object f ( ) { return ( A & B ) x ; }",
+    "void f ( ) { Runnable r = ( Runnable & java . io . Serializable ) ( ) -> { } ; }",
+    "Object f ( ) { return ( int ... a ) -> a ; }",
+    "Object f ( ) { return ( final int a , @ A String ... b ) -> a ; }",
 ]
 
 INVALID_SNIPPETS = [
@@ -387,6 +396,10 @@ INVALID_SNIPPETS = [
     "void f ( ) { for ( @ 1 x : y ) ; }",         # an annotation without a name
     "void f ( ) { for ( @ A ( x : y ; }",         # an annotation left open
     "void f ( ) { for ( A < B >>> x : y ) ; }",   # closes more '<' than are open
+    # no dims after a variable-arity parameter's name (JLS 8.4.1)
+    "void f ( int ... b [ ] ) { }",
+    "Object f ( ) { return ( int ... a [ ] ) -> a ; }",
+    "Object f ( ) { return ( int & A ) x ; }",     # a primitive type takes no bound
 ]
 
 # Assignments to what is no variable (JLS 15.26): each is one error, on
@@ -447,8 +460,8 @@ def test_nested_generic_closers_split_correctly():
 
 
 def test_type_arguments_open_at_the_end_of_input_are_an_expression():
-    # The scan for a declaration runs out of tokens inside `< x`, so the
-    # for head is parsed as the expression `List < x`, with its closers missing.
+    # The declaration trial runs out of tokens inside `< x`, so the for
+    # head is parsed as the expression `List < x`, with its closers missing.
     tree = parse_java("class A { void f ( ) { for ( List < x")
     assert "binary_expression" in {n.kind for n in tree.walk()}
     assert error_nodes(tree)
@@ -520,36 +533,104 @@ def test_parse_java_appends_to_the_errors_it_is_given():
         assert tree == parse_java(src)
 
 
-LOOKAHEADS = ["_declaration_ahead", "_cast_ahead", "_lambda_ahead", "_yield_statement_ahead"]
+def test_a_rejected_trial_leaves_no_trace(monkeypatch, valid_methods, broken_methods,
+                                          flagged_constructs, abstraction_methods):
+    # The parser's error record is the tree's own only because a rewind
+    # drops every error the trial recorded, and a rule after it must see
+    # the tokens the lexer gave, not a `>` the trial split off `>>`.
+    real = JavaParser._trial
+    rejected = []
+
+    def checked(parser, rule, fits):
+        assert parser._skipped is None  # no trial runs inside another
+        before = (parser.i, list(parser.errors), list(parser.toks))
+        result = real(parser, rule, fits)
+        if result is None:
+            rejected.append(rule.__name__)
+            assert (parser.i, parser.errors, parser.toks) == before, rule.__name__
+        return result
+
+    monkeypatch.setattr(JavaParser, "_trial", checked)
+    codes = fixture_codes(valid_methods, broken_methods, flagged_constructs,
+                          abstraction_methods)
+    for code in [*codes, SPLIT_THEN_REJECTED]:
+        parser = JavaParser(code)
+        toks = list(parser.toks)
+        # Every token; the last two are the EOF and its padding copy.
+        for i in range(len(toks) - 2):
+            parser.i, errors = i, list(parser.errors)
+            parser._yield_statement_ahead()  # the one lookahead that is no trial
+            assert (parser.i, parser.errors) == (i, errors)
+            for rule in (JavaParser.parse_statement, JavaParser.parse_expression):
+                parser.toks, parser.i = list(toks), i
+                rule(parser)
+    assert set(rejected) == {"_parse_declaration_head", "_parse_cast_head",
+                             "_parse_lambda_parameters"}
 
 
-def test_lookahead_builds_no_node(monkeypatch, valid_methods, broken_methods,
-                                  flagged_constructs, abstraction_methods):
-    # The parser's error record is the tree's own only because no rewind
-    # drops a node it built: each lookahead is a scan over tokens.
-    made = []
+# The declaration trial at `a` splits `>>` to close `b < c`, then finds
+# `1`, not a name: the statement is an expression.
+SPLIT_THEN_REJECTED = "void f ( ) { a < b < c >> 1 ; }"
+
+
+def test_a_rejected_trial_puts_back_the_closer_it_split():
+    parser = JavaParser(SPLIT_THEN_REJECTED)
+    tree = parser.parse()
+    assert parser.toks[:-1] == tokenize(SPLIT_THEN_REJECTED)
+    assert parser.errors == []
+    assert "local_variable_declaration" not in {n.kind for n in tree.walk()}
+
+
+def _nodes_made(monkeypatch, code):
+    """How many nodes the parse of ``code`` makes, kept or rewound."""
+    made = 0
     init = Node.__init__
 
     def counting(node, *args, **kwargs):
-        made.append(args)
+        nonlocal made
+        made += 1
         init(node, *args, **kwargs)
 
-    monkeypatch.setattr(Node, "__init__", counting)
-    codes = fixture_codes(valid_methods, broken_methods, flagged_constructs,
-                          abstraction_methods)
-    for code in codes:
-        parser = JavaParser(code)
-        parser.parse()
-        errors = list(parser.errors)
-        made.clear()
-        # Every token; the last two are the EOF and its padding copy.
-        for i in range(len(parser.toks) - 2):
-            for name in LOOKAHEADS:
-                parser.i = i
-                getattr(parser, name)()
-                assert (made, parser.errors, parser.i) == ([], errors, i), (name, i, code)
-    Node("x", 0, 0)
-    assert made == [("x", 0, 0)]  # the counter sees a node when one is made
+    with monkeypatch.context() as patch:
+        patch.setattr(Node, "__init__", counting)
+        verdict = check_syntax(code)
+    assert not verdict.limit_exceeded, code
+    return made, verdict.valid
+
+
+def _nest(outer, inner, n):
+    """``inner`` inside ``n`` copies of ``outer``, whose `{}` marks the hole."""
+    for _ in range(n):
+        inner = outer.format(inner)
+    return inner
+
+
+def in_body(stmt):
+    return "void f ( ) { " + stmt + " }"
+
+
+# Trials inside an annotation's arguments inside a trial's head, nested:
+# (context, one level, innermost filler, valid). A trial that parsed its
+# head's annotation arguments, and was then rejected or parsed again,
+# would parse each level's inner levels twice.
+NESTED_TRIALS = {
+    "casts": (returning, "( A < @ B ( {} ) C > ) x", "x", True),
+    "rejected_casts": (returning, "( A < @ B ( {} ) C > ) - x", "x", False),
+    "lambda_heads": (returning, "( R ) ( @ A ( {} ) int x ) -> x", "x", True),
+    "rejected_lambda_heads": (returning, "( R ) ( @ A ( {} ) int x ) + x", "x", False),
+    "annotated_declarations": (
+        in_body, "for ( @ A ( new B ( ) {{ void g ( ) {{ {} }} }} ) int x : xs ) ;", ";", True),
+    "rejected_annotated_declarations": (
+        in_body, "for ( @ A ( new B ( ) {{ void g ( ) {{ {} }} }} ) int x 1 ) ;", ";", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_TRIALS))
+def test_nested_trials_parse_in_linear_time(monkeypatch, name):
+    context, outer, filler, valid = NESTED_TRIALS[name]
+    small, large = (_nodes_made(monkeypatch, context(_nest(outer, filler, n))) for n in (5, 20))
+    assert small[1] == large[1] == valid
+    assert large[0] <= 4 * small[0], (small, large)
 
 
 def test_a_member_takes_a_token_wherever_it_starts(valid_methods, broken_methods,
@@ -736,8 +817,8 @@ def test_deleting_a_separator_from_a_valid_row_makes_it_invalid(valid_methods,
 
 
 def test_nested_annotated_resources_parse_in_linear_time():
-    # The head is probed by tokens only. Parsing its annotation to probe it,
-    # then again, would double the work at every level of this nest.
+    # A trial skips the head's annotation arguments. Parsing them in the
+    # trial, then again, would double the work at every level of this nest.
     code = "void f ( ) { " + "try ( @ A ( ( R ) ( ) -> { " * 40 + "} ) R r = g ( ) ) { } " * 40 + "}"
     start = time.monotonic()
     assert check_syntax(code).valid

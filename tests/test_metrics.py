@@ -9,6 +9,7 @@ standard deviation of [0.2, 0.4, 0.6]) were computed by hand.
 import math
 import random
 import statistics
+import sys
 import time
 
 import pytest
@@ -221,7 +222,10 @@ def test_400k_side_against_300_chars_is_fast():
     assert levenshtein(a, b) == len(a) - 150
     assert levenshtein(b, a) == len(a) - 150
     elapsed = time.perf_counter() - started
-    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+    # A line tracer, such as tests/line_reach.py, calls back on every line
+    # of the per-character mask loop, 400k times here.
+    if sys.gettrace() is None:
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
 def test_twenty_thousand_char_pair_is_fast():

@@ -21,7 +21,7 @@ FIXTURES = [
     "valid_methods.jsonl",
 ]
 ROWS = 127
-EXPECTED_SHA256 = "9b6eb5ada6454d833bf9b0d45fa179f5df54ec91dec4a401d1bcca05cbf01718"
+EXPECTED_SHA256 = "8d24381275f43f042e54b76748bc4b38a65fb7ea3df489561c7cce5d3bc6919f"
 
 
 def test_every_fixture_tree_and_verdict_is_pinned():

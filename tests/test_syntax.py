@@ -117,6 +117,22 @@ def test_error_spans_lie_where_the_fragment_goes_wrong(code, spans):
     assert not v.limit_exceeded
 
 
+def test_a_prefix_of_java_goes_wrong_no_earlier_than_its_last_token(valid_methods,
+                                                                     abstraction_methods):
+    # A proper prefix of a valid row can go on to be Java, so its first
+    # error lies where the text stops: on its last token or after it.
+    # `return ( a , b` is the head of a lambda the text has not finished.
+    prefixes = 0
+    for row in valid_methods + abstraction_methods:
+        code = row["code"]
+        toks = tokenize(code)[:-1]
+        for last in toks[:-1]:
+            v = check_syntax(code[:last.end])
+            assert v.error_spans[0][0] >= last.start, (row["id"], code[:last.end])
+            prefixes += 1
+    assert prefixes == 1742
+
+
 def test_a_comment_alone_is_valid():
     assert check_syntax("// note").valid and check_syntax("/* note */").valid
 
